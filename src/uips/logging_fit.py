@@ -108,6 +108,11 @@ class LoggingModel:
             return cls.from_json(fh.read())
 
 
+def _sigmoid(scores: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 / (1.0 + np.exp(-scores))
+
+
 def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> LoggingModel:
     """Fit softmax-linear logging scores from logged actions alone.
 
@@ -116,6 +121,15 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     temperature of the true logging policy is absorbed into the learned
     parameters). Gram matrices are initialized to identity; call
     :func:`accumulate_grams` to add the data mass.
+
+    Each epoch evaluates the sigmoid only at the cells that carry gradient:
+    the n positives and the n * negatives sampled cells; every other cell of
+    the (n, action_count) loss derivative is exactly zero. The scores and
+    the gradient remain two dense matrix products, which fixes their
+    summation order, and the loss is evaluated once, for the last epoch.
+    ``theta``, the diagnostics and the RNG stream are therefore bit-identical
+    to a fit that evaluates every cell every epoch
+    (``tests/helpers.dense_fit_reference``).
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a logging policy on an empty dataset")
@@ -126,33 +140,39 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     xs = dataset.xs
     acts = dataset.actions
 
-    pos_mask = np.zeros((n, a_count))
-    pos_mask[np.arange(n), acts] = 1.0
+    pos_flat = np.arange(n) * a_count + acts
+    row_start = np.arange(n)[:, None] * a_count
     k = min(config.negatives, a_count - 1)
-    loss = float("nan")
+    flat = np.empty(0, dtype=np.intp)
+    scores = np.empty((n, a_count))
+    cell_scores = scores.reshape(-1)
+    dloss = np.empty(n * a_count)
     for _ in range(config.epochs):
-        scores = xs @ theta.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = 1.0 / (1.0 + np.exp(-scores))
+        np.matmul(xs, theta.T, out=scores)
+        dloss.fill(0.0)
         if k > 0:
-            # per-record negative multiplicity, sampled uniformly over non-chosen actions
+            # negatives are uniform over non-chosen actions; a cell drawn c times
+            # carries c * sigmoid(score), exactly as the dense count product did
             negs = rng.integers(0, a_count - 1, size=(n, k))
-            negs = negs + (negs >= acts[:, None])
-            flat = (np.arange(n)[:, None] * a_count + negs).ravel()
-            neg_counts = np.bincount(flat, minlength=n * a_count).reshape(n, a_count).astype(float)
-        else:
-            neg_counts = np.zeros((n, a_count))
-        dloss = (p - 1.0) * pos_mask + p * neg_counts
-        grad = dloss.T @ xs / n + config.l2 * theta
+            negs += negs >= acts[:, None]
+            flat = (negs + row_start).ravel()
+            np.add.at(dloss, flat, 1.0)
+            dloss[flat] *= _sigmoid(cell_scores[flat])
+        dloss[pos_flat] = _sigmoid(cell_scores[pos_flat]) - 1.0
+        grad = dloss.reshape(n, a_count).T @ xs / n + config.l2 * theta
+        theta_last = theta
         with np.errstate(over="ignore", invalid="ignore"):
-            theta -= config.learning_rate * grad
+            theta = theta - config.learning_rate * grad
         if not np.all(np.isfinite(theta)):
             raise FitError("logging fit diverged to non-finite parameters")
-        p_sel = p[np.arange(n), acts]
-        loss = float(
-            np.mean(-np.log(np.maximum(p_sel, 1e-300)))
-            + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, 1e-300))) / n
-        )
+
+    # the loss of the last epoch, at its pre-step parameters and negatives
+    p = _sigmoid(xs @ theta_last.T)
+    neg_counts = np.bincount(flat, minlength=n * a_count).reshape(n, a_count).astype(float)
+    loss = float(
+        np.mean(-np.log(np.maximum(p[np.arange(n), acts], 1e-300)))
+        + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, 1e-300))) / n
+    )
     if not np.isfinite(loss):
         raise FitError(f"logging fit loss is not finite: {loss}")
 

@@ -320,18 +320,22 @@ class TabularPolicy:
     def action_count(self) -> int:
         return self.probs.shape[1]
 
-    def _row(self, x: np.ndarray) -> np.ndarray:
-        key = np.asarray(x, dtype=float).tobytes()
+    def _id(self, x: np.ndarray) -> int:
         try:
-            return self.probs[self._index[key]]
+            return self._index[np.asarray(x, dtype=float).tobytes()]
         except KeyError:
             raise ValueError("context not covered by this tabular policy") from None
 
     def distribution(self, x: np.ndarray) -> np.ndarray:
-        return self._row(x)
+        return self.probs[self._id(x)]
+
+    def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
+        """Distribution rows for a batch of contexts, one lookup per row."""
+        xs = np.asarray(xs, dtype=float)
+        return self.probs[np.array([self._id(x) for x in xs], dtype=np.intp)]
 
     def prob(self, x: np.ndarray, action: int) -> float:
-        return float(self._row(x)[action])
+        return float(self.probs[self._id(x), action])
 
 
 def epsilon_greedy_policy(env: BanditEnv, epsilon: float, split: str = "test") -> TabularPolicy:

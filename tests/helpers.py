@@ -44,3 +44,56 @@ def count_ips_reference(dataset, policy, cap):
         w = min(cap, policy.prob(dataset.xs[i], int(dataset.actions[i])) / emp)
         terms.append(w * dataset.rewards[i])
     return float(np.mean(np.asarray(terms)))
+
+
+def dense_fit_reference(dataset, config):
+    """The logging fit's epoch loop on dense (n, action_count) arrays.
+
+    Independent of ``uips.logging_fit``: it evaluates the sigmoid, the
+    negative counts and the loss at every cell, every epoch. The library
+    fit must reproduce its ``theta`` and diagnostics bit for bit, from the
+    same RNG stream. Returns ``(theta, diagnostics)``.
+    """
+    rng = make_rng(config.seed)
+    n, d = dataset.xs.shape
+    a_count = dataset.action_count
+    theta = np.zeros((a_count, d))
+    xs = dataset.xs
+    acts = dataset.actions
+
+    pos_mask = np.zeros((n, a_count))
+    pos_mask[np.arange(n), acts] = 1.0
+    k = min(config.negatives, a_count - 1)
+    loss = float("nan")
+    for _ in range(config.epochs):
+        scores = xs @ theta.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = 1.0 / (1.0 + np.exp(-scores))
+        if k > 0:
+            negs = rng.integers(0, a_count - 1, size=(n, k))
+            negs = negs + (negs >= acts[:, None])
+            flat = (np.arange(n)[:, None] * a_count + negs).ravel()
+            neg_counts = np.bincount(flat, minlength=n * a_count).reshape(n, a_count).astype(float)
+        else:
+            neg_counts = np.zeros((n, a_count))
+        dloss = (p - 1.0) * pos_mask + p * neg_counts
+        grad = dloss.T @ xs / n + config.l2 * theta
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta -= config.learning_rate * grad
+        if not np.all(np.isfinite(theta)):
+            raise RuntimeError("dense reference fit diverged")
+        p_sel = p[np.arange(n), acts]
+        loss = float(
+            np.mean(-np.log(np.maximum(p_sel, 1e-300)))
+            + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, 1e-300))) / n
+        )
+
+    scores = xs @ theta.T
+    median = np.median(scores, axis=1)
+    frac_above = float(np.mean(scores[np.arange(n), acts] > median))
+    diagnostics = {
+        "final_loss": loss,
+        "epochs": config.epochs,
+        "frac_logged_above_median_score": frac_above,
+    }
+    return theta, diagnostics

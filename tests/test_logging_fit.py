@@ -16,7 +16,9 @@ from uips.logging_fit import (
     uncertainty,
     uncertainty_frequency_bins,
 )
-from uips.synthetic import EnvConfig, build_env, generate_log
+from uips.synthetic import EnvConfig, build_env, generate_log, generate_log_per_context
+
+from helpers import dense_fit_reference
 
 
 def sample_from_policy(policy, pool, n, rng):
@@ -83,6 +85,49 @@ class TestFitLoggingPolicy:
         empty = LoggedDataset(xs=np.zeros((0, 3)), actions=[], rewards=[], action_count=2)
         with pytest.raises(ValueError):
             fit_logging_policy(empty, LoggingFitConfig())
+
+
+def _random_log(seed, n, n_contexts, dim, action_count):
+    rng = make_rng(seed)
+    pool = rng.standard_normal((n_contexts, dim))
+    return LoggedDataset(
+        xs=pool[rng.integers(0, n_contexts, n)], actions=rng.integers(0, action_count, n),
+        rewards=np.zeros(n), action_count=action_count,
+    )
+
+
+def _desk_ope_log():
+    env = build_env(EnvConfig(dim=16, action_count=50, train_size=200, validation_size=50, test_size=100, tau=0.5))
+    return generate_log_per_context(env, 100, make_rng(3))
+
+
+class TestFitMatchesDenseReference:
+    """The sparse-cell fit reproduces the dense epoch loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_log, config",
+        [
+            (_desk_ope_log, LoggingFitConfig(learning_rate=2.0, epochs=4, negatives=5, seed=3)),
+            (lambda: _random_log(20, 300, 300, 6, 10), LoggingFitConfig(epochs=8, negatives=4, seed=1)),
+            (lambda: _random_log(21, 200, 15, 5, 8), LoggingFitConfig(epochs=8, negatives=0, seed=2)),
+            (lambda: _random_log(22, 150, 20, 4, 1), LoggingFitConfig(epochs=8, negatives=5, seed=3)),
+            (lambda: _random_log(23, 150, 20, 4, 2), LoggingFitConfig(epochs=8, negatives=5, seed=4)),
+            (lambda: _random_log(24, 150, 20, 4, 3), LoggingFitConfig(epochs=8, negatives=5, seed=5)),
+        ],
+        ids=["desk-ope-repeated", "all-distinct", "no-negatives", "one-action", "two-actions", "duplicate-negatives"],
+    )
+    def test_theta_and_diagnostics_are_bit_identical(self, make_log, config):
+        ds = make_log()
+        theta, diagnostics = dense_fit_reference(ds, config)
+        model = fit_logging_policy(ds, config)
+        np.testing.assert_array_equal(model.policy.theta, theta)
+        assert model.fit_diagnostics == diagnostics
+
+    def test_nan_context_raises_fit_error(self):
+        ds = _random_log(25, 50, 10, 4, 5)
+        ds.xs[7, 2] = np.nan
+        with pytest.raises(FitError):
+            fit_logging_policy(ds, LoggingFitConfig(epochs=3))
 
 
 class TestAccumulateGrams:

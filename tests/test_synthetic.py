@@ -201,3 +201,18 @@ def test_skewness_increases_as_temperature_drops():
     max_sharp = sharp.logging_policy.distribution_matrix(xs).max(axis=1).mean()
     max_flat = flat.logging_policy.distribution_matrix(xs).max(axis=1).mean()
     assert max_sharp > max_flat
+
+
+class TestTabularPolicy:
+    def test_distribution_matrix_matches_per_row_lookup(self):
+        policy = epsilon_greedy_policy(build_env(SMALL), 0.3)
+        rng = make_rng(13)
+        xs = policy.contexts[rng.integers(0, policy.contexts.shape[0], 60)]
+        per_row = np.stack([policy.distribution(x) for x in xs])
+        np.testing.assert_array_equal(policy.distribution_matrix(xs), per_row)
+
+    def test_distribution_matrix_rejects_unknown_context(self):
+        policy = epsilon_greedy_policy(build_env(SMALL), 0.3)
+        xs = np.vstack([policy.contexts[:2], np.full((1, SMALL.dim), 7.0)])
+        with pytest.raises(ValueError):
+            policy.distribution_matrix(xs)
