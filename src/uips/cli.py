@@ -26,7 +26,7 @@ from pathlib import Path
 from uips import __version__
 from uips.core import LoggedDataset, make_rng
 from uips.estimators import Weighting, ope_mse_experiment
-from uips.learning import TrainConfig, train
+from uips.learning import TrainConfig, train, train_policy
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -261,7 +261,7 @@ def run_sweep(
                 config = TrainConfig(
                     weighting=weighting, learning_rate=lr, seed=seed, k_eval=k_eval, **section
                 )
-                policy, _ = train(dataset, model, config, env=env)
+                policy = train_policy(dataset, model, config)
                 _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
                 key = (val_ndcg, -lr)
                 if best is None or key > best[0]:

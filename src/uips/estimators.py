@@ -135,30 +135,6 @@ class TabularImputation:
         return np.stack([self._row(x) for x in xs])
 
 
-def fit_ridge_imputation(dataset: LoggedDataset, l2: float = 1.0):
-    """Per-action ridge regression of reward on context, clipped to [0, 1]."""
-    d = dataset.dim
-    theta = np.zeros((dataset.action_count, d))
-    intercept = np.full(dataset.action_count, float(dataset.rewards.mean()))
-    for a in range(dataset.action_count):
-        mask = dataset.actions == a
-        if not mask.any():
-            continue
-        xa, ra = dataset.xs[mask], dataset.rewards[mask]
-        mean_r = ra.mean()
-        theta[a] = np.linalg.solve(xa.T @ xa + l2 * np.eye(d), xa.T @ (ra - mean_r))
-        intercept[a] = mean_r
-
-    class _Linear:
-        def predict(self, x, action):
-            return float(np.clip(np.dot(theta[action], x) + intercept[action], 0.0, 1.0))
-
-        def predict_matrix(self, xs, action_count):
-            return np.clip(xs @ theta.T + intercept, 0.0, 1.0)
-
-    return _Linear()
-
-
 def imputation_matrix(imputation, xs: np.ndarray, action_count: int) -> np.ndarray:
     batched = getattr(imputation, "predict_matrix", None)
     if batched is not None:
@@ -484,32 +460,6 @@ class OpeResult:
         return [
             (r["estimator"], r["seed"], r["estimate"], r["squared_error"]) for r in self.rows
         ]
-
-
-def estimate_with_weighting(
-    dataset: LoggedDataset,
-    policy,
-    model: LoggingModel,
-    weighting: Weighting,
-    us: Optional[np.ndarray] = None,
-    beta_floor: float = 1e-8,
-) -> float:
-    """Dispatch a Weighting spec to the matching estimator."""
-    kind = weighting.kind
-    if kind == "ips_true":
-        return v_ips(dataset, policy)
-    if kind == "bips":
-        return v_bips(dataset, policy, model, beta_floor)
-    if kind == "bips_cap":
-        return v_bips_cap(dataset, policy, model, weighting.cap, beta_floor)
-    if kind == "snips":
-        return v_snips(dataset, policy, model, beta_floor)
-    if kind == "dice_s":
-        return v_dice_s(dataset, policy, cap=weighting.cap if weighting.cap else np.inf)
-    return reweighted_value(
-        dataset, policy, model, kind,
-        lam=weighting.lam, hp=weighting.hp, us=us, beta_floor=beta_floor,
-    ).value
 
 
 def _seed_cache(dataset: LoggedDataset, policy, model: LoggingModel, beta_floor: float) -> dict:

@@ -1,16 +1,17 @@
 """REINFORCE policy optimization under a chosen propensity weighting.
 
 The training loop is plain minibatch SGD ascent on the weighted objective:
-uncertainties are computed once up front, the shrink weight of each sample
-is recomputed from the current policy at every step, and the weight is
-treated as a constant (stop-gradient) inside the step, so the per-step
-gradient is the log-trick gradient of the weighted sample mean.
+uncertainties and the logging model's ``beta_hat`` rows are computed once
+up front, the shrink weight of each sample is recomputed from the current
+policy at every step, and the weight is treated as a constant
+(stop-gradient) inside the step, so the per-step gradient is the log-trick
+gradient of the weighted sample mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -79,8 +80,15 @@ def _sample_coefficients(
     us: Optional[np.ndarray],
     emp: Optional[np.ndarray],
     pi_all: Optional[np.ndarray] = None,
+    beta_all: Optional[np.ndarray] = None,
+    beta_sel: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample weights w, target distribution rows, and w * r coefficients."""
+    """Per-sample weights w, target distribution rows, and w * r coefficients.
+
+    ``pi_all``, ``beta_all`` (the logging model's rows) and ``beta_sel``
+    (their logged-action column, before flooring) are computed from the
+    batch unless passed in.
+    """
     if pi_all is None:
         pi_all = policy.distribution_matrix(batch.xs)
     n = np.arange(len(batch))
@@ -103,15 +111,18 @@ def _sample_coefficients(
         if kind in ("uips", "uips_p", "uips_o") and us is None:
             us = uncertainties(model, batch)
         beta_floor = weighting.hp.beta_floor if weighting.hp is not None else 1e-8
-        beta_all = model.beta_matrix(batch.xs)
-        beta_sel = np.maximum(beta_all[n, batch.actions], beta_floor)
+        if beta_sel is None:
+            if beta_all is None:
+                beta_all = model.beta_matrix(batch.xs)
+            beta_sel = beta_all[n, batch.actions]
+        beta_sel = np.maximum(beta_sel, beta_floor)
         ratio = pi_sel / beta_sel
         if kind == "bips":
             w = ratio
         elif kind == "bips_cap":
             w = np.minimum(weighting.cap, ratio)
         elif kind == "snips":
-            w = ratio / ratio.sum() * len(batch)
+            w = ratio / max(ratio.sum(), 1e-300) * len(batch)
         else:
             phi = shrink_factors(
                 kind, pi_sel, beta_sel, actions=batch.actions, us=us,
@@ -122,6 +133,16 @@ def _sample_coefficients(
     return w, pi_all, w * batch.rewards
 
 
+def _log_trick_gradient(
+    policy: SoftmaxLinearPolicy, batch: LoggedDataset, pi_all: np.ndarray, coeff: np.ndarray
+) -> np.ndarray:
+    """(1/B) sum_n coeff_n grad log pi(a_n|x_n), given the rows ``pi_all``."""
+    onehot_minus_pi = -pi_all
+    onehot_minus_pi[np.arange(len(batch)), batch.actions] += 1.0
+    c = onehot_minus_pi * coeff[:, None]
+    return c.T @ batch.xs / (policy.tau * len(batch))
+
+
 def weighted_gradient(
     policy: SoftmaxLinearPolicy,
     batch: LoggedDataset,
@@ -129,21 +150,23 @@ def weighted_gradient(
     weighting: Weighting,
     us: Optional[np.ndarray] = None,
     emp: Optional[np.ndarray] = None,
+    beta_all: Optional[np.ndarray] = None,
+    beta_sel: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Log-trick gradient of the weighted value estimate over the batch.
 
     Returns (1/B) sum_n w_n r_n grad log pi(a_n|x_n) as a matrix shaped like
     ``policy.theta``. The weight is recomputed from the current policy but
     not differentiated through. Count propensities for dice_s are computed
-    over the batch unless precomputed full-log values are passed via ``emp``.
+    over the batch unless precomputed full-log values are passed via ``emp``;
+    likewise ``beta_hat`` unless its rows or selected column are passed.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    _, pi_all, coeff = _sample_coefficients(policy, batch, model, weighting, us, emp)
-    onehot_minus_pi = -pi_all
-    onehot_minus_pi[np.arange(len(batch)), batch.actions] += 1.0
-    c = onehot_minus_pi * coeff[:, None]
-    return c.T @ batch.xs / (policy.tau * len(batch))
+    _, pi_all, coeff = _sample_coefficients(
+        policy, batch, model, weighting, us, emp, beta_all=beta_all, beta_sel=beta_sel
+    )
+    return _log_trick_gradient(policy, batch, pi_all, coeff)
 
 
 def dr_gradient(
@@ -194,12 +217,125 @@ def estimate_value(
     return float(coeff.mean())
 
 
-def true_gradient_norm(policy: SoftmaxLinearPolicy, pool: LoggedDataset) -> float:
-    """Frobenius norm of the exact-propensity REINFORCE gradient over the pool."""
+def true_gradient_norm(
+    policy: SoftmaxLinearPolicy, pool: LoggedDataset, pi_all: Optional[np.ndarray] = None
+) -> float:
+    """Frobenius norm of the exact-propensity REINFORCE gradient over the pool.
+
+    ``pi_all``, the policy's rows for the pool, is computed unless passed in.
+    """
     if pool.true_logging_probs is None:
         raise ValueError("pool carries no true logging probabilities")
-    grad = weighted_gradient(policy, pool, None, Weighting(kind="ips_true"))
-    return float(np.linalg.norm(grad))
+    _, pi_all, coeff = _sample_coefficients(
+        policy, pool, None, Weighting(kind="ips_true"), None, None, pi_all=pi_all
+    )
+    return float(np.linalg.norm(_log_trick_gradient(policy, pool, pi_all, coeff)))
+
+
+@dataclass(frozen=True)
+class EpochState:
+    """The step loop after one epoch: the policy and what its steps used."""
+
+    epoch: int
+    policy: SoftmaxLinearPolicy
+    dataset: LoggedDataset
+    model: Optional[LoggingModel]
+    us: Optional[np.ndarray]
+    emp: Optional[np.ndarray]
+    beta_all: Optional[np.ndarray]
+    beta_sel: Optional[np.ndarray]
+
+
+def _logging_rows(
+    model: LoggingModel, dataset: LoggedDataset, kind: str
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """The logging model's ``(beta_all, beta_sel)`` over the dataset, one of them None.
+
+    minvar and stablevar normalise over every action, so they keep the full
+    (n, actions) rows; every other kind keeps only the logged-action column.
+    """
+    beta_all = model.beta_matrix(dataset.xs)
+    if kind in ("minvar", "stablevar"):
+        return beta_all, None
+    return None, beta_all[np.arange(len(dataset)), dataset.actions]
+
+
+def train_epochs(
+    source: Union[BanditEnv, LoggedDataset],
+    model: Optional[LoggingModel],
+    config: TrainConfig,
+) -> Iterator[EpochState]:
+    """Minibatch REINFORCE ascent under the configured weighting, one epoch per yield.
+
+    This is the one step loop; :func:`train` and :func:`train_policy` both
+    run it. ``source`` is either a logged dataset or an environment (in
+    which case ``config.n_logged`` samples are drawn first). Uncertainties
+    and the logging model's ``beta_hat`` rows are computed once before the
+    loop, and each step indexes its batch from them; set
+    ``refit_logging_per_epoch`` to refit the logging model, and recompute
+    both, at every epoch instead.
+
+    The policy depends only on the steps. Whatever a caller computes from
+    the yielded states, such as a trace, is diagnostic and cannot change it.
+    """
+    rng = make_rng(config.seed)
+    if isinstance(source, BanditEnv):
+        dataset = generate_log(source, config.n_logged, rng)
+    else:
+        dataset = source
+
+    kind = config.weighting.kind
+    fit_cfg = config.logging_fit or LoggingFitConfig(seed=config.seed)
+    needs_model = kind not in ("ce", "ips_true", "dice_s")
+    if model is None and needs_model:
+        model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
+
+    needs_us = kind in ("uips", "uips_p", "uips_o")
+    us = uncertainties(model, dataset) if needs_us else None
+    emp = _empirical_propensities(dataset) if kind == "dice_s" else None
+    beta_all, beta_sel = _logging_rows(model, dataset, kind) if needs_model else (None, None)
+
+    theta = np.zeros((dataset.action_count, dataset.dim))
+    policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
+    n = len(dataset)
+
+    for epoch in range(1, config.epochs + 1):
+        if config.refit_logging_per_epoch and needs_model:
+            model = accumulate_grams(
+                dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=fit_cfg.seed + epoch))
+            )
+            us = uncertainties(model, dataset) if needs_us else None
+            beta_all, beta_sel = _logging_rows(model, dataset, kind)
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            batch = dataset.subset(batch_idx)
+            grad = weighted_gradient(
+                policy, batch, model, config.weighting,
+                us[batch_idx] if us is not None else None,
+                emp[batch_idx] if emp is not None else None,
+                beta_all=beta_all[batch_idx] if beta_all is not None else None,
+                beta_sel=beta_sel[batch_idx] if beta_sel is not None else None,
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                theta = theta + config.learning_rate * grad
+            if not np.all(np.isfinite(theta)):
+                raise RuntimeError(
+                    f"training diverged to non-finite parameters at epoch {epoch}"
+                )
+            policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
+        yield EpochState(epoch, policy, dataset, model, us, emp, beta_all, beta_sel)
+
+
+def train_policy(
+    source: Union[BanditEnv, LoggedDataset],
+    model: Optional[LoggingModel],
+    config: TrainConfig,
+) -> SoftmaxLinearPolicy:
+    """The policy :func:`train` returns, without computing its trace."""
+    for state in train_epochs(source, model, config):
+        pass
+    return state.policy
 
 
 def train(
@@ -208,71 +344,42 @@ def train(
     config: TrainConfig,
     env: Optional[BanditEnv] = None,
 ) -> tuple[SoftmaxLinearPolicy, TrainTrace]:
-    """Minibatch REINFORCE ascent under the configured weighting.
+    """Minibatch REINFORCE ascent under the configured weighting, with a trace.
 
-    ``source`` is either a logged dataset or an environment (in which case
-    ``config.n_logged`` samples are drawn first). Passing the environment
-    adds validation ranking metrics to the trace. Uncertainties are
-    computed once before the loop; set ``refit_logging_per_epoch`` to refit
-    the logging model (and uncertainties) at every epoch instead.
+    Runs the step loop of :func:`train_epochs` and records one
+    :class:`TrainTrace` entry per epoch. ``source`` is either a logged
+    dataset or an environment (in which case ``config.n_logged`` samples are
+    drawn first). Passing the environment adds validation ranking metrics
+    to the trace.
+
+    The trace is diagnostic only: the policy does not depend on it, and is
+    the one :func:`train_policy` returns for the same arguments.
     """
-    rng = make_rng(config.seed)
     if isinstance(source, BanditEnv):
         env = env or source
-        dataset = generate_log(source, config.n_logged, rng)
-    else:
-        dataset = source
-
-    fit_cfg = config.logging_fit or LoggingFitConfig(seed=config.seed)
-    needs_model = config.weighting.kind not in ("ce", "ips_true", "dice_s")
-    if model is None and needs_model:
-        model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
-
-    needs_us = config.weighting.kind in ("uips", "uips_p", "uips_o")
-    us = uncertainties(model, dataset) if needs_us else None
-    emp = _empirical_propensities(dataset) if config.weighting.kind == "dice_s" else None
-
-    theta = np.zeros((dataset.action_count, dataset.dim))
-    policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-    trace = TrainTrace()
-    n = len(dataset)
     val_instances = env.validation if env is not None else None
-    track_grad_norm = dataset.true_logging_probs is not None
-
-    for epoch in range(1, config.epochs + 1):
-        if config.refit_logging_per_epoch and needs_model:
-            model = accumulate_grams(
-                dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=fit_cfg.seed + epoch))
-            )
-            us = uncertainties(model, dataset) if needs_us else None
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            batch = dataset.subset(batch_idx)
-            batch_us = us[batch_idx] if us is not None else None
-            batch_emp = emp[batch_idx] if emp is not None else None
-            grad = weighted_gradient(policy, batch, model, config.weighting, batch_us, batch_emp)
-            with np.errstate(over="ignore", invalid="ignore"):
-                theta = theta + config.learning_rate * grad
-            if not np.all(np.isfinite(theta)):
-                raise RuntimeError(
-                    f"training diverged to non-finite parameters at epoch {epoch}"
-                )
-            policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-
-        record = {"epoch": epoch}
-        w, _, coeff = _sample_coefficients(policy, dataset, model, config.weighting, us, emp)
+    trace = TrainTrace()
+    for state in train_epochs(source, model, config):
+        policy, dataset = state.policy, state.dataset
+        record = {"epoch": state.epoch}
+        w, pi_all, coeff = _sample_coefficients(
+            policy, dataset, state.model, config.weighting, state.us, state.emp,
+            beta_all=state.beta_all, beta_sel=state.beta_sel,
+        )
         if config.weighting.kind == "snips":
             record["value"] = float(coeff.sum() / max(w.sum(), 1e-300))
         else:
             record["value"] = float(coeff.mean())
         record["max_weight"] = float(w.max())
-        if val_instances is not None and epoch % config.eval_every == 0:
+        if val_instances is not None and state.epoch % config.eval_every == 0:
             p, r, ndcg = evaluate_policy(policy, val_instances, config.k_eval)
             record.update({"p_at_k": p, "r_at_k": r, "ndcg_at_k": ndcg})
         else:
             record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})
-        record["grad_norm"] = true_gradient_norm(policy, dataset) if track_grad_norm else None
+        record["grad_norm"] = (
+            true_gradient_norm(policy, dataset, pi_all)
+            if dataset.true_logging_probs is not None else None
+        )
         trace.records.append(record)
 
-    return policy, trace
+    return state.policy, trace

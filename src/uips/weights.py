@@ -44,6 +44,13 @@ DEFAULT_SWEEP_GRID = {
 }
 
 
+#: Up to this gamma*u the weight is computed from e^{gamma u} directly.
+#: Above it e^{gamma u} overflows (from about 709.78), so numerators and
+#: denominators are first multiplied by e^{700 - gamma u}; the weight
+#: there is below 2 * eta2 * e^{-700}.
+GU_UNSCALED_MAX = 700.0
+
+
 @dataclass(frozen=True)
 class UipsHyperParams:
     """Weight hyper-parameters: lam, gamma, the two etas, and the beta floor."""
@@ -93,13 +100,19 @@ def phi_star(winput: WeightInput, hp: UipsHyperParams) -> float:
 
 
 def phi_star_branch(winput: WeightInput, hp: UipsHyperParams) -> tuple[float, str]:
-    """Weight plus which branch produced it ('first_term' or 'cap')."""
+    """Weight plus which branch produced it ('first_term' or 'cap').
+
+    Finite and within [0, 2 * eta2] for any valid input, including a
+    gamma*u large enough that e^{gamma u} overflows.
+    """
     gu = hp.gamma * winput.u
     ratio = winput.pi / max(winput.beta_hat, hp.beta_floor)
-    e_neg, e_pos = math.exp(-gu), math.exp(gu)
+    gu_capped = min(gu, GU_UNSCALED_MAX)
+    scale = math.exp(gu_capped - gu)
+    e_neg, e_pos = math.exp(-gu) * scale, math.exp(gu_capped)
     denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
-    first = hp.lam / denom if denom > 0 else math.inf
-    cap = 2.0 * hp.eta2 / (e_pos + e_neg)
+    first = hp.lam * scale / denom if denom > 0 else math.inf
+    cap = 2.0 * hp.eta2 * scale / (e_pos + e_neg)
     if first <= cap:
         return first, "first_term"
     return cap, "cap"
@@ -108,14 +121,21 @@ def phi_star_branch(winput: WeightInput, hp: UipsHyperParams) -> tuple[float, st
 def phi_star_vector(
     pis: np.ndarray, beta_hats: np.ndarray, us: np.ndarray, hp: UipsHyperParams
 ) -> np.ndarray:
-    """Vectorized :func:`phi_star` over per-sample arrays."""
+    """Vectorized :func:`phi_star` over per-sample arrays; finite for any gamma*u."""
     gu = hp.gamma * np.asarray(us, dtype=float)
     ratio = np.asarray(pis, dtype=float) / np.maximum(beta_hats, hp.beta_floor)
-    e_neg, e_pos = np.exp(-gu), np.exp(gu)
-    denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
-    with np.errstate(divide="ignore"):
-        first = np.divide(hp.lam, denom, out=np.full_like(denom, np.inf), where=denom > 0)
-    cap = 2.0 * hp.eta2 / (e_pos + e_neg)
+    e_neg, e_pos = np.exp(-gu), np.minimum(gu, GU_UNSCALED_MAX)
+    np.exp(e_pos, out=e_pos)
+    scale = 1.0
+    # tested first so that the common case allocates no extra arrays
+    if gu.max(initial=0.0) > GU_UNSCALED_MAX:
+        scale = np.exp(np.minimum(GU_UNSCALED_MAX - gu, 0.0))
+        e_neg *= scale
+    # a denominator that overflows to inf gives a first term of 0, its limit
+    with np.errstate(over="ignore", divide="ignore"):
+        denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
+        first = np.divide(hp.lam * scale, denom, out=np.full_like(denom, np.inf), where=denom > 0)
+    cap = 2.0 * hp.eta2 * scale / (e_pos + e_neg)
     return np.minimum(first, cap)
 
 

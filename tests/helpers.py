@@ -1,9 +1,29 @@
 """Shared samplers and reference implementations used across test modules."""
 
+from dataclasses import replace
+from typing import Optional, Union
+
 import numpy as np
 
-from uips.core import make_rng
-from uips.logging_fit import confidence_interval
+from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.learning import (
+    TrainConfig,
+    TrainTrace,
+    _empirical_propensities,
+    _sample_coefficients,
+    true_gradient_norm,
+    weighted_gradient,
+)
+from uips.logging_fit import (
+    LoggingFitConfig,
+    LoggingModel,
+    accumulate_grams,
+    confidence_interval,
+    fit_logging_policy,
+    uncertainties,
+)
+from uips.metrics import evaluate_policy
+from uips.synthetic import BanditEnv, generate_log
 from uips.weights import WeightInput
 
 
@@ -97,3 +117,79 @@ def dense_fit_reference(dataset, config):
         "frac_logged_above_median_score": frac_above,
     }
     return theta, diagnostics
+
+
+def reference_train(
+    source: Union[BanditEnv, LoggedDataset],
+    model: Optional[LoggingModel],
+    config: TrainConfig,
+    env: Optional[BanditEnv] = None,
+) -> tuple[SoftmaxLinearPolicy, TrainTrace]:
+    """``learning.train`` as one loop, with its steps and epoch records inline.
+
+    Independent of ``uips.learning.train_epochs``: every step recomputes
+    ``beta_hat`` for its batch, and every epoch record computes its own
+    softmaxes and the true-gradient norm. The library ``train`` must
+    reproduce its policy bit for bit and its trace records exactly.
+    Returns ``(policy, trace)``.
+    """
+    rng = make_rng(config.seed)
+    if isinstance(source, BanditEnv):
+        env = env or source
+        dataset = generate_log(source, config.n_logged, rng)
+    else:
+        dataset = source
+
+    fit_cfg = config.logging_fit or LoggingFitConfig(seed=config.seed)
+    needs_model = config.weighting.kind not in ("ce", "ips_true", "dice_s")
+    if model is None and needs_model:
+        model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
+
+    needs_us = config.weighting.kind in ("uips", "uips_p", "uips_o")
+    us = uncertainties(model, dataset) if needs_us else None
+    emp = _empirical_propensities(dataset) if config.weighting.kind == "dice_s" else None
+
+    theta = np.zeros((dataset.action_count, dataset.dim))
+    policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
+    trace = TrainTrace()
+    n = len(dataset)
+    val_instances = env.validation if env is not None else None
+    track_grad_norm = dataset.true_logging_probs is not None
+
+    for epoch in range(1, config.epochs + 1):
+        if config.refit_logging_per_epoch and needs_model:
+            model = accumulate_grams(
+                dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=fit_cfg.seed + epoch))
+            )
+            us = uncertainties(model, dataset) if needs_us else None
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            batch = dataset.subset(batch_idx)
+            batch_us = us[batch_idx] if us is not None else None
+            batch_emp = emp[batch_idx] if emp is not None else None
+            grad = weighted_gradient(policy, batch, model, config.weighting, batch_us, batch_emp)
+            with np.errstate(over="ignore", invalid="ignore"):
+                theta = theta + config.learning_rate * grad
+            if not np.all(np.isfinite(theta)):
+                raise RuntimeError(
+                    f"training diverged to non-finite parameters at epoch {epoch}"
+                )
+            policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
+
+        record = {"epoch": epoch}
+        w, _, coeff = _sample_coefficients(policy, dataset, model, config.weighting, us, emp)
+        if config.weighting.kind == "snips":
+            record["value"] = float(coeff.sum() / max(w.sum(), 1e-300))
+        else:
+            record["value"] = float(coeff.mean())
+        record["max_weight"] = float(w.max())
+        if val_instances is not None and epoch % config.eval_every == 0:
+            p, r, ndcg = evaluate_policy(policy, val_instances, config.k_eval)
+            record.update({"p_at_k": p, "r_at_k": r, "ndcg_at_k": ndcg})
+        else:
+            record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})
+        record["grad_norm"] = true_gradient_norm(policy, dataset) if track_grad_norm else None
+        trace.records.append(record)
+
+    return policy, trace

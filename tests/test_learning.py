@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_train
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.estimators import ConstantImputation, TabularImputation, Weighting
 from uips.learning import (
@@ -8,6 +9,8 @@ from uips.learning import (
     dr_gradient,
     estimate_value,
     train,
+    train_epochs,
+    train_policy,
     true_gradient_norm,
     weighted_gradient,
 )
@@ -17,6 +20,20 @@ from uips.weights import UipsHyperParams
 
 SMALL = EnvConfig(dim=6, action_count=8, train_size=25, validation_size=10, test_size=10, seed=60)
 UIPS_HP = UipsHyperParams(lam=10.0, gamma=2.0, eta1=1.0, eta2=100.0)
+EVERY_WEIGHTING = [
+    Weighting(kind="ce"),
+    Weighting(kind="ips_true"),
+    Weighting(kind="bips"),
+    Weighting(kind="bips_cap", cap=5.0),
+    Weighting(kind="snips"),
+    Weighting(kind="minvar"),
+    Weighting(kind="stablevar"),
+    Weighting(kind="shrinkage", lam=5.0),
+    Weighting(kind="uips", hp=UIPS_HP),
+    Weighting(kind="uips_p", hp=UIPS_HP),
+    Weighting(kind="uips_o", hp=UIPS_HP),
+    Weighting(kind="dice_s", cap=10.0),
+]
 
 
 def make_setup(seed=0, n=120, cfg=SMALL):
@@ -317,6 +334,77 @@ class TestTrain:
             _, _, after = evaluate_policy(policy, env.validation, 5)
             gains.append(after - before)
         assert float(np.median(gains)) >= 0.05
+
+
+class TestSharedStepLoop:
+    # 300 rows in batches of 70 leave a ragged last batch of 20; a batch of
+    # one row is left out, see test_one_row_batch_differs_only_by_rounding
+    @pytest.mark.parametrize(
+        "weighting, refit",
+        [(w, False) for w in EVERY_WEIGHTING] + [(Weighting(kind="uips", hp=UIPS_HP), True)],
+        ids=[w.kind for w in EVERY_WEIGHTING] + ["uips-refit"],
+    )
+    def test_policy_and_trace_match_the_reference(self, weighting, refit):
+        env, ds, model = make_setup(seed=28, n=300)
+        config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=70, weighting=weighting,
+                             seed=5, eval_every=2, refit_logging_per_epoch=refit)
+        policy, trace = train(ds, model, config, env=env)
+        ref_policy, ref_trace = reference_train(ds, model, config, env=env)
+        np.testing.assert_array_equal(policy.theta, ref_policy.theta)
+        assert trace.records == ref_trace.records
+        np.testing.assert_array_equal(train_policy(ds, model, config).theta, policy.theta)
+
+    def test_environment_source_matches_the_reference(self):
+        env = build_env(SMALL)
+        config = TrainConfig(learning_rate=0.5, epochs=2, batch_size=60, n_logged=240, seed=6,
+                             weighting=Weighting(kind="uips", hp=UIPS_HP),
+                             logging_fit=LoggingFitConfig(epochs=20, learning_rate=2.0, seed=6))
+        policy, trace = train(env, None, config)
+        ref_policy, ref_trace = reference_train(env, None, config)
+        np.testing.assert_array_equal(policy.theta, ref_policy.theta)
+        assert trace.records == ref_trace.records
+        np.testing.assert_array_equal(train_policy(env, None, config).theta, policy.theta)
+
+    @pytest.mark.parametrize("kind", ["bips", "minvar"])
+    def test_hoisted_logging_rows_equal_the_per_batch_rows(self, kind):
+        env, ds, model = make_setup(seed=29, n=300)
+        state = next(train_epochs(ds, model, TrainConfig(weighting=Weighting(kind=kind), seed=0)))
+        rng = make_rng(30)
+        for size in (2, 3, 70, 300):
+            idx = rng.permutation(len(ds))[:size]
+            batch = ds.subset(idx)
+            expected = model.beta_matrix(batch.xs)
+            if kind == "minvar":
+                assert state.beta_sel is None
+                np.testing.assert_array_equal(state.beta_all[idx], expected)
+            else:
+                assert state.beta_all is None
+                np.testing.assert_array_equal(
+                    state.beta_sel[idx], expected[np.arange(size), batch.actions]
+                )
+
+    def test_one_row_batch_differs_only_by_rounding(self):
+        # numpy computes a one-row product with gemv, not gemm, so the last
+        # row of 301 in batches of 100 can round differently from its
+        # hoisted row
+        env, ds, model = make_setup(seed=28, n=301)
+        config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=100,
+                             weighting=Weighting(kind="uips", hp=UIPS_HP), seed=5)
+        ref_policy, _ = reference_train(ds, model, config, env=env)
+        np.testing.assert_allclose(train_policy(ds, model, config).theta, ref_policy.theta,
+                                   rtol=0, atol=1e-12)
+
+    def test_snips_survives_zero_target_mass_on_the_logged_actions(self):
+        ds = LoggedDataset(xs=np.ones((40, 6)), actions=np.zeros(40, dtype=int),
+                           rewards=np.ones(40), action_count=8)
+        theta = np.zeros((8, 6))
+        theta[0] = -1000.0
+        policy = SoftmaxLinearPolicy(theta=theta)
+        assert np.all(policy.distribution_matrix(ds.xs)[:, 0] == 0.0)
+        model = LoggingModel(policy=SoftmaxLinearPolicy(theta=np.zeros((8, 6))),
+                             grams=np.broadcast_to(np.eye(6), (8, 6, 6)).copy())
+        grad = weighted_gradient(policy, ds, model, Weighting(kind="snips"))
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 class TestTrueGradientNorm:

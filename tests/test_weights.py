@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,52 @@ class TestPhiStar:
             assert vec[i] == pytest.approx(
                 phi_star(WeightInput(pi=pis[i], beta_hat=betas[i], u=us[i]), hp), abs=1e-14
             )
+
+    @pytest.mark.parametrize("gu", [700.0, 710.0, 1e4])
+    @pytest.mark.parametrize("pi, beta_hat", [(0.0, 0.1), (0.3, 0.1), (1.0, 1e-9)])
+    def test_large_gamma_u_is_finite_and_scalar_matches_vector(self, gu, pi, beta_hat):
+        hp = UipsHyperParams(lam=10.0, gamma=50.0, eta1=1.0, eta2=100.0)
+        u = gu / hp.gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _ = phi_star_branch(WeightInput(pi=pi, beta_hat=beta_hat, u=u), hp)
+            vec = phi_star_vector(np.array([pi]), np.array([beta_hat]), np.array([u]), hp)
+        assert math.isfinite(value) and 0.0 <= value <= 2.0 * hp.eta2
+        assert vec[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_values_up_to_gamma_u_700_are_the_unscaled_formula(self):
+        # the direct formula, before large gamma*u was rescaled
+        def unscaled_scalar(pi, beta_hat, u, hp):
+            gu = hp.gamma * u
+            ratio = pi / max(beta_hat, hp.beta_floor)
+            e_neg, e_pos = math.exp(-gu), math.exp(gu)
+            denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
+            first = hp.lam / denom if denom > 0 else math.inf
+            return min(first, 2.0 * hp.eta2 / (e_pos + e_neg))
+
+        def unscaled_vector(pis, beta_hats, us, hp):
+            gu = hp.gamma * us
+            ratio = pis / np.maximum(beta_hats, hp.beta_floor)
+            e_neg, e_pos = np.exp(-gu), np.exp(gu)
+            with np.errstate(over="ignore", divide="ignore"):
+                denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
+                first = np.divide(hp.lam, denom, out=np.full_like(denom, np.inf), where=denom > 0)
+            return np.minimum(first, 2.0 * hp.eta2 / (e_pos + e_neg))
+
+        rng = make_rng(22)
+        hp = UipsHyperParams(lam=3.0, gamma=50.0, eta1=0.7, eta2=5.0)
+        pis = np.append(rng.uniform(0, 1, 200), 0.0)
+        betas = np.append(10.0 ** rng.uniform(-9, 0, 200), 0.5)
+        us = np.append(rng.uniform(0, 700 / hp.gamma, 200), 700 / hp.gamma)
+        # two entries above 700 take the rescaled form without touching the rest
+        vec = phi_star_vector(np.append(pis, [0.3, 0.3]), np.append(betas, [0.1, 0.1]),
+                              np.append(us, [710.0 / hp.gamma, 1e4 / hp.gamma]), hp)
+        np.testing.assert_array_equal(vec[:-2], unscaled_vector(pis, betas, us, hp))
+        np.testing.assert_array_equal(vec[:-2], phi_star_vector(pis, betas, us, hp))
+        assert np.all((vec[-2:] >= 0.0) & (vec[-2:] <= 2.0 * hp.eta2))
+        for pi, beta, u in zip(pis.tolist(), betas.tolist(), us.tolist()):
+            value, _ = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=u), hp)
+            assert value == unscaled_scalar(pi, beta, u, hp)
 
 
 class TestMinmaxObjective:
