@@ -9,7 +9,6 @@ over a confidence interval of the true logging probability.
 
 from uips.core import (
     LoggedDataset,
-    LoggedSample,
     SoftmaxLinearPolicy,
     make_rng,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "BanditEnv",
     "EnvConfig",
     "LoggedDataset",
-    "LoggedSample",
     "LoggingFitConfig",
     "LoggingModel",
     "MultilabelInstance",

@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from uips import __version__
-from uips.core import LoggedDataset, make_rng
+from uips.core import BETA_FLOOR, LoggedDataset, make_rng
 from uips.estimators import Weighting, ope_mse_experiment
 from uips.learning import TrainConfig, train, train_policy
 from uips.logging_fit import (
@@ -133,7 +133,10 @@ def _load_dataset(out: Path, env: BanditEnv) -> LoggedDataset:
     path = out / "logged.jsonl"
     if not path.exists():
         raise ConfigError(f"missing {path}; run the generate subcommand first")
-    return LoggedDataset.from_jsonl(path, env.action_count)
+    try:
+        return LoggedDataset.from_jsonl(path, env.action_count)
+    except ValueError as exc:
+        raise ConfigError(f"invalid logged data: {exc}") from exc
 
 
 def _load_model(out: Path) -> LoggingModel:
@@ -302,9 +305,8 @@ def cmd_sweep(resolved: dict) -> None:
     if not methods:
         raise ConfigError("sweep section needs a non-empty methods map")
     train_section = dict(resolved.get("training", {}))
-    train_section.pop("weighting", None)
-    train_section.pop("seed", None)
-    train_section.pop("k_eval", None)
+    for key in ("weighting", "seed", "k_eval"):
+        train_section.pop(key, None)
     seed = int(resolved.get("seed", resolved.get("env", {}).get("seed", 0)))
     rows = run_sweep(
         env,
@@ -315,12 +317,9 @@ def cmd_sweep(resolved: dict) -> None:
         k_eval=int(section.get("k_eval", 5)),
         n_logged=int(resolved.get("n_logged", 5000)),
     )
-    write_csv(
-        out / "leaderboard.csv",
-        ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"],
-        [tuple(r[k] for k in ("method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed")) for r in rows],
-        config_hash(resolved),
-    )
+    columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
+    rows_out = [tuple(r[k] for k in columns) for r in rows]
+    write_csv(out / "leaderboard.csv", columns, rows_out, config_hash(resolved))
     write_json(
         out / "sweep_report.json",
         {
@@ -403,7 +402,7 @@ def cmd_inspect_weights(resolved: dict) -> None:
     rows = []
     for i in range(len(dataset)):
         pi = policy.prob(dataset.xs[i], int(dataset.actions[i]))
-        beta = max(float(beta_all[i, dataset.actions[i]]), hp.beta_floor)
+        beta = max(float(beta_all[i, dataset.actions[i]]), BETA_FLOOR)
         phi, branch = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=float(us[i])), hp)
         rows.append((i, int(dataset.actions[i]), pi, beta, float(us[i]), phi, branch))
     write_csv(

@@ -11,10 +11,18 @@ independent per-seed streams.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
+
+#: Floor on an estimated logging probability where it is a denominator.
+BETA_FLOOR = 1e-8
+#: Floor on a target probability in the minvar and stablevar scores.
+PI_FLOOR = 1e-12
+#: Floor that keeps a sum used as a denominator, or a log argument, positive.
+TINY = 1e-300
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -28,29 +36,18 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
-class LoggedSample:
-    """One bandit-feedback record: context, chosen action, observed reward.
-
-    ``true_logging_prob`` is the probability the logging policy assigned to
-    the chosen action. It is only available in synthetic settings and is
-    required by the true-propensity estimator.
-    """
-
-    x: np.ndarray
-    action: int
-    reward: float
-    true_logging_prob: Optional[float] = None
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise ValueError("context must be a finite 1-d vector")
-        object.__setattr__(self, "x", x)
-        if not 0.0 <= self.reward <= 1.0:
-            raise ValueError(f"reward must lie in [0, 1], got {self.reward}")
-        if self.true_logging_prob is not None and not 0.0 < self.true_logging_prob <= 1.0:
-            raise ValueError("true_logging_prob must lie in (0, 1]")
+def _first_invalid_row(xs, actions, rewards, action_count, true_logging_probs) -> Optional[tuple]:
+    """The first row of a logged dataset that breaks an invariant, and why; or None."""
+    p = true_logging_probs
+    checks = [
+        (~np.isfinite(xs).all(axis=1), "context is not finite"),
+        ((actions < 0) | (actions >= action_count), f"action outside [0, {action_count})"),
+        (~((rewards >= 0.0) & (rewards <= 1.0)), "reward outside [0, 1]"),
+        (np.zeros(len(xs), bool) if p is None else ~((p > 0.0) & (p <= 1.0)),
+         "true logging probability outside (0, 1]"),
+    ]
+    found = [(int(bad.argmax()), reason) for bad, reason in checks if bad.any()]
+    return min(found) if found else None
 
 
 @dataclass
@@ -58,8 +55,9 @@ class LoggedDataset:
     """Column-major view of a logged dataset.
 
     ``xs`` has shape (n, dim), ``actions`` and ``rewards`` have shape (n,),
-    and ``true_logging_probs`` is either None or shape (n,). All actions
-    must lie in ``[0, action_count)``.
+    and ``true_logging_probs`` is either None or shape (n,). Construction
+    rejects non-finite contexts, actions outside ``[0, action_count)``,
+    rewards outside [0, 1] and true logging probabilities outside (0, 1].
     """
 
     xs: np.ndarray
@@ -77,12 +75,15 @@ class LoggedDataset:
         n = self.xs.shape[0]
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("actions/rewards must match the number of contexts")
-        if n and (self.actions.min() < 0 or self.actions.max() >= self.action_count):
-            raise ValueError("action index out of range")
         if self.true_logging_probs is not None:
             self.true_logging_probs = np.asarray(self.true_logging_probs, dtype=float)
             if self.true_logging_probs.shape != (n,):
                 raise ValueError("true_logging_probs must match the number of samples")
+        bad = _first_invalid_row(
+            self.xs, self.actions, self.rewards, self.action_count, self.true_logging_probs
+        )
+        if bad is not None:
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -91,41 +92,18 @@ class LoggedDataset:
     def dim(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def samples(self) -> Iterator[LoggedSample]:
-        probs = self.true_logging_probs
-        for i in range(len(self)):
-            yield LoggedSample(
-                x=self.xs[i],
-                action=int(self.actions[i]),
-                reward=float(self.rewards[i]),
-                true_logging_prob=None if probs is None else float(probs[i]),
-            )
-
     def subset(self, indices: np.ndarray) -> "LoggedDataset":
+        """The rows at ``indices``; they are valid already, so no check runs again."""
         probs = self.true_logging_probs
-        return LoggedDataset(
+        out = object.__new__(LoggedDataset)
+        out.__dict__.update(
             xs=self.xs[indices],
             actions=self.actions[indices],
             rewards=self.rewards[indices],
             action_count=self.action_count,
             true_logging_probs=None if probs is None else probs[indices],
         )
-
-    @classmethod
-    def from_samples(cls, samples: list[LoggedSample], action_count: int) -> "LoggedDataset":
-        if not samples:
-            raise ValueError("dataset must contain at least one sample")
-        has_prob = all(s.true_logging_prob is not None for s in samples)
-        return cls(
-            xs=np.stack([s.x for s in samples]),
-            actions=np.array([s.action for s in samples]),
-            rewards=np.array([s.reward for s in samples]),
-            action_count=action_count,
-            true_logging_probs=(
-                np.array([s.true_logging_prob for s in samples]) if has_prob else None
-            ),
-        )
+        return out
 
     def to_jsonl(self, path) -> None:
         """One JSON object per line with keys x, a, r and optional beta_star."""
@@ -143,25 +121,47 @@ class LoggedDataset:
 
     @classmethod
     def from_jsonl(cls, path, action_count: int) -> "LoggedDataset":
-        xs, actions, rewards, probs = [], [], [], []
+        """Read :meth:`to_jsonl` output; blank lines are skipped.
+
+        A record that is not JSON, lacks a key, has a context of another
+        length or holds an invalid value raises ``ValueError`` naming the
+        file and the record's 1-based line.
+        """
+        xs, actions, rewards, probs, lines = [], [], [], [], []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
-                xs.append(record["x"])
-                actions.append(record["a"])
-                rewards.append(record["r"])
-                probs.append(record.get("beta_star"))
+                try:
+                    record = json.loads(line)
+                    x = np.asarray(record["x"], dtype=float)
+                    if x.ndim != 1 or (xs and x.shape != xs[0].shape):
+                        raise ValueError(f"context has shape {x.shape}")
+                    actions.append(operator.index(record["a"]))
+                    rewards.append(float(record["r"]))
+                    prob = record.get("beta_star")
+                    probs.append(None if prob is None else float(prob))
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from None
+                xs.append(x)
+                lines.append(lineno)
+        if not xs:
+            raise ValueError(f"{path}: no records")
         has_prob = all(p is not None for p in probs)
-        return cls(
-            xs=np.asarray(xs, dtype=float),
+        columns = dict(
+            xs=np.stack(xs),
             actions=np.asarray(actions, dtype=int),
             rewards=np.asarray(rewards, dtype=float),
             action_count=action_count,
             true_logging_probs=np.asarray(probs, dtype=float) if has_prob else None,
         )
+        bad = _first_invalid_row(**columns)
+        if bad is not None:
+            raise ValueError(f"{path}:{lines[bad[0]]}: {bad[1]}")
+        return cls(**columns)
 
 
 @dataclass(frozen=True)

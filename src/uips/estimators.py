@@ -1,22 +1,25 @@
 """Policy-value estimators from logged bandit feedback.
 
-All propensity-style estimators are sample means of per-record terms
-w_n * r_n where w_n combines the target/logging probability ratio with a
-method-specific shrink factor phi. On environments small enough to
-enumerate every (context, action) outcome of one logged draw, the exact
-bias, variance and mean squared error of these estimators are computed in
-closed form rather than by Monte Carlo, which turns the bias/variance
-identities into exact tests.
+Every propensity-style estimator is a sample mean of per-record terms
+w_n * r_n, where w_n = (pi / beta) * phi combines the target/logging
+probability ratio with a method-specific factor phi. :func:`propensity_weights`
+is the one place that turns a :class:`Weighting` into these weights. It
+reads a :class:`PropensityTables`, which :func:`propensity_tables` fills
+once per (dataset, target policy, logging model). On environments small
+enough to enumerate every (context, action) outcome of one logged draw, the
+exact bias, variance and mean squared error of these estimators are
+computed in closed form rather than by Monte Carlo: there the tables hold
+every cell of the (context, action) grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from uips.core import LoggedDataset, make_rng, policy_matrix
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, make_rng, policy_matrix
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -27,8 +30,6 @@ from uips.logging_fit import (
 )
 from uips.synthetic import BanditEnv, generate_log_per_context, true_policy_value
 from uips.weights import UipsHyperParams, phi_star_vector
-
-PI_FLOOR = 1e-12
 
 WEIGHT_KINDS = (
     "ips_true",
@@ -43,6 +44,12 @@ WEIGHT_KINDS = (
     "uips_o",
     "dice_s",
 )
+#: Kinds that read no logging model.
+MODEL_FREE_KINDS = ("ce", "ips_true", "dice_s")
+#: Kinds that normalize a score over every action of the context.
+ROW_KINDS = ("minvar", "stablevar")
+#: Kinds that read the logging model's uncertainties.
+UIPS_KINDS = ("uips", "uips_p", "uips_o")
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ class Weighting:
             raise ValueError(f"{self.kind} needs a positive cap")
         if self.kind == "shrinkage" and (self.lam is None or self.lam < 0):
             raise ValueError("shrinkage needs a nonnegative lam")
-        if self.kind in ("uips", "uips_p", "uips_o") and self.hp is None:
+        if self.kind in UIPS_KINDS and self.hp is None:
             raise ValueError(f"{self.kind} needs hyper-parameters")
 
     @classmethod
@@ -142,83 +149,133 @@ def imputation_matrix(imputation, xs: np.ndarray, action_count: int) -> np.ndarr
     return np.array([[imputation.predict(x, a) for a in range(action_count)] for x in xs])
 
 
-def _pi_selected(policy, dataset: LoggedDataset) -> np.ndarray:
-    return policy_matrix(policy, dataset.xs)[np.arange(len(dataset)), dataset.actions]
+@dataclass(frozen=True)
+class PropensityTables:
+    """What the weighting rules read, for n selected (context, action) cells.
 
-
-def shrink_factors(
-    kind: str,
-    pi_sel: np.ndarray,
-    beta_sel: np.ndarray,
-    actions: Optional[np.ndarray] = None,
-    us: Optional[np.ndarray] = None,
-    pi_all: Optional[np.ndarray] = None,
-    beta_all: Optional[np.ndarray] = None,
-    lam: Optional[float] = None,
-    hp: Optional[UipsHyperParams] = None,
-    beta_floor: float = 1e-8,
-) -> np.ndarray:
-    """Per-sample phi for the reweighting family.
-
-    minvar and stablevar normalize a per-action score h over all actions of
-    the sample's context (h = beta/pi^2 and h = sqrt(beta)/pi respectively),
-    so they need ``actions`` plus the full distributions; shrinkage uses
-    lam / (lam + (pi/beta)^2); the uips family uses the minimax weight or
-    its uncertainty-only variants.
+    Cell i is action ``actions[i]`` of row ``rows[i]`` of the row tables
+    ``pi_rows`` (target policy) and ``beta_rows`` (logging model): sample i
+    of a logged dataset, or one pair of an enumerated split. ``beta_sel`` is
+    the logging model's probability of each cell floored at ``BETA_FLOOR``.
+    A table no requested rule reads is None: ``beta_rows`` is kept for
+    minvar and stablevar, ``us`` (uncertainties) for the uips family and
+    ``counts`` (count propensities) for dice_s. :meth:`with_target` sets the
+    target part, ``pi_rows`` and its selected column ``pi_sel``.
     """
-    if kind in ("minvar", "stablevar"):
-        if pi_all is None or beta_all is None or actions is None:
-            raise ValueError(f"{kind} needs full action distributions and the logged actions")
-        pi_f = np.maximum(pi_all, PI_FLOOR)
-        h = beta_all / pi_f**2 if kind == "minvar" else np.sqrt(beta_all) / pi_f
-        phi_all = h / h.sum(axis=1, keepdims=True)
-        return phi_all[np.arange(len(pi_sel)), actions]
-    if kind == "shrinkage":
-        ratio = pi_sel / np.maximum(beta_sel, beta_floor)
-        return lam / (lam + ratio**2)
-    if kind == "uips":
-        return phi_star_vector(pi_sel, beta_sel, us, hp)
-    if kind == "uips_p":
-        return np.exp(-hp.gamma * us)
-    if kind == "uips_o":
-        return np.exp(hp.gamma * us)
-    raise ValueError(f"unknown reweighting kind {kind!r}")
+
+    rows: np.ndarray
+    actions: np.ndarray
+    true_probs: Optional[np.ndarray] = None
+    beta_sel: Optional[np.ndarray] = None
+    beta_rows: Optional[np.ndarray] = None
+    us: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
+    pi_rows: Optional[np.ndarray] = None
+    pi_sel: Optional[np.ndarray] = None
+
+    def with_target(self, pi_rows: np.ndarray) -> "PropensityTables":
+        """These tables for the target policy whose rows are ``pi_rows``."""
+        return replace(self, pi_rows=pi_rows, pi_sel=pi_rows[self.rows, self.actions])
+
+    def select(self, idx: np.ndarray) -> "PropensityTables":
+        """The tables of the samples ``idx`` of a dataset, without a target."""
+
+        def take(table):
+            return None if table is None else table[idx]
+
+        return PropensityTables(
+            rows=np.arange(len(idx)), actions=self.actions[idx], true_probs=take(self.true_probs),
+            beta_sel=take(self.beta_sel), beta_rows=take(self.beta_rows), us=take(self.us),
+            counts=take(self.counts),
+        )
 
 
-def v_ips(dataset: LoggedDataset, policy) -> float:
-    """Mean of (pi/beta_true) * r; needs the true logging probabilities."""
-    if dataset.true_logging_probs is None:
-        raise ValueError("dataset carries no true logging probabilities")
-    w = _pi_selected(policy, dataset) / dataset.true_logging_probs
-    return float(np.mean(w * dataset.rewards))
+def count_propensities(dataset: LoggedDataset) -> np.ndarray:
+    """Per-sample count propensity N(x, a) / N(x) of the logged pair.
+
+    Two samples share a context when their rows are equal entry by entry.
+    """
+    _, context = np.unique(dataset.xs, axis=0, return_inverse=True)
+    pairs = context * dataset.action_count + dataset.actions
+    _, pair, pair_counts = np.unique(pairs, return_inverse=True, return_counts=True)
+    return pair_counts[pair] / np.bincount(context)[context]
 
 
-def v_bips(dataset: LoggedDataset, policy, model: LoggingModel, beta_floor: float = 1e-8) -> float:
-    """Mean of (pi/beta_hat) * r with the estimated propensity floored."""
-    beta = model.beta_matrix(dataset.xs)[np.arange(len(dataset)), dataset.actions]
-    w = _pi_selected(policy, dataset) / np.maximum(beta, beta_floor)
-    return float(np.mean(w * dataset.rewards))
+def propensity_tables(
+    dataset: LoggedDataset, policy, model: Optional[LoggingModel], kinds: Sequence[str]
+) -> PropensityTables:
+    """The tables of ``dataset`` that the weighting ``kinds`` read.
+
+    ``policy`` is the target policy, or None to leave the target for
+    :meth:`PropensityTables.with_target`. ``model`` is read only when some
+    kind needs a logging model.
+    """
+    kinds = set(kinds)
+    n = np.arange(len(dataset))
+    beta_sel = beta_rows = us = counts = None
+    model_kinds = kinds - set(MODEL_FREE_KINDS)
+    if model_kinds:
+        if model is None:
+            raise ValueError(f"{', '.join(sorted(model_kinds))} weighting needs a logging model")
+        beta = model.beta_matrix(dataset.xs)
+        beta_sel = np.maximum(beta[n, dataset.actions], BETA_FLOOR)
+        if kinds & set(ROW_KINDS):
+            beta_rows = beta
+        if kinds & set(UIPS_KINDS):
+            us = uncertainties(model, dataset)
+    if "dice_s" in kinds:
+        counts = count_propensities(dataset)
+    tables = PropensityTables(
+        rows=n, actions=dataset.actions, true_probs=dataset.true_logging_probs,
+        beta_sel=beta_sel, beta_rows=beta_rows, us=us, counts=counts,
+    )
+    return tables if policy is None else tables.with_target(policy_matrix(policy, dataset.xs))
 
 
-def v_bips_cap(
-    dataset: LoggedDataset, policy, model: LoggingModel, cap: float, beta_floor: float = 1e-8
-) -> float:
-    """bips with the propensity ratio clipped at ``cap`` to control variance."""
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    beta = model.beta_matrix(dataset.xs)[np.arange(len(dataset)), dataset.actions]
-    w = np.minimum(cap, _pi_selected(policy, dataset) / np.maximum(beta, beta_floor))
-    return float(np.mean(w * dataset.rewards))
+def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.ndarray:
+    """Per-cell weights w = (pi / beta) * phi under ``weighting``.
 
-
-def v_snips(dataset: LoggedDataset, policy, model: LoggingModel, beta_floor: float = 1e-8) -> float:
-    """Self-normalized variant: sum(w r) / sum(w)."""
-    beta = model.beta_matrix(dataset.xs)[np.arange(len(dataset)), dataset.actions]
-    w = _pi_selected(policy, dataset) / np.maximum(beta, beta_floor)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("sum of propensity weights is zero")
-    return float((w * dataset.rewards).sum() / total)
+    beta is the true logging probability for ips_true, the count propensity
+    for dice_s and the floored estimate otherwise. phi is 1 except for
+    minvar and stablevar, which normalize a score h over every action of the
+    context (h = beta/pi^2 and h = sqrt(beta)/pi respectively), shrinkage,
+    lam / (lam + (pi/beta)^2), and the uips family: the minimax weight or its
+    uncertainty-only variants exp(-gamma u) and exp(gamma u). bips_cap and
+    dice_s clip the weight at ``cap``; ce weights every sample 1. snips
+    weights are the bips weights: self-normalization is the caller's
+    aggregation.
+    """
+    kind, t = weighting.kind, tables
+    if kind == "ce":
+        return np.ones(len(t.actions))
+    if kind == "ips_true":
+        if t.true_probs is None:
+            raise ValueError("ips_true weighting needs true logging probabilities")
+        return t.pi_sel / t.true_probs
+    if kind == "dice_s":
+        return np.minimum(weighting.cap, t.pi_sel / t.counts)
+    if t.beta_sel is None:
+        raise ValueError(f"{kind} weighting needs a logging model")
+    ratio = t.pi_sel / t.beta_sel
+    if kind in ("bips", "snips"):
+        return ratio
+    if kind == "bips_cap":
+        return np.minimum(weighting.cap, ratio)
+    if kind in ROW_KINDS:
+        pi_f = np.maximum(t.pi_rows, PI_FLOOR)
+        h = t.beta_rows / pi_f**2 if kind == "minvar" else np.sqrt(t.beta_rows) / pi_f
+        phi = (h / h.sum(axis=1, keepdims=True))[t.rows, t.actions]
+    elif kind == "shrinkage":
+        denom = weighting.lam + ratio**2
+        # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
+        phi = np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
+    elif kind == "uips":
+        phi = phi_star_vector(t.pi_sel, t.beta_sel, t.us, weighting.hp)
+    elif kind == "uips_p":
+        phi = np.exp(-weighting.hp.gamma * t.us)
+    else:
+        phi = np.exp(weighting.hp.gamma * t.us)
+    return ratio * phi
 
 
 def snips_from_weights(weights: np.ndarray, rewards: np.ndarray) -> float:
@@ -228,121 +285,54 @@ def snips_from_weights(weights: np.ndarray, rewards: np.ndarray) -> float:
     return float((weights * rewards).sum() / total)
 
 
-def reweighted_value(
-    dataset: LoggedDataset,
-    policy,
-    model: LoggingModel,
-    kind: str,
-    lam: Optional[float] = None,
-    hp: Optional[UipsHyperParams] = None,
-    us: Optional[np.ndarray] = None,
-    beta_floor: float = 1e-8,
-) -> EstimateReport:
-    """Mean of (pi/beta_hat) * phi * r with phi per the requested rule.
+def _value(weighting: Weighting, weights: np.ndarray, rewards: np.ndarray) -> float:
+    if weighting.kind == "snips":
+        return snips_from_weights(weights, rewards)
+    return float(np.mean(weights * rewards))
 
-    ``us`` may carry precomputed per-sample uncertainties; otherwise they
-    are derived from the model grams when the rule needs them.
+
+def estimate(
+    dataset: LoggedDataset, policy, model: Optional[LoggingModel], weighting: Weighting
+) -> EstimateReport:
+    """Value of ``policy`` on ``dataset`` under ``weighting``, with its weights.
+
+    The value is the mean of w * r, or sum(w r) / sum(w) for snips. ``model``
+    may be None for the kinds that need no logging model.
     """
-    n = np.arange(len(dataset))
-    pi_all = policy_matrix(policy, dataset.xs)
-    beta_all = model.beta_matrix(dataset.xs)
-    pi_sel = pi_all[n, dataset.actions]
-    beta_sel = np.maximum(beta_all[n, dataset.actions], beta_floor)
-    if kind in ("uips", "uips_p", "uips_o") and us is None:
-        us = uncertainties(model, dataset)
-    phi = shrink_factors(
-        kind, pi_sel, beta_sel, actions=dataset.actions, us=us,
-        pi_all=pi_all, beta_all=beta_all, lam=lam, hp=hp, beta_floor=beta_floor,
-    )
-    w = pi_sel / beta_sel * phi
-    value = float(np.mean(w * dataset.rewards))
+    w = propensity_weights(weighting, propensity_tables(dataset, policy, model, (weighting.kind,)))
     wsum = w.sum()
     diagnostics = {
         "effective_sample_size": float(wsum**2 / (w @ w)) if wsum > 0 else 0.0,
         "max_weight": float(w.max()),
     }
-    return EstimateReport(value=value, per_sample_weights=w, diagnostics=diagnostics)
+    return EstimateReport(
+        value=_value(weighting, w, dataset.rewards), per_sample_weights=w, diagnostics=diagnostics
+    )
 
 
-def v_dm(dataset_or_contexts, policy, imputation, action_count: Optional[int] = None) -> float:
+def v_dm(dataset: LoggedDataset, policy, imputation) -> float:
     """Direct method: mean over contexts of sum_a pi(a|x) * imputed reward."""
-    if isinstance(dataset_or_contexts, LoggedDataset):
-        xs = dataset_or_contexts.xs
-        action_count = dataset_or_contexts.action_count
-    else:
-        xs = np.asarray(dataset_or_contexts, dtype=float)
-        if action_count is None:
-            raise ValueError("action_count required when passing raw contexts")
-    pi = policy_matrix(policy, xs)
-    eta = imputation_matrix(imputation, xs, action_count)
+    pi = policy_matrix(policy, dataset.xs)
+    eta = imputation_matrix(imputation, dataset.xs, dataset.action_count)
     return float(np.mean(np.sum(pi * eta, axis=1)))
 
 
 def v_dr(
     dataset: LoggedDataset,
     policy,
-    model: LoggingModel,
-    imputation,
-    weight_kind: str = "bips",
-    lam: Optional[float] = None,
-    hp: Optional[UipsHyperParams] = None,
-    beta_floor: float = 1e-8,
-) -> float:
-    """Direct method plus a propensity-weighted residual correction.
-
-    ``weight_kind`` selects the correction weighting: plain bips or one of
-    the shrink rules (minvar, shrinkage, uips).
-    """
-    n = np.arange(len(dataset))
-    pi_all = policy_matrix(policy, dataset.xs)
-    beta_all = model.beta_matrix(dataset.xs)
-    pi_sel = pi_all[n, dataset.actions]
-    beta_sel = np.maximum(beta_all[n, dataset.actions], beta_floor)
-    if weight_kind == "bips":
-        w = pi_sel / beta_sel
-    else:
-        us = None
-        if weight_kind in ("uips", "uips_p", "uips_o"):
-            us = uncertainties(model, dataset)
-        phi = shrink_factors(
-            weight_kind, pi_sel, beta_sel, actions=dataset.actions, us=us,
-            pi_all=pi_all, beta_all=beta_all, lam=lam, hp=hp, beta_floor=beta_floor,
-        )
-        w = pi_sel / beta_sel * phi
-    eta_sel = np.array(
-        [imputation.predict(dataset.xs[i], int(dataset.actions[i])) for i in range(len(dataset))]
-    )
-    dm = v_dm(dataset, policy, imputation)
-    return float(dm + np.mean(w * (dataset.rewards - eta_sel)))
-
-
-def v_dice_s(dataset: LoggedDataset, policy, cap: float = np.inf) -> float:
-    """Propensity weighting with empirical count propensities.
-
-    Contexts are grouped by exact byte match; the propensity estimate for
-    (x, a) is the fraction of the group's samples that chose a, and the
-    resulting ratio is clipped at ``cap``.
-    """
-    groups: dict[bytes, list[int]] = {}
-    for i in range(len(dataset)):
-        groups.setdefault(dataset.xs[i].tobytes(), []).append(i)
-    pi_sel = _pi_selected(policy, dataset)
-    w = np.empty(len(dataset))
-    for idx in groups.values():
-        acts = dataset.actions[idx]
-        counts = np.bincount(acts, minlength=dataset.action_count)
-        emp = counts[acts] / len(idx)
-        w[idx] = np.minimum(cap, pi_sel[idx] / emp)
-    return float(np.mean(w * dataset.rewards))
-
-
-def _enumeration_tables(
-    env: BanditEnv,
-    policy,
     model: Optional[LoggingModel],
-    split: str,
-    beta_floor: float,
-):
+    imputation,
+    weighting: Weighting,
+) -> float:
+    """Direct method plus a ``weighting``-weighted residual correction."""
+    tables = propensity_tables(dataset, policy, model, (weighting.kind,))
+    eta = imputation_matrix(imputation, dataset.xs, dataset.action_count)
+    dm = np.mean(np.sum(tables.pi_rows * eta, axis=1))
+    residual = dataset.rewards - eta[tables.rows, tables.actions]
+    return float(dm + np.mean(propensity_weights(weighting, tables) * residual))
+
+
+def _enumeration_tables(env: BanditEnv, policy, model: Optional[LoggingModel], split: str):
     instances = env.split(split)
     xs = np.stack([inst.features for inst in instances])
     rewards = np.zeros((len(instances), env.action_count))
@@ -352,7 +342,7 @@ def _enumeration_tables(
     pi = policy_matrix(policy, xs)
     beta_hat = None
     if model is not None:
-        beta_hat = np.maximum(model.beta_matrix(xs), beta_floor)
+        beta_hat = np.maximum(model.beta_matrix(xs), BETA_FLOOR)
     return xs, rewards, beta_star, pi, beta_hat
 
 
@@ -366,7 +356,6 @@ def exact_bias_variance(
     lam: Optional[float] = None,
     hp: Optional[UipsHyperParams] = None,
     cap: Optional[float] = None,
-    beta_floor: float = 1e-8,
     max_outcomes: int = 10_000,
 ) -> tuple[float, float, float]:
     """Exact bias/variance/MSE of a per-sample-mean estimator.
@@ -375,44 +364,23 @@ def exact_bias_variance(
     from the split, action from the true logging policy), computes the
     estimator's per-draw term t(x, a) for every outcome, and uses
     independence across the ``n_logged`` draws: the estimator's expectation
-    is E[t] and its variance is Var(t)/n_logged.
+    is E[t] and its variance is Var(t)/n_logged. The terms come from
+    :func:`propensity_weights` with every (context, action) cell selected.
     """
     instances = env.split(split)
     if len(instances) * env.action_count > max_outcomes:
         raise ValueError("environment too large to enumerate")
     if estimator_kind in ("snips", "dice_s"):
         raise ValueError(f"{estimator_kind} is not a per-sample mean; no exact enumeration")
-    xs, rewards, beta_star, pi, beta_hat = _enumeration_tables(env, policy, model, split, beta_floor)
-
-    if estimator_kind == "ips_true":
-        t = pi / beta_star * rewards
-    else:
-        if beta_hat is None:
-            raise ValueError(f"{estimator_kind} needs a logging model")
-        ratio = pi / beta_hat
-        if estimator_kind == "bips":
-            t = ratio * rewards
-        elif estimator_kind == "bips_cap":
-            t = np.minimum(cap, ratio) * rewards
-        elif estimator_kind in ("minvar", "stablevar"):
-            pi_f = np.maximum(pi, PI_FLOOR)
-            h = beta_hat / pi_f**2 if estimator_kind == "minvar" else np.sqrt(beta_hat) / pi_f
-            phi = h / h.sum(axis=1, keepdims=True)
-            t = ratio * phi * rewards
-        elif estimator_kind == "shrinkage":
-            phi = lam / (lam + ratio**2)
-            t = ratio * phi * rewards
-        elif estimator_kind in ("uips", "uips_p", "uips_o"):
-            u_mat = uncertainty_matrix(model, xs)
-            if estimator_kind == "uips":
-                phi = phi_star_vector(pi.ravel(), beta_hat.ravel(), u_mat.ravel(), hp).reshape(pi.shape)
-            elif estimator_kind == "uips_p":
-                phi = np.exp(-hp.gamma * u_mat)
-            else:
-                phi = np.exp(hp.gamma * u_mat)
-            t = ratio * phi * rewards
-        else:
-            raise ValueError(f"unknown estimator kind {estimator_kind!r}")
+    weighting = Weighting(kind=estimator_kind, cap=cap, lam=lam, hp=hp)
+    xs, rewards, beta_star, pi, beta_hat = _enumeration_tables(env, policy, model, split)
+    rows, actions = np.divmod(np.arange(pi.size), pi.shape[1])
+    tables = PropensityTables(
+        rows=rows, actions=actions, true_probs=beta_star.ravel(),
+        beta_sel=None if beta_hat is None else beta_hat.ravel(), beta_rows=beta_hat,
+        us=uncertainty_matrix(model, xs).ravel() if estimator_kind in UIPS_KINDS else None,
+    )
+    t = propensity_weights(weighting, tables.with_target(pi)).reshape(pi.shape) * rewards
 
     p_outcome = beta_star / len(instances)
     e_t = float((p_outcome * t).sum())
@@ -430,7 +398,6 @@ def mse_upper_bound(
     phi_table: np.ndarray,
     n_logged: int,
     split: str = "train",
-    beta_floor: float = 1e-8,
 ) -> float:
     """Bias-variance bound on the MSE of a phi-reweighted estimator.
 
@@ -439,7 +406,7 @@ def mse_upper_bound(
     and variance by E_beta_star[(pi phi r / beta_hat)^2] / n_logged. The
     bound holds for any per-pair phi table.
     """
-    xs, rewards, beta_star, pi, beta_hat = _enumeration_tables(env, policy, model, split, beta_floor)
+    xs, rewards, beta_star, pi, beta_hat = _enumeration_tables(env, policy, model, split)
     n_ctx = xs.shape[0]
     lam_true = float((pi * rewards**2 * (pi / beta_star)).sum() / n_ctx)
     delta = beta_star * phi_table / beta_hat - 1.0
@@ -462,59 +429,6 @@ class OpeResult:
         ]
 
 
-def _seed_cache(dataset: LoggedDataset, policy, model: LoggingModel, beta_floor: float) -> dict:
-    """Per-dataset arrays shared by every estimator of one seed."""
-    n = np.arange(len(dataset))
-    pi_all = policy_matrix(policy, dataset.xs)
-    beta_all = model.beta_matrix(dataset.xs)
-    return {
-        "dataset": dataset,
-        "pi_all": pi_all,
-        "beta_all": beta_all,
-        "pi_sel": pi_all[n, dataset.actions],
-        "beta_sel": np.maximum(beta_all[n, dataset.actions], beta_floor),
-        "us": uncertainties(model, dataset),
-        "rewards": dataset.rewards,
-        "beta_floor": beta_floor,
-    }
-
-
-def _estimate_from_cache(cache: dict, weighting: Weighting) -> float:
-    dataset = cache["dataset"]
-    pi_sel, beta_sel, rewards = cache["pi_sel"], cache["beta_sel"], cache["rewards"]
-    kind = weighting.kind
-    if kind == "ips_true":
-        if dataset.true_logging_probs is None:
-            raise ValueError("dataset carries no true logging probabilities")
-        return float(np.mean(pi_sel / dataset.true_logging_probs * rewards))
-    ratio = pi_sel / beta_sel
-    if kind == "bips":
-        return float(np.mean(ratio * rewards))
-    if kind == "bips_cap":
-        return float(np.mean(np.minimum(weighting.cap, ratio) * rewards))
-    if kind == "snips":
-        return snips_from_weights(ratio, rewards)
-    if kind == "dice_s":
-        if "emp" not in cache:
-            groups: dict[bytes, list[int]] = {}
-            for i in range(len(dataset)):
-                groups.setdefault(dataset.xs[i].tobytes(), []).append(i)
-            emp = np.empty(len(dataset))
-            for idx in groups.values():
-                acts = dataset.actions[idx]
-                counts = np.bincount(acts, minlength=dataset.action_count)
-                emp[idx] = counts[acts] / len(idx)
-            cache["emp"] = emp
-        cap = weighting.cap if weighting.cap else np.inf
-        return float(np.mean(np.minimum(cap, pi_sel / cache["emp"]) * rewards))
-    phi = shrink_factors(
-        kind, pi_sel, beta_sel, actions=dataset.actions, us=cache["us"],
-        pi_all=cache["pi_all"], beta_all=cache["beta_all"],
-        lam=weighting.lam, hp=weighting.hp, beta_floor=cache["beta_floor"],
-    )
-    return float(np.mean(ratio * phi * rewards))
-
-
 def ope_mse_experiment(
     env: BanditEnv,
     target_policy,
@@ -532,25 +446,16 @@ def ope_mse_experiment(
     evaluation order.
     """
     fit_config = fit_config or LoggingFitConfig()
+    kinds = [weighting.kind for _, weighting in estimators]
     truth = true_policy_value(env, target_policy, split=split)
     rows = []
     for seed in seeds:
         rng = make_rng(seed)
         dataset = generate_log_per_context(env, samples_per_context, rng, split=split)
-        model = fit_logging_policy(
-            dataset,
-            LoggingFitConfig(
-                learning_rate=fit_config.learning_rate,
-                epochs=fit_config.epochs,
-                negatives=fit_config.negatives,
-                l2=fit_config.l2,
-                seed=seed,
-            ),
-        )
-        model = accumulate_grams(dataset, model)
-        cache = _seed_cache(dataset, target_policy, model, beta_floor=1e-8)
+        model = accumulate_grams(dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed)))
+        tables = propensity_tables(dataset, target_policy, model, kinds)
         for name, weighting in estimators:
-            est = _estimate_from_cache(cache, weighting)
+            est = _value(weighting, propensity_weights(weighting, tables), dataset.rewards)
             rows.append(
                 {
                     "estimator": name,

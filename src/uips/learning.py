@@ -1,11 +1,12 @@
 """REINFORCE policy optimization under a chosen propensity weighting.
 
 The training loop is plain minibatch SGD ascent on the weighted objective:
-uncertainties and the logging model's ``beta_hat`` rows are computed once
-up front, the shrink weight of each sample is recomputed from the current
-policy at every step, and the weight is treated as a constant
-(stop-gradient) inside the step, so the per-step gradient is the log-trick
-gradient of the weighted sample mean.
+the propensity tables of the logged dataset (the logging model's
+``beta_hat``, uncertainties, count propensities) are computed once up
+front, the weight of each sample is recomputed from the current policy at
+every step, and the weight is treated as a constant (stop-gradient) inside
+the step, so the per-step gradient is the log-trick gradient of the
+weighted sample mean.
 """
 
 from __future__ import annotations
@@ -15,9 +16,16 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
-from uips.estimators import Weighting, shrink_factors
-from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy, uncertainties
+from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.estimators import (
+    MODEL_FREE_KINDS,
+    PropensityTables,
+    Weighting,
+    imputation_matrix,
+    propensity_tables,
+    propensity_weights,
+)
+from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy
 from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv, generate_log
 
@@ -51,86 +59,28 @@ class TrainTrace:
 
     records: list[dict] = field(default_factory=list)
 
-    def column(self, name: str) -> list:
-        return [r[name] for r in self.records]
-
     def to_csv_rows(self) -> list[tuple]:
         cols = ("epoch", "value", "p_at_k", "r_at_k", "ndcg_at_k", "grad_norm", "max_weight")
         return [tuple(r.get(c) for c in cols) for r in self.records]
 
 
-def _empirical_propensities(dataset: LoggedDataset) -> np.ndarray:
-    """Per-sample count propensities N(x, a) / N(x), grouping contexts by bytes."""
-    groups: dict[bytes, list[int]] = {}
-    for i in range(len(dataset)):
-        groups.setdefault(dataset.xs[i].tobytes(), []).append(i)
-    emp = np.empty(len(dataset))
-    for idx in groups.values():
-        acts = dataset.actions[idx]
-        counts = np.bincount(acts, minlength=dataset.action_count)
-        emp[idx] = counts[acts] / len(idx)
-    return emp
+def _weights(weighting: Weighting, tables: PropensityTables, pi_all: np.ndarray) -> np.ndarray:
+    """Per-sample weights of the policy whose rows over the samples are ``pi_all``.
 
-
-def _sample_coefficients(
-    policy: SoftmaxLinearPolicy,
-    batch: LoggedDataset,
-    model: Optional[LoggingModel],
-    weighting: Weighting,
-    us: Optional[np.ndarray],
-    emp: Optional[np.ndarray],
-    pi_all: Optional[np.ndarray] = None,
-    beta_all: Optional[np.ndarray] = None,
-    beta_sel: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample weights w, target distribution rows, and w * r coefficients.
-
-    ``pi_all``, ``beta_all`` (the logging model's rows) and ``beta_sel``
-    (their logged-action column, before flooring) are computed from the
-    batch unless passed in.
+    snips weights are rescaled to sum to the sample count, so that the mean
+    of w * r is the self-normalized estimate.
     """
-    if pi_all is None:
-        pi_all = policy.distribution_matrix(batch.xs)
-    n = np.arange(len(batch))
-    pi_sel = pi_all[n, batch.actions]
-    kind = weighting.kind
-    if kind == "ce":
-        w = np.ones(len(batch))
-    elif kind == "ips_true":
-        if batch.true_logging_probs is None:
-            raise ValueError("ips_true weighting needs true logging probabilities")
-        w = pi_sel / batch.true_logging_probs
-    elif kind == "dice_s":
-        if emp is None:
-            emp = _empirical_propensities(batch)
-        cap = weighting.cap if weighting.cap else np.inf
-        w = np.minimum(cap, pi_sel / emp)
-    else:
-        if model is None:
-            raise ValueError(f"{kind} weighting needs a logging model")
-        if kind in ("uips", "uips_p", "uips_o") and us is None:
-            us = uncertainties(model, batch)
-        beta_floor = weighting.hp.beta_floor if weighting.hp is not None else 1e-8
-        if beta_sel is None:
-            if beta_all is None:
-                beta_all = model.beta_matrix(batch.xs)
-            beta_sel = beta_all[n, batch.actions]
-        beta_sel = np.maximum(beta_sel, beta_floor)
-        ratio = pi_sel / beta_sel
-        if kind == "bips":
-            w = ratio
-        elif kind == "bips_cap":
-            w = np.minimum(weighting.cap, ratio)
-        elif kind == "snips":
-            w = ratio / max(ratio.sum(), 1e-300) * len(batch)
-        else:
-            phi = shrink_factors(
-                kind, pi_sel, beta_sel, actions=batch.actions, us=us,
-                pi_all=pi_all, beta_all=beta_all, lam=weighting.lam, hp=weighting.hp,
-                beta_floor=beta_floor,
-            )
-            w = ratio * phi
-    return w, pi_all, w * batch.rewards
+    w = propensity_weights(weighting, tables.with_target(pi_all))
+    if weighting.kind == "snips":
+        w = w / max(w.sum(), TINY) * len(w)
+    return w
+
+
+def _mean_value(weighting: Weighting, w: np.ndarray, rewards: np.ndarray) -> float:
+    coeff = w * rewards
+    if weighting.kind == "snips":
+        return float(coeff.sum() / max(w.sum(), TINY))
+    return float(coeff.mean())
 
 
 def _log_trick_gradient(
@@ -148,34 +98,31 @@ def weighted_gradient(
     batch: LoggedDataset,
     model: Optional[LoggingModel],
     weighting: Weighting,
-    us: Optional[np.ndarray] = None,
-    emp: Optional[np.ndarray] = None,
-    beta_all: Optional[np.ndarray] = None,
-    beta_sel: Optional[np.ndarray] = None,
+    tables: Optional[PropensityTables] = None,
 ) -> np.ndarray:
     """Log-trick gradient of the weighted value estimate over the batch.
 
     Returns (1/B) sum_n w_n r_n grad log pi(a_n|x_n) as a matrix shaped like
     ``policy.theta``. The weight is recomputed from the current policy but
-    not differentiated through. Count propensities for dice_s are computed
-    over the batch unless precomputed full-log values are passed via ``emp``;
-    likewise ``beta_hat`` unless its rows or selected column are passed.
+    not differentiated through. ``tables`` are the batch's propensity
+    tables without a target; they are computed from the batch unless
+    passed, so count propensities for dice_s are then the batch's own.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    _, pi_all, coeff = _sample_coefficients(
-        policy, batch, model, weighting, us, emp, beta_all=beta_all, beta_sel=beta_sel
-    )
-    return _log_trick_gradient(policy, batch, pi_all, coeff)
+    pi_all = policy.distribution_matrix(batch.xs)
+    tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
+    w = _weights(weighting, tables, pi_all)
+    return _log_trick_gradient(policy, batch, pi_all, w * batch.rewards)
 
 
 def dr_gradient(
     policy: SoftmaxLinearPolicy,
     batch: LoggedDataset,
-    model: LoggingModel,
+    model: Optional[LoggingModel],
     imputation,
     weighting: Weighting,
-    us: Optional[np.ndarray] = None,
+    tables: Optional[PropensityTables] = None,
 ) -> np.ndarray:
     """Gradient of the doubly robust objective.
 
@@ -186,20 +133,16 @@ def dr_gradient(
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     pi_all = policy.distribution_matrix(batch.xs)
-    n = np.arange(len(batch))
-    eta_all = np.array(
-        [[imputation.predict(batch.xs[i], a) for a in range(batch.action_count)] for i in range(len(batch))]
-    )
+    eta_all = imputation_matrix(imputation, batch.xs, batch.action_count)
     # sum_a pi_a eta_a grad log pi_a collapses to coefficients pi_a' (eta_a' - v)
     v = np.sum(pi_all * eta_all, axis=1, keepdims=True)
     c_dm = pi_all * (eta_all - v)
 
-    w, _, _ = _sample_coefficients(policy, batch, model, weighting, us, None, pi_all=pi_all)
-    residual = batch.rewards - eta_all[n, batch.actions]
-    onehot_minus_pi = -pi_all
-    onehot_minus_pi[n, batch.actions] += 1.0
-    c_cor = onehot_minus_pi * (w * residual)[:, None]
-    return (c_dm + c_cor).T @ batch.xs / (policy.tau * len(batch))
+    tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
+    w = _weights(weighting, tables, pi_all)
+    residual = batch.rewards - eta_all[np.arange(len(batch)), batch.actions]
+    correction = _log_trick_gradient(policy, batch, pi_all, w * residual)
+    return c_dm.T @ batch.xs / (policy.tau * len(batch)) + correction
 
 
 def estimate_value(
@@ -207,14 +150,12 @@ def estimate_value(
     dataset: LoggedDataset,
     model: Optional[LoggingModel],
     weighting: Weighting,
-    us: Optional[np.ndarray] = None,
-    emp: Optional[np.ndarray] = None,
+    tables: Optional[PropensityTables] = None,
 ) -> float:
     """Weighted value estimate of the current policy on the full dataset."""
-    w, _, coeff = _sample_coefficients(policy, dataset, model, weighting, us, emp)
-    if weighting.kind == "snips":
-        return float(coeff.sum() / max(w.sum(), 1e-300))
-    return float(coeff.mean())
+    pi_all = policy.distribution_matrix(dataset.xs)
+    tables = tables or propensity_tables(dataset, None, model, (weighting.kind,))
+    return _mean_value(weighting, _weights(weighting, tables, pi_all), dataset.rewards)
 
 
 def true_gradient_norm(
@@ -226,10 +167,11 @@ def true_gradient_norm(
     """
     if pool.true_logging_probs is None:
         raise ValueError("pool carries no true logging probabilities")
-    _, pi_all, coeff = _sample_coefficients(
-        policy, pool, None, Weighting(kind="ips_true"), None, None, pi_all=pi_all
-    )
-    return float(np.linalg.norm(_log_trick_gradient(policy, pool, pi_all, coeff)))
+    if pi_all is None:
+        pi_all = policy.distribution_matrix(pool.xs)
+    ips_true = Weighting(kind="ips_true")
+    w = _weights(ips_true, propensity_tables(pool, None, None, (ips_true.kind,)), pi_all)
+    return float(np.linalg.norm(_log_trick_gradient(policy, pool, pi_all, w * pool.rewards)))
 
 
 @dataclass(frozen=True)
@@ -240,24 +182,7 @@ class EpochState:
     policy: SoftmaxLinearPolicy
     dataset: LoggedDataset
     model: Optional[LoggingModel]
-    us: Optional[np.ndarray]
-    emp: Optional[np.ndarray]
-    beta_all: Optional[np.ndarray]
-    beta_sel: Optional[np.ndarray]
-
-
-def _logging_rows(
-    model: LoggingModel, dataset: LoggedDataset, kind: str
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """The logging model's ``(beta_all, beta_sel)`` over the dataset, one of them None.
-
-    minvar and stablevar normalise over every action, so they keep the full
-    (n, actions) rows; every other kind keeps only the logged-action column.
-    """
-    beta_all = model.beta_matrix(dataset.xs)
-    if kind in ("minvar", "stablevar"):
-        return beta_all, None
-    return None, beta_all[np.arange(len(dataset)), dataset.actions]
+    tables: PropensityTables
 
 
 def train_epochs(
@@ -269,11 +194,10 @@ def train_epochs(
 
     This is the one step loop; :func:`train` and :func:`train_policy` both
     run it. ``source`` is either a logged dataset or an environment (in
-    which case ``config.n_logged`` samples are drawn first). Uncertainties
-    and the logging model's ``beta_hat`` rows are computed once before the
-    loop, and each step indexes its batch from them; set
-    ``refit_logging_per_epoch`` to refit the logging model, and recompute
-    both, at every epoch instead.
+    which case ``config.n_logged`` samples are drawn first). The dataset's
+    propensity tables are computed once before the loop, and each step
+    selects its batch from them; set ``refit_logging_per_epoch`` to refit
+    the logging model, and recompute the tables, at every epoch instead.
 
     The policy depends only on the steps. Whatever a caller computes from
     the yielded states, such as a trace, is diagnostic and cannot change it.
@@ -284,16 +208,12 @@ def train_epochs(
     else:
         dataset = source
 
-    kind = config.weighting.kind
+    kinds = (config.weighting.kind,)
     fit_cfg = config.logging_fit or LoggingFitConfig(seed=config.seed)
-    needs_model = kind not in ("ce", "ips_true", "dice_s")
+    needs_model = config.weighting.kind not in MODEL_FREE_KINDS
     if model is None and needs_model:
         model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
-
-    needs_us = kind in ("uips", "uips_p", "uips_o")
-    us = uncertainties(model, dataset) if needs_us else None
-    emp = _empirical_propensities(dataset) if kind == "dice_s" else None
-    beta_all, beta_sel = _logging_rows(model, dataset, kind) if needs_model else (None, None)
+    tables = propensity_tables(dataset, None, model, kinds)
 
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
@@ -304,18 +224,13 @@ def train_epochs(
             model = accumulate_grams(
                 dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=fit_cfg.seed + epoch))
             )
-            us = uncertainties(model, dataset) if needs_us else None
-            beta_all, beta_sel = _logging_rows(model, dataset, kind)
+            tables = propensity_tables(dataset, None, model, kinds)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            batch = dataset.subset(batch_idx)
             grad = weighted_gradient(
-                policy, batch, model, config.weighting,
-                us[batch_idx] if us is not None else None,
-                emp[batch_idx] if emp is not None else None,
-                beta_all=beta_all[batch_idx] if beta_all is not None else None,
-                beta_sel=beta_sel[batch_idx] if beta_sel is not None else None,
+                policy, dataset.subset(batch_idx), model, config.weighting,
+                tables=tables.select(batch_idx),
             )
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + config.learning_rate * grad
@@ -324,7 +239,7 @@ def train_epochs(
                     f"training diverged to non-finite parameters at epoch {epoch}"
                 )
             policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-        yield EpochState(epoch, policy, dataset, model, us, emp, beta_all, beta_sel)
+        yield EpochState(epoch, policy, dataset, model, tables)
 
 
 def train_policy(
@@ -347,10 +262,8 @@ def train(
     """Minibatch REINFORCE ascent under the configured weighting, with a trace.
 
     Runs the step loop of :func:`train_epochs` and records one
-    :class:`TrainTrace` entry per epoch. ``source`` is either a logged
-    dataset or an environment (in which case ``config.n_logged`` samples are
-    drawn first). Passing the environment adds validation ranking metrics
-    to the trace.
+    :class:`TrainTrace` entry per epoch. Passing the environment, as
+    ``source`` or ``env``, adds validation ranking metrics to the trace.
 
     The trace is diagnostic only: the policy does not depend on it, and is
     the one :func:`train_policy` returns for the same arguments.
@@ -362,14 +275,9 @@ def train(
     for state in train_epochs(source, model, config):
         policy, dataset = state.policy, state.dataset
         record = {"epoch": state.epoch}
-        w, pi_all, coeff = _sample_coefficients(
-            policy, dataset, state.model, config.weighting, state.us, state.emp,
-            beta_all=state.beta_all, beta_sel=state.beta_sel,
-        )
-        if config.weighting.kind == "snips":
-            record["value"] = float(coeff.sum() / max(w.sum(), 1e-300))
-        else:
-            record["value"] = float(coeff.mean())
+        pi_all = policy.distribution_matrix(dataset.xs)
+        w = _weights(config.weighting, state.tables, pi_all)
+        record["value"] = _mean_value(config.weighting, w, dataset.rewards)
         record["max_weight"] = float(w.max())
         if val_instances is not None and state.epoch % config.eval_every == 0:
             p, r, ndcg = evaluate_policy(policy, val_instances, config.k_eval)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, make_rng
 
 
 class FitError(RuntimeError):
@@ -170,8 +170,8 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     p = _sigmoid(xs @ theta_last.T)
     neg_counts = np.bincount(flat, minlength=n * a_count).reshape(n, a_count).astype(float)
     loss = float(
-        np.mean(-np.log(np.maximum(p[np.arange(n), acts], 1e-300)))
-        + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, 1e-300))) / n
+        np.mean(-np.log(np.maximum(p[np.arange(n), acts], TINY)))
+        + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, TINY))) / n
     )
     if not np.isfinite(loss):
         raise FitError(f"logging fit loss is not finite: {loss}")

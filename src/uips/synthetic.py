@@ -224,6 +224,31 @@ def build_env(config: EnvConfig) -> BanditEnv:
     )
 
 
+def _draw_log(env: BanditEnv, split: str, rng: np.random.Generator, pick_instances) -> LoggedDataset:
+    """Log the split's instances ``pick_instances(len(split))``, picked before the
+    actions are drawn from the logging policy by one vectorized inverse-CDF draw."""
+    instances = env.split(split)
+    if not instances:
+        raise ValueError(f"empty {split} split")
+    xs_all = np.stack([inst.features for inst in instances])
+    probs_all = env.logging_policy.distribution_matrix(xs_all)
+
+    idx = pick_instances(len(instances))
+    cdf = np.cumsum(probs_all[idx], axis=1)
+    u = rng.random(len(idx))
+    actions = np.minimum((u[:, None] > cdf).sum(axis=1), env.action_count - 1)
+    rewards = np.array(
+        [1.0 if int(a) in instances[int(i)].relevant_actions else 0.0 for i, a in zip(idx, actions)]
+    )
+    return LoggedDataset(
+        xs=xs_all[idx],
+        actions=actions,
+        rewards=rewards,
+        action_count=env.action_count,
+        true_logging_probs=probs_all[idx, actions],
+    )
+
+
 def generate_log(
     env: BanditEnv,
     n_samples: int,
@@ -239,31 +264,7 @@ def generate_log(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    instances = env.split(split)
-    if not instances:
-        raise ValueError(f"empty {split} split")
-
-    xs_all = np.stack([inst.features for inst in instances])
-    probs_all = env.logging_policy.distribution_matrix(xs_all)
-
-    idx = rng.integers(0, len(instances), size=n_samples)
-    # inverse-CDF draw per sample; vectorized over the whole log
-    cdf = np.cumsum(probs_all[idx], axis=1)
-    u = rng.random(n_samples)
-    actions = (u[:, None] > cdf).sum(axis=1)
-    actions = np.minimum(actions, env.action_count - 1)
-
-    rewards = np.array(
-        [1.0 if int(a) in instances[int(i)].relevant_actions else 0.0 for i, a in zip(idx, actions)]
-    )
-    true_probs = probs_all[idx, actions]
-    return LoggedDataset(
-        xs=xs_all[idx],
-        actions=actions,
-        rewards=rewards,
-        action_count=env.action_count,
-        true_logging_probs=true_probs,
-    )
+    return _draw_log(env, split, rng, lambda count: rng.integers(0, count, size=n_samples))
 
 
 def generate_log_per_context(
@@ -279,26 +280,8 @@ def generate_log_per_context(
     """
     if samples_per_context < 1:
         raise ValueError("samples_per_context must be >= 1")
-    instances = env.split(split)
-    if not instances:
-        raise ValueError(f"empty {split} split")
-    xs_all = np.stack([inst.features for inst in instances])
-    probs_all = env.logging_policy.distribution_matrix(xs_all)
-
-    idx = np.repeat(np.arange(len(instances)), samples_per_context)
-    cdf = np.cumsum(probs_all[idx], axis=1)
-    u = rng.random(len(idx))
-    actions = (u[:, None] > cdf).sum(axis=1)
-    actions = np.minimum(actions, env.action_count - 1)
-    rewards = np.array(
-        [1.0 if int(a) in instances[int(i)].relevant_actions else 0.0 for i, a in zip(idx, actions)]
-    )
-    return LoggedDataset(
-        xs=xs_all[idx],
-        actions=actions,
-        rewards=rewards,
-        action_count=env.action_count,
-        true_logging_probs=probs_all[idx, actions],
+    return _draw_log(
+        env, split, rng, lambda count: np.repeat(np.arange(count), samples_per_context)
     )
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from uips.core import BETA_FLOOR
 from uips.logging_fit import UncertaintyRecord
 
 #: Hyper-parameter search ranges used by the sweep tooling.
@@ -53,13 +54,12 @@ GU_UNSCALED_MAX = 700.0
 
 @dataclass(frozen=True)
 class UipsHyperParams:
-    """Weight hyper-parameters: lam, gamma, the two etas, and the beta floor."""
+    """Weight hyper-parameters: lam, gamma and the two etas."""
 
     lam: float = 1.0
     gamma: float = 1.0
     eta1: float = 1.0
     eta2: float = 1.0
-    beta_floor: float = 1e-8
 
     def __post_init__(self):
         if self.lam < 0:
@@ -68,8 +68,6 @@ class UipsHyperParams:
             raise ValueError("gamma must be nonnegative")
         if self.eta1 <= 0 or self.eta2 <= 0:
             raise ValueError("eta1 and eta2 must be positive")
-        if self.beta_floor <= 0:
-            raise ValueError("beta_floor must be positive")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "UipsHyperParams":
@@ -106,7 +104,7 @@ def phi_star_branch(winput: WeightInput, hp: UipsHyperParams) -> tuple[float, st
     gamma*u large enough that e^{gamma u} overflows.
     """
     gu = hp.gamma * winput.u
-    ratio = winput.pi / max(winput.beta_hat, hp.beta_floor)
+    ratio = winput.pi / max(winput.beta_hat, BETA_FLOOR)
     gu_capped = min(gu, GU_UNSCALED_MAX)
     scale = math.exp(gu_capped - gu)
     e_neg, e_pos = math.exp(-gu) * scale, math.exp(gu_capped)
@@ -123,7 +121,7 @@ def phi_star_vector(
 ) -> np.ndarray:
     """Vectorized :func:`phi_star` over per-sample arrays; finite for any gamma*u."""
     gu = hp.gamma * np.asarray(us, dtype=float)
-    ratio = np.asarray(pis, dtype=float) / np.maximum(beta_hats, hp.beta_floor)
+    ratio = np.asarray(pis, dtype=float) / np.maximum(beta_hats, BETA_FLOOR)
     e_neg, e_pos = np.exp(-gu), np.minimum(gu, GU_UNSCALED_MAX)
     np.exp(e_pos, out=e_pos)
     scale = 1.0

@@ -6,21 +6,15 @@ from typing import Optional, Union
 import numpy as np
 
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
-from uips.learning import (
-    TrainConfig,
-    TrainTrace,
-    _empirical_propensities,
-    _sample_coefficients,
-    true_gradient_norm,
-    weighted_gradient,
-)
+from uips.core import TINY
+from uips.estimators import propensity_tables, propensity_weights
+from uips.learning import TrainConfig, TrainTrace, true_gradient_norm, weighted_gradient
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
     accumulate_grams,
     confidence_interval,
     fit_logging_policy,
-    uncertainties,
 )
 from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv, generate_log
@@ -128,8 +122,9 @@ def reference_train(
     """``learning.train`` as one loop, with its steps and epoch records inline.
 
     Independent of ``uips.learning.train_epochs``: every step recomputes
-    ``beta_hat`` for its batch, and every epoch record computes its own
-    softmaxes and the true-gradient norm. The library ``train`` must
+    ``beta_hat`` for its batch (uncertainties and count propensities come
+    from the full log, as in training), and every epoch record computes its
+    own softmaxes, weights and the true-gradient norm. The library ``train`` must
     reproduce its policy bit for bit and its trace records exactly.
     Returns ``(policy, trace)``.
     """
@@ -145,9 +140,8 @@ def reference_train(
     if model is None and needs_model:
         model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
 
-    needs_us = config.weighting.kind in ("uips", "uips_p", "uips_o")
-    us = uncertainties(model, dataset) if needs_us else None
-    emp = _empirical_propensities(dataset) if config.weighting.kind == "dice_s" else None
+    kinds = (config.weighting.kind,)
+    full = propensity_tables(dataset, None, model, kinds)
 
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
@@ -161,14 +155,17 @@ def reference_train(
             model = accumulate_grams(
                 dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=fit_cfg.seed + epoch))
             )
-            us = uncertainties(model, dataset) if needs_us else None
+            full = propensity_tables(dataset, None, model, kinds)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             batch = dataset.subset(batch_idx)
-            batch_us = us[batch_idx] if us is not None else None
-            batch_emp = emp[batch_idx] if emp is not None else None
-            grad = weighted_gradient(policy, batch, model, config.weighting, batch_us, batch_emp)
+            tables = replace(
+                propensity_tables(batch, None, model, kinds),
+                us=None if full.us is None else full.us[batch_idx],
+                counts=None if full.counts is None else full.counts[batch_idx],
+            )
+            grad = weighted_gradient(policy, batch, model, config.weighting, tables=tables)
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + config.learning_rate * grad
             if not np.all(np.isfinite(theta)):
@@ -178,9 +175,12 @@ def reference_train(
             policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
 
         record = {"epoch": epoch}
-        w, _, coeff = _sample_coefficients(policy, dataset, model, config.weighting, us, emp)
+        w = propensity_weights(config.weighting, full.with_target(policy.distribution_matrix(dataset.xs)))
         if config.weighting.kind == "snips":
-            record["value"] = float(coeff.sum() / max(w.sum(), 1e-300))
+            w = w / max(w.sum(), TINY) * n
+        coeff = w * dataset.rewards
+        if config.weighting.kind == "snips":
+            record["value"] = float(coeff.sum() / max(w.sum(), TINY))
         else:
             record["value"] = float(coeff.mean())
         record["max_weight"] = float(w.max())

@@ -139,7 +139,7 @@ def test_04_estimated_propensity_bias_identity():
 
 
 def test_05_true_propensity_unbiasedness():
-    from uips.estimators import v_ips
+    from uips.estimators import estimate
 
     failures = []
     for env_seed in range(10):
@@ -152,7 +152,8 @@ def test_05_true_propensity_unbiasedness():
         policy = epsilon_greedy_policy(env, float(rng.uniform(0.2, 0.6)))
         truth = true_policy_value(env, policy)
         estimates = np.array([
-            v_ips(generate_log_per_context(env, 20, rng, split="test"), policy)
+            estimate(generate_log_per_context(env, 20, rng, split="test"), policy, None,
+                     Weighting(kind="ips_true")).value
             for _ in range(500)
         ])
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
@@ -204,7 +205,7 @@ def test_06_gradient_finite_difference_agreement():
             w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, hp)
         frozen = w_ref / pi_ref
 
-        analytic_w = weighted_gradient(policy, batch, model, weighting, us)
+        analytic_w = weighted_gradient(policy, batch, model, weighting)
 
         def weighted_objective(theta):
             pol = SoftmaxLinearPolicy(theta=theta)
@@ -214,7 +215,7 @@ def test_06_gradient_finite_difference_agreement():
         worst_w = max(worst_w, _finite_difference_check(analytic_w, weighted_objective, policy.theta))
 
         eta = ConstantImputation(0.4)
-        analytic_dr = dr_gradient(policy, batch, model, eta, weighting, us)
+        analytic_dr = dr_gradient(policy, batch, model, eta, weighting)
         eta_sel = np.full(len(batch), 0.4)
 
         def dr_objective(theta):
@@ -364,9 +365,10 @@ def test_11_count_propensity_equivalence():
         )
         policy = TabularPolicy(contexts=contexts, probs=rng.dirichlet(np.ones(a_count), size=n_ctx))
         cap = float(rng.choice([1.0, 5.0, 20.0, np.inf]))
-        from uips.estimators import v_dice_s
+        from uips.estimators import estimate
 
-        mismatches += v_dice_s(ds, policy, cap=cap) != count_ips_reference(ds, policy, cap)
+        got = estimate(ds, policy, None, Weighting(kind="dice_s", cap=cap)).value
+        mismatches += got != count_ips_reference(ds, policy, cap)
     report(
         11, "count-propensity estimator equals the independent reference exactly",
         mismatches == 0, f"({mismatches} mismatches over 50 random datasets)",

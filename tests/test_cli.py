@@ -249,3 +249,23 @@ class TestExitCodes:
         config["logging_fit"]["epochs"] = 15
         cfg.write_text(json.dumps(config))
         assert main(["fit-logging", "--config", str(cfg)]) == 3
+
+
+class TestMalformedLog:
+    @pytest.mark.parametrize("damage, message", [
+        (lambda line: line[: len(line) // 2], "logged.jsonl:3: malformed record"),
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "a"}),
+         "logged.jsonl:3: missing key 'a'"),
+        (lambda line: json.dumps({**json.loads(line), "r": 5.0}), "logged.jsonl:3: reward outside [0, 1]"),
+        (lambda line: json.dumps({**json.loads(line), "a": 1.5}), "logged.jsonl:3: malformed record"),
+    ], ids=["truncated", "missing-key", "reward-out-of-range", "fractional-action"])
+    def test_bad_line_is_a_config_error_naming_the_line(self, tmp_path, capsys, damage, message):
+        cfg = write_config(tmp_path, "bad")
+        run_ok(["generate", "--config", str(cfg)])
+        path = tmp_path / "bad" / "logged.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = damage(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit-logging", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err

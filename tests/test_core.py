@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uips.core import LoggedDataset, LoggedSample, SoftmaxLinearPolicy, make_rng
+from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 
 
 def random_policy(rng, action_count=4, dim=3, scale=1.0, tau=1.0):
@@ -154,9 +154,13 @@ class TestLogProbGrad:
 class TestLoggedData:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            LoggedSample(x=np.array([1.0]), action=0, reward=1.5)
+            LoggedDataset(xs=np.array([[1.0]]), actions=[0], rewards=[1.5], action_count=1)
         with pytest.raises(ValueError):
-            LoggedSample(x=np.array([1.0]), action=0, reward=0.5, true_logging_prob=0.0)
+            LoggedDataset(xs=np.array([[1.0]]), actions=[0], rewards=[0.5], action_count=1,
+                          true_logging_probs=[0.0])
+        with pytest.raises(ValueError, match="row 1: context is not finite"):
+            LoggedDataset(xs=np.array([[1.0], [np.nan]]), actions=[0, 0], rewards=[0.5, 0.5],
+                          action_count=1)
 
     def test_dataset_action_bounds(self):
         with pytest.raises(ValueError):

@@ -7,18 +7,13 @@ from uips.estimators import (
     ConstantImputation,
     TabularImputation,
     Weighting,
+    estimate,
     exact_bias_variance,
     mse_upper_bound,
     ope_mse_experiment,
-    reweighted_value,
     snips_from_weights,
-    v_bips,
-    v_bips_cap,
-    v_dice_s,
     v_dm,
     v_dr,
-    v_ips,
-    v_snips,
 )
 from uips.logging_fit import (
     LoggingFitConfig,
@@ -56,6 +51,10 @@ def fitted_model(ds, seed=0, epochs=120):
     )
 
 
+def value(ds, policy, model, kind, **params):
+    return estimate(ds, policy, model, Weighting(kind=kind, **params)).value
+
+
 def tabular_policy_for(ds, probs_by_context):
     contexts = np.stack(list(probs_by_context.keys()))
     return TabularPolicy(contexts=contexts, probs=np.stack(list(probs_by_context.values())))
@@ -67,17 +66,19 @@ class TestVIps:
         ds = LoggedDataset(xs=x[None], actions=[2], rewards=[1.0], action_count=4,
                            true_logging_probs=[0.2])
         policy = TabularPolicy(contexts=x[None], probs=np.array([[0.2, 0.2, 0.4, 0.2]]))
-        assert v_ips(ds, policy) == pytest.approx(2.0, abs=1e-15)
+        assert value(ds, policy, None, "ips_true") == pytest.approx(2.0, abs=1e-15)
 
     def test_unit_weights_give_mean_reward(self):
         env = build_env(SMALL)
         ds = generate_log(env, 400, make_rng(1))
-        assert v_ips(ds, env.logging_policy) == pytest.approx(float(ds.rewards.mean()), abs=1e-12)
+        assert value(ds, env.logging_policy, None, "ips_true") == pytest.approx(
+            float(ds.rewards.mean()), abs=1e-12
+        )
 
     def test_requires_true_probabilities(self):
         ds = LoggedDataset(xs=np.ones((1, 2)), actions=[0], rewards=[1.0], action_count=2)
         with pytest.raises(ValueError):
-            v_ips(ds, SoftmaxLinearPolicy(theta=np.zeros((2, 2))))
+            value(ds, SoftmaxLinearPolicy(theta=np.zeros((2, 2))), None, "ips_true")
 
     def test_monte_carlo_mean_matches_exact_value(self):
         env = build_env(SMALL)
@@ -85,7 +86,8 @@ class TestVIps:
         truth = true_policy_value(env, policy)
         rng = make_rng(2)
         estimates = [
-            v_ips(generate_log_per_context(env, 20, rng, split="test"), policy) for _ in range(200)
+            value(generate_log_per_context(env, 20, rng, split="test"), policy, None, "ips_true")
+            for _ in range(200)
         ]
         estimates = np.array(estimates)
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
@@ -99,15 +101,17 @@ class TestVBips:
         model = identity_model(env.action_count, env.dim, theta=env.logging_policy.theta,
                                tau=env.logging_policy.tau)
         policy = epsilon_greedy_policy(env, 0.4, split="train")
-        assert v_bips(ds, policy, model) == pytest.approx(v_ips(ds, policy), abs=1e-12)
+        assert value(ds, policy, model, "bips") == pytest.approx(
+            value(ds, policy, None, "ips_true"), abs=1e-12
+        )
 
     def test_zero_rewards_give_zero(self):
         env = build_env(SMALL)
         ds = generate_log(env, 50, make_rng(4))
         zeroed = LoggedDataset(xs=ds.xs, actions=ds.actions, rewards=np.zeros(len(ds)),
                                action_count=ds.action_count)
-        assert v_bips(zeroed, epsilon_greedy_policy(env, 0.4, split="train"),
-                      identity_model(env.action_count, env.dim)) == 0.0
+        assert value(zeroed, epsilon_greedy_policy(env, 0.4, split="train"),
+                     identity_model(env.action_count, env.dim), "bips") == 0.0
 
     def test_single_draw_expectation_matches_bias_identity(self):
         # two contexts, three actions: enumerate every single-sample log
@@ -128,7 +132,7 @@ class TestVBips:
         for i in range(2):
             for a in range(3):
                 one = LoggedDataset(xs=xs[i][None], actions=[a], rewards=[rewards[i, a]], action_count=3)
-                expectation += 0.5 * beta_star[i, a] * v_bips(one, policy, _TabularModel())
+                expectation += 0.5 * beta_star[i, a] * value(one, policy, _TabularModel(), "bips")
         true_value = float(np.mean(np.sum(pi * rewards, axis=1)))
         bias = float(np.mean(np.sum(pi * rewards * (beta_star / beta_hat - 1.0), axis=1)))
         assert expectation == pytest.approx(true_value + bias, abs=1e-12)
@@ -146,16 +150,18 @@ class TestVBipsCap:
 
     def test_infinite_cap_equals_bips(self):
         ds, policy, model = self._ratio_setup()
-        assert v_bips_cap(ds, policy, model, 1e12) == pytest.approx(v_bips(ds, policy, model), abs=1e-12)
+        assert value(ds, policy, model, "bips_cap", cap=1e12) == pytest.approx(
+            value(ds, policy, model, "bips"), abs=1e-12
+        )
 
     def test_binding_cap_returns_cap_times_mean_reward(self):
         ds, policy, model = self._ratio_setup()
-        assert v_bips_cap(ds, policy, model, 0.25) == pytest.approx(0.25 * 1.0, abs=1e-15)
+        assert value(ds, policy, model, "bips_cap", cap=0.25) == pytest.approx(0.25 * 1.0, abs=1e-15)
 
     def test_hand_computed_partial_cap(self):
         ds, policy, model = self._ratio_setup()
         # weights {1, 5} capped at 2 -> (1 + 2) / 2
-        assert v_bips_cap(ds, policy, model, 2.0) == pytest.approx(1.5, abs=1e-12)
+        assert value(ds, policy, model, "bips_cap", cap=2.0) == pytest.approx(1.5, abs=1e-12)
 
 
 class TestVSnips:
@@ -164,15 +170,15 @@ class TestVSnips:
         ds = generate_log(env, 80, make_rng(6))
         ones = LoggedDataset(xs=ds.xs, actions=ds.actions, rewards=np.ones(len(ds)),
                              action_count=ds.action_count)
-        got = v_snips(ones, epsilon_greedy_policy(env, 0.5, split="train"),
-                      fitted_model(ds, epochs=40))
+        got = value(ones, epsilon_greedy_policy(env, 0.5, split="train"),
+                    fitted_model(ds, epochs=40), "snips")
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_single_sample_returns_its_reward(self):
         x = np.array([1.0, 0.0])
         ds = LoggedDataset(xs=x[None], actions=[1], rewards=[0.625], action_count=3)
         policy = TabularPolicy(contexts=x[None], probs=np.array([[0.2, 0.5, 0.3]]))
-        assert v_snips(ds, policy, identity_model(3, 2)) == pytest.approx(0.625, rel=1e-12)
+        assert value(ds, policy, identity_model(3, 2), "snips") == pytest.approx(0.625, rel=1e-12)
 
     def test_hand_computed_ratio(self):
         # weights {1, 3}, rewards {0, 1} -> 3/4
@@ -181,7 +187,7 @@ class TestVSnips:
         probs[0], probs[1] = 0.1, 0.3
         ds = LoggedDataset(xs=np.stack([x, x]), actions=[0, 1], rewards=[0.0, 1.0], action_count=10)
         policy = TabularPolicy(contexts=x[None], probs=probs[None])
-        assert v_snips(ds, policy, identity_model(10, 2)) == pytest.approx(0.75, abs=1e-12)
+        assert value(ds, policy, identity_model(10, 2), "snips") == pytest.approx(0.75, abs=1e-12)
 
     def test_invariant_to_weight_scaling(self):
         rng = make_rng(7)
@@ -200,15 +206,15 @@ class TestReweightedValue:
 
     def test_huge_lam_shrinkage_matches_bips(self):
         env, ds, model, policy = self._setup()
-        got = reweighted_value(ds, policy, model, "shrinkage", lam=1e12).value
-        assert got == pytest.approx(v_bips(ds, policy, model), rel=1e-6)
+        got = value(ds, policy, model, "shrinkage", lam=1e12)
+        assert got == pytest.approx(value(ds, policy, model, "bips"), rel=1e-6)
 
     def test_uips_with_zero_gamma_equals_shrinkage(self):
         env, ds, model, policy = self._setup()
         for lam in (0.5, 3.0, 20.0):
-            uips = reweighted_value(ds, policy, model, "uips",
-                                    hp=UipsHyperParams(lam=lam, gamma=0.0, eta1=1.0, eta2=1.0)).value
-            shrink = reweighted_value(ds, policy, model, "shrinkage", lam=lam).value
+            uips = value(ds, policy, model, "uips",
+                         hp=UipsHyperParams(lam=lam, gamma=0.0, eta1=1.0, eta2=1.0))
+            shrink = value(ds, policy, model, "shrinkage", lam=lam)
             assert uips == pytest.approx(shrink, abs=1e-12)
 
     def test_minvar_hand_computed_uniform_case(self):
@@ -218,13 +224,13 @@ class TestReweightedValue:
                            action_count=3)
         policy = TabularPolicy(contexts=x[None], probs=np.array([[1 / 3, 1 / 3, 1 / 3]]))
         model = identity_model(3, 1)
-        report = reweighted_value(ds, policy, model, "minvar")
+        report = estimate(ds, policy, model, Weighting(kind="minvar"))
         np.testing.assert_allclose(report.per_sample_weights, 1.0 / 3.0, atol=1e-12)
         assert report.value == pytest.approx((1 / 3) * (1 + 0 + 1) / 3, abs=1e-12)
 
     def test_every_unit_shrink_variant_reduces_to_bips(self):
         env, ds, model, policy = self._setup()
-        bips = v_bips(ds, policy, model)
+        bips = value(ds, policy, model, "bips")
         unit_hp = UipsHyperParams(lam=1e12, gamma=0.0, eta1=1.0, eta2=1.0)
         for kind, kwargs in (
             ("uips", {"hp": unit_hp}),
@@ -232,13 +238,13 @@ class TestReweightedValue:
             ("uips_o", {"hp": UipsHyperParams(gamma=0.0)}),
             ("shrinkage", {"lam": 1e12}),
         ):
-            got = reweighted_value(ds, policy, model, kind, **kwargs).value
+            got = value(ds, policy, model, kind, **kwargs)
             assert got == pytest.approx(bips, rel=1e-9), kind
 
     def test_diagnostics(self):
         env, ds, model, policy = self._setup()
-        report = reweighted_value(ds, policy, model, "uips",
-                                  hp=UipsHyperParams(lam=10, gamma=1, eta1=1, eta2=100))
+        report = estimate(ds, policy, model,
+                          Weighting(kind="uips", hp=UipsHyperParams(lam=10, gamma=1, eta1=1, eta2=100)))
         w = report.per_sample_weights
         assert report.diagnostics["max_weight"] == pytest.approx(w.max())
         assert report.diagnostics["effective_sample_size"] == pytest.approx(w.sum() ** 2 / (w @ w))
@@ -270,10 +276,12 @@ class TestDirectMethodAndDr:
         model = fitted_model(ds, epochs=60)
         policy = epsilon_greedy_policy(env, 0.2)
         zero = ConstantImputation(0.0)
-        assert v_dr(ds, policy, model, zero, "bips") == pytest.approx(v_bips(ds, policy, model), abs=1e-12)
+        assert v_dr(ds, policy, model, zero, Weighting(kind="bips")) == pytest.approx(
+            value(ds, policy, model, "bips"), abs=1e-12
+        )
         hp = UipsHyperParams(lam=5, gamma=1, eta1=1, eta2=100)
-        assert v_dr(ds, policy, model, zero, "uips", hp=hp) == pytest.approx(
-            reweighted_value(ds, policy, model, "uips", hp=hp).value, abs=1e-12
+        assert v_dr(ds, policy, model, zero, Weighting(kind="uips", hp=hp)) == pytest.approx(
+            value(ds, policy, model, "uips", hp=hp), abs=1e-12
         )
 
     def test_true_imputation_stays_near_truth_for_any_model(self):
@@ -285,7 +293,8 @@ class TestDirectMethodAndDr:
         skewed_model = identity_model(env.action_count, env.dim,
                                       theta=rng.standard_normal((env.action_count, env.dim)))
         estimates = np.array([
-            v_dr(generate_log_per_context(env, 8, rng, split="test"), policy, skewed_model, oracle_eta, "bips")
+            v_dr(generate_log_per_context(env, 8, rng, split="test"), policy, skewed_model, oracle_eta,
+                 Weighting(kind="bips"))
             for _ in range(120)
         ])
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
@@ -301,7 +310,7 @@ class TestDirectMethodAndDr:
             def beta_matrix(self, qs):
                 return np.array([[0.25, 0.2, 0.25, 0.3]])
 
-        got = v_dr(ds, policy, _Beta(), ConstantImputation(0.5), "bips")
+        got = v_dr(ds, policy, _Beta(), ConstantImputation(0.5), Weighting(kind="bips"))
         assert got == pytest.approx(0.5 + (0.4 / 0.2) * 0.5, abs=1e-12)  # 1.5
 
 
@@ -313,7 +322,7 @@ class TestDiceS:
         probs = np.array([[0.0, 0.5, 0.5, 0.0]])
         policy = TabularPolicy(contexts=x[None], probs=probs)
         # 3 samples of weight 0.5/0.75 and one of weight 0.5/0.25 -> mean 1.0
-        assert v_dice_s(ds, policy) == pytest.approx(1.0, abs=1e-12)
+        assert value(ds, policy, None, "dice_s", cap=np.inf) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_policies_on_singletons_return_mean_reward(self):
         rng = make_rng(14)
@@ -324,7 +333,7 @@ class TestDiceS:
         probs[np.arange(6), actions] = 1.0
         ds = LoggedDataset(xs=xs, actions=actions, rewards=rewards, action_count=3)
         policy = TabularPolicy(contexts=xs, probs=probs)
-        assert v_dice_s(ds, policy) == pytest.approx(rewards.mean(), abs=1e-15)
+        assert value(ds, policy, None, "dice_s", cap=np.inf) == pytest.approx(rewards.mean(), abs=1e-15)
 
     def test_equals_true_propensity_ips_when_counts_match(self):
         # constructed log whose empirical frequencies equal the stored probabilities
@@ -336,7 +345,9 @@ class TestDiceS:
             true_logging_probs=[emp[a] for a in actions],
         )
         policy = TabularPolicy(contexts=x[None], probs=np.array([[0.1, 0.6, 0.3]]))
-        assert v_dice_s(ds, policy) == pytest.approx(v_ips(ds, policy), abs=1e-12)
+        assert value(ds, policy, None, "dice_s", cap=np.inf) == pytest.approx(
+            value(ds, policy, None, "ips_true"), abs=1e-12
+        )
 
     def test_matches_count_based_reference(self):
         rng = make_rng(15)
@@ -349,7 +360,7 @@ class TestDiceS:
             ds = LoggedDataset(xs=contexts[idx], actions=actions, rewards=rewards, action_count=a_count)
             policy = TabularPolicy(contexts=contexts, probs=rng.dirichlet(np.ones(a_count), size=n_ctx))
             cap = float(rng.choice([2.0, 10.0, np.inf]))
-            assert v_dice_s(ds, policy, cap=cap) == count_ips_reference(ds, policy, cap)
+            assert value(ds, policy, None, "dice_s", cap=cap) == count_ips_reference(ds, policy, cap)
 
 
 class TestExactBiasVariance:

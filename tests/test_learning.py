@@ -3,7 +3,8 @@ import pytest
 
 from helpers import reference_train
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
-from uips.estimators import ConstantImputation, TabularImputation, Weighting
+from uips.core import BETA_FLOOR
+from uips.estimators import ConstantImputation, TabularImputation, Weighting, propensity_tables
 from uips.learning import (
     TrainConfig,
     dr_gradient,
@@ -93,7 +94,7 @@ class TestWeightedGradient:
             idx = rng.choice(len(ds), size=16, replace=False)
             batch = ds.subset(idx)
             policy = random_policy(rng, 8, 6)
-            analytic = weighted_gradient(policy, batch, model, weighting, uncertainties(model, batch))
+            analytic = weighted_gradient(policy, batch, model, weighting)
 
             # freeze the per-sample multipliers at the reference policy; the
             # objective is then mean(pi * frozen_multiplier * r) and the
@@ -151,6 +152,7 @@ class TestWeightedGradient:
     def test_capped_branch_contribution_is_bounded(self):
         env, ds, model = make_setup(seed=7)
         us = uncertainties(model, ds)
+        tables = propensity_tables(ds, None, model, ("uips",))
         hp = UipsHyperParams(lam=50.0, gamma=3.0, eta1=1.0, eta2=0.5)
         policy = random_policy(make_rng(8), 8, 6)
         beta_all = model.beta_matrix(ds.xs)
@@ -162,14 +164,14 @@ class TestWeightedGradient:
                 continue
             x, a = ds.xs[i], int(ds.actions[i])
             pi = policy.prob(x, a)
-            beta = max(float(beta_all[i, a]), hp.beta_floor)
+            beta = max(float(beta_all[i, a]), BETA_FLOOR)
             phi, branch = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=float(us[i])), hp)
             if branch != "cap":
                 continue
             checked += 1
             one = ds.subset(np.array([i]))
             contribution = weighted_gradient(policy, one, model, Weighting(kind="uips", hp=hp),
-                                             us[np.array([i])])
+                                             tables=tables.select(np.array([i])))
             bound = 2.0 * hp.eta2 * (pi / beta) * ds.rewards[i] * np.linalg.norm(policy.log_prob_grad(x, a))
             assert np.linalg.norm(contribution) <= bound + 1e-12
         assert checked > 0
@@ -180,10 +182,9 @@ class TestDrGradient:
         env, ds, model = make_setup(seed=9)
         policy = random_policy(make_rng(10), 8, 6)
         batch = ds.subset(np.arange(50))
-        us = uncertainties(model, batch)
         weighting = Weighting(kind="uips", hp=UIPS_HP)
-        a = dr_gradient(policy, batch, model, ConstantImputation(0.0), weighting, us)
-        b = weighted_gradient(policy, batch, model, weighting, us)
+        a = dr_gradient(policy, batch, model, ConstantImputation(0.0), weighting)
+        b = weighted_gradient(policy, batch, model, weighting)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_exact_imputation_leaves_only_direct_term(self):
@@ -211,7 +212,7 @@ class TestDrGradient:
             policy = random_policy(rng, 8, 6)
             us = uncertainties(model, batch)
             weighting = Weighting(kind="uips", hp=UIPS_HP) if trial % 2 else Weighting(kind="bips")
-            analytic = dr_gradient(policy, batch, model, eta, weighting, us)
+            analytic = dr_gradient(policy, batch, model, eta, weighting)
 
             n = np.arange(len(batch))
             beta_sel = np.maximum(model.beta_matrix(batch.xs)[n, batch.actions], 1e-8)
@@ -375,12 +376,11 @@ class TestSharedStepLoop:
             batch = ds.subset(idx)
             expected = model.beta_matrix(batch.xs)
             if kind == "minvar":
-                assert state.beta_sel is None
-                np.testing.assert_array_equal(state.beta_all[idx], expected)
+                np.testing.assert_array_equal(state.tables.beta_rows[idx], expected)
             else:
-                assert state.beta_all is None
+                assert state.tables.beta_rows is None
                 np.testing.assert_array_equal(
-                    state.beta_sel[idx], expected[np.arange(size), batch.actions]
+                    state.tables.beta_sel[idx], expected[np.arange(size), batch.actions]
                 )
 
     def test_one_row_batch_differs_only_by_rounding(self):
@@ -440,12 +440,12 @@ class TestTrueGradientNorm:
             model = accumulate_grams(
                 ds, fit_logging_policy(ds, LoggingFitConfig(epochs=120, learning_rate=2.0, seed=seed))
             )
-            us = uncertainties(model, ds)
+            tables = propensity_tables(ds, None, model, ("uips",))
             theta = np.zeros((env.action_count, env.dim))
             policy = SoftmaxLinearPolicy(theta=theta)
             squared = []
             for _ in range(200):
-                grad = weighted_gradient(policy, ds, model, weighting, us)
+                grad = weighted_gradient(policy, ds, model, weighting, tables=tables)
                 theta = theta + 20.0 * grad
                 policy = SoftmaxLinearPolicy(theta=theta)
                 squared.append(true_gradient_norm(policy, ds) ** 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import sample_weight_instances
-from uips.core import make_rng
+from uips.core import BETA_FLOOR, make_rng
 from uips.logging_fit import UncertaintyRecord, confidence_interval
 from uips.weights import (
     DEFAULT_SWEEP_GRID,
@@ -100,7 +100,7 @@ class TestPhiStar:
         # the direct formula, before large gamma*u was rescaled
         def unscaled_scalar(pi, beta_hat, u, hp):
             gu = hp.gamma * u
-            ratio = pi / max(beta_hat, hp.beta_floor)
+            ratio = pi / max(beta_hat, BETA_FLOOR)
             e_neg, e_pos = math.exp(-gu), math.exp(gu)
             denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
             first = hp.lam / denom if denom > 0 else math.inf
@@ -108,7 +108,7 @@ class TestPhiStar:
 
         def unscaled_vector(pis, beta_hats, us, hp):
             gu = hp.gamma * us
-            ratio = pis / np.maximum(beta_hats, hp.beta_floor)
+            ratio = pis / np.maximum(beta_hats, BETA_FLOOR)
             e_neg, e_pos = np.exp(-gu), np.exp(gu)
             with np.errstate(over="ignore", divide="ignore"):
                 denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
@@ -319,5 +319,3 @@ def test_hyper_param_validation():
         UipsHyperParams(lam=-1.0)
     with pytest.raises(ValueError):
         UipsHyperParams(eta1=0.0)
-    with pytest.raises(ValueError):
-        UipsHyperParams(beta_floor=0.0)
