@@ -37,7 +37,6 @@ from uips.weights import (
     minmax_objective,
     oracle_phi,
     phi_star,
-    variant_weight,
     worst_case_beta,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "phi_star",
     "true_policy_value",
     "uncertainty",
-    "variant_weight",
     "worst_case_beta",
 ]
 

@@ -24,15 +24,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from uips import __version__
-from uips.core import BETA_FLOOR, LoggedDataset, make_rng
-from uips.estimators import Weighting, ope_mse_experiment
+from uips.core import LoggedDataset, make_rng
+from uips.estimators import Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, train, train_policy
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
     accumulate_grams,
     fit_logging_policy,
-    uncertainties,
     uncertainty_frequency_bins,
 )
 from uips.metrics import evaluate_policy
@@ -42,6 +41,9 @@ from uips.weights import DEFAULT_SWEEP_GRID, UipsHyperParams, WeightInput, phi_s
 
 class ConfigError(Exception):
     """Invalid or missing configuration; maps to exit code 2."""
+
+
+DEFAULT_UIPS_HP = {"lam": 10.0, "gamma": 5.0, "eta1": 1.0, "eta2": 100.0}
 
 
 def _fmt(value) -> str:
@@ -69,11 +71,14 @@ def write_json(path: Path, obj) -> None:
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file must hold a JSON object, not {type(config).__name__}")
+    return config
 
 
 def resolve_config(config: dict, seed_override, out_override) -> dict:
@@ -95,31 +100,32 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
 
 
+def _write_report(path: Path, resolved: dict, **fields) -> None:
+    """A JSON report: the resolved config, its hash and the package version, plus ``fields``."""
+    write_json(path, {"config": resolved, "config_hash": config_hash(resolved), "version": __version__, **fields})
+
+
 def _out_dir(resolved: dict) -> Path:
     out = Path(resolved["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _env_config(resolved: dict) -> EnvConfig:
+def _parse(what: str, build, value):
+    """``build(value)``; a TypeError or ValueError there is an invalid ``what``."""
     try:
-        return EnvConfig.from_dict(resolved.get("env", {}))
+        return build(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid env section: {exc}") from exc
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _fit_config(resolved: dict) -> LoggingFitConfig:
-    try:
-        return LoggingFitConfig.from_dict(resolved.get("logging_fit", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid logging_fit section: {exc}") from exc
+def _value(section: dict, key: str, default, build=int):
+    """``section[key]``, or ``default``, passed through ``build``."""
+    return _parse(key, build, section.get(key, default))
 
 
 def _weighting(spec: dict) -> Weighting:
-    try:
-        return Weighting.from_dict(spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid weighting spec {spec}: {exc}") from exc
+    return _parse(f"weighting spec {spec}", Weighting.from_dict, spec)
 
 
 def _load_env(out: Path) -> BanditEnv:
@@ -134,9 +140,12 @@ def _load_dataset(out: Path, env: BanditEnv) -> LoggedDataset:
     if not path.exists():
         raise ConfigError(f"missing {path}; run the generate subcommand first")
     try:
-        return LoggedDataset.from_jsonl(path, env.action_count)
+        dataset = LoggedDataset.from_jsonl(path, env.action_count)
     except ValueError as exc:
         raise ConfigError(f"invalid logged data: {exc}") from exc
+    if dataset.dim != env.dim:
+        raise ConfigError(f"{path}: contexts have length {dataset.dim}, env.json has dim {env.dim}")
+    return dataset
 
 
 def _load_model(out: Path) -> LoggingModel:
@@ -148,9 +157,9 @@ def _load_model(out: Path) -> LoggingModel:
 
 def cmd_generate(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env_cfg = _env_config(resolved)
+    env_cfg = _value(resolved, "env", {}, EnvConfig.from_dict)
     env = build_env(env_cfg)
-    n_logged = int(resolved.get("n_logged", 5000))
+    n_logged = _value(resolved, "n_logged", 5000)
     dataset = generate_log(env, n_logged, make_rng(env_cfg.seed))
     env.save(out / "env.json")
     dataset.to_jsonl(out / "logged.jsonl")
@@ -171,7 +180,8 @@ def cmd_fit_logging(resolved: dict) -> None:
     out = _out_dir(resolved)
     env = _load_env(out)
     dataset = _load_dataset(out, env)
-    model = accumulate_grams(dataset, fit_logging_policy(dataset, _fit_config(resolved)))
+    fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
+    model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_config))
     model.save(out / "logging_model.json")
 
 
@@ -182,10 +192,7 @@ def cmd_train(resolved: dict) -> None:
     model = _load_model(out)
     section = dict(resolved.get("training", {}))
     weighting = _weighting(section.pop("weighting", {"kind": "bips"}))
-    try:
-        config = TrainConfig(weighting=weighting, **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid training section: {exc}") from exc
+    config = _parse("training section", lambda s: TrainConfig(weighting=weighting, **s), section)
     policy, trace = train(dataset, model, config, env=env)
     policy.save(out / "policy.json")
     write_csv(
@@ -195,18 +202,9 @@ def cmd_train(resolved: dict) -> None:
         config_hash(resolved),
     )
     p, r, ndcg = evaluate_policy(policy, env.test, config.k_eval)
-    write_json(
-        out / "train_report.json",
-        {
-            "config": resolved,
-            "config_hash": config_hash(resolved),
-            "version": __version__,
-            "seed": config.seed,
-            "weighting": weighting.kind,
-            "test_p_at_k": p,
-            "test_r_at_k": r,
-            "test_ndcg_at_k": ndcg,
-        },
+    _write_report(
+        out / "train_report.json", resolved, seed=config.seed, weighting=weighting.kind,
+        test_p_at_k=p, test_r_at_k=r, test_ndcg_at_k=ndcg,
     )
 
 
@@ -299,7 +297,7 @@ def _describe(weighting: Weighting, lr: float) -> str:
 
 def cmd_sweep(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env = build_env(_env_config(resolved))
+    env = build_env(_value(resolved, "env", {}, EnvConfig.from_dict))
     section = resolved.get("sweep", {})
     methods = section.get("methods")
     if not methods:
@@ -307,37 +305,28 @@ def cmd_sweep(resolved: dict) -> None:
     train_section = dict(resolved.get("training", {}))
     for key in ("weighting", "seed", "k_eval"):
         train_section.pop(key, None)
-    seed = int(resolved.get("seed", resolved.get("env", {}).get("seed", 0)))
+    seed = _value(resolved, "seed", resolved.get("env", {}).get("seed", 0))
     rows = run_sweep(
         env,
         methods,
         train_section,
-        _fit_config(resolved),
+        _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict),
         seed=seed,
-        k_eval=int(section.get("k_eval", 5)),
-        n_logged=int(resolved.get("n_logged", 5000)),
+        k_eval=_value(section, "k_eval", 5),
+        n_logged=_value(resolved, "n_logged", 5000),
     )
     columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
     rows_out = [tuple(r[k] for k in columns) for r in rows]
     write_csv(out / "leaderboard.csv", columns, rows_out, config_hash(resolved))
-    write_json(
-        out / "sweep_report.json",
-        {
-            "config": resolved,
-            "config_hash": config_hash(resolved),
-            "version": __version__,
-            "seed": seed,
-            "leaderboard": rows,
-        },
-    )
+    _write_report(out / "sweep_report.json", resolved, seed=seed, leaderboard=rows)
 
 
 def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     specs = section.get("estimators")
     if specs:
         return [(s.get("name", s["kind"]), _weighting({k: v for k, v in s.items() if k != "name"})) for s in specs]
-    hp = UipsHyperParams(**section.get("uips_hp", {"lam": 10.0, "gamma": 5.0, "eta1": 1.0, "eta2": 100.0}))
-    lam = float(section.get("shrinkage_lam", 10.0))
+    hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
+    lam = _value(section, "shrinkage_lam", 10.0, float)
     return [
         ("ips_true", Weighting(kind="ips_true")),
         ("bips", Weighting(kind="bips")),
@@ -350,21 +339,21 @@ def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
 
 def cmd_ope(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env = build_env(_env_config(resolved))
+    env = build_env(_value(resolved, "env", {}, EnvConfig.from_dict))
     section = resolved.get("ope", {})
-    epsilon = float(section.get("epsilon", 0.2))
+    epsilon = _value(section, "epsilon", 0.2, float)
     policy = epsilon_greedy_policy(env, epsilon)
     seeds = section.get("seeds")
     if seeds is None:
-        base = int(resolved.get("seed", 0))
-        seeds = list(range(base, base + int(section.get("n_seeds", 20))))
+        base = _value(resolved, "seed", 0)
+        seeds = list(range(base, base + _value(section, "n_seeds", 20)))
     result = ope_mse_experiment(
         env,
         policy,
         _default_ope_estimators(section),
         seeds=seeds,
-        samples_per_context=int(section.get("samples_per_context", 100)),
-        fit_config=_fit_config(resolved),
+        samples_per_context=_value(section, "samples_per_context", 100),
+        fit_config=_value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict),
     )
     write_csv(
         out / "ope_results.csv",
@@ -372,17 +361,9 @@ def cmd_ope(resolved: dict) -> None:
         result.to_csv_rows(),
         config_hash(resolved),
     )
-    write_json(
-        out / "ope_summary.json",
-        {
-            "config": resolved,
-            "config_hash": config_hash(resolved),
-            "version": __version__,
-            "seeds": [int(s) for s in seeds],
-            "true_value": result.true_value,
-            "epsilon": epsilon,
-            "mse": result.summary,
-        },
+    _write_report(
+        out / "ope_summary.json", resolved, seeds=[int(s) for s in seeds],
+        true_value=result.true_value, epsilon=epsilon, mse=result.summary,
     )
 
 
@@ -392,26 +373,25 @@ def cmd_inspect_weights(resolved: dict) -> None:
     dataset = _load_dataset(out, env)
     model = _load_model(out)
     section = resolved.get("inspect", {})
-    epsilon = float(section.get("epsilon", 0.2))
+    epsilon = _value(section, "epsilon", 0.2, float)
     split = section.get("split", "train")
-    hp = UipsHyperParams(**section.get("uips_hp", {"lam": 10.0, "gamma": 5.0, "eta1": 1.0, "eta2": 100.0}))
+    hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
+    n_bins = _value(section, "n_bins", 5)
     policy = epsilon_greedy_policy(env, epsilon, split=split)
 
-    beta_all = model.beta_matrix(dataset.xs)
-    us = uncertainties(model, dataset)
+    tables = propensity_tables(dataset, policy, model, ("uips",))
     rows = []
-    for i in range(len(dataset)):
-        pi = policy.prob(dataset.xs[i], int(dataset.actions[i]))
-        beta = max(float(beta_all[i, dataset.actions[i]]), BETA_FLOOR)
-        phi, branch = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=float(us[i])), hp)
-        rows.append((i, int(dataset.actions[i]), pi, beta, float(us[i]), phi, branch))
+    columns = (dataset.actions, tables.pi_sel, tables.beta_sel, tables.us)
+    for i, (a, pi, beta, u) in enumerate(zip(*(c.tolist() for c in columns))):
+        phi, branch = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=u), hp)
+        rows.append((i, a, pi, beta, u, phi, branch))
     write_csv(
         out / "weights.csv",
         ["sample", "action", "pi", "beta_hat", "uncertainty", "phi_star", "branch"],
         rows,
         config_hash(resolved),
     )
-    bins = uncertainty_frequency_bins(dataset, model, n_bins=int(section.get("n_bins", 5)))
+    bins = uncertainty_frequency_bins(dataset, model, n_bins=n_bins)
     write_csv(
         out / "uncertainty_bins.csv",
         ["bin", "min_count", "max_count", "n_samples", "mean_uncertainty"],

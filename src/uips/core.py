@@ -171,6 +171,9 @@ class SoftmaxLinearPolicy:
     ``theta`` has shape (action_count, dim); ``tau`` > 0 controls skewness
     (small tau concentrates mass on the top-scoring action). Probabilities
     are computed with max-score subtraction so extreme tau never overflows.
+    An action whose score trails the maximum by more than about 745 gets
+    probability exactly 0.0, because its exponential underflows; within 700
+    of the maximum every probability is positive.
     The policy itself is exactly normalized; flooring of probabilities only
     happens downstream where they appear as denominators.
     """
@@ -264,10 +267,3 @@ class SoftmaxLinearPolicy:
     def uniform(cls, action_count: int, dim: int, tau: float = 1.0) -> "SoftmaxLinearPolicy":
         return cls(theta=np.zeros((action_count, dim)), tau=tau)
 
-
-def policy_matrix(policy, xs: np.ndarray) -> np.ndarray:
-    """Distribution rows of any policy object for a batch of contexts."""
-    batched = getattr(policy, "distribution_matrix", None)
-    if batched is not None:
-        return batched(xs)
-    return np.stack([policy.distribution(x) for x in xs])

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, make_rng, policy_matrix
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, make_rng
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -28,7 +28,13 @@ from uips.logging_fit import (
     uncertainties,
     uncertainty_matrix,
 )
-from uips.synthetic import BanditEnv, generate_log_per_context, true_policy_value
+from uips.synthetic import (
+    BanditEnv,
+    TabularPolicy,
+    _split_table,
+    generate_log_per_context,
+    true_policy_value,
+)
 from uips.weights import UipsHyperParams, phi_star_vector
 
 WEIGHT_KINDS = (
@@ -112,41 +118,21 @@ class TabularImputation:
     """Reward model backed by an exact-match context table."""
 
     def __init__(self, contexts: np.ndarray, table: np.ndarray):
-        self.contexts = np.asarray(contexts, dtype=float)
-        self.table = np.asarray(table, dtype=float)
-        if self.table.min() < 0 or self.table.max() > 1:
+        # reward rows share the tabular policy's exact-context lookup
+        self.lookup = TabularPolicy(contexts=contexts, probs=table)
+        if self.lookup.probs.min() < 0 or self.lookup.probs.max() > 1:
             raise ValueError("imputed rewards must lie in [0, 1]")
-        self._index = {self.contexts[i].tobytes(): i for i in range(self.contexts.shape[0])}
 
     @classmethod
     def from_env(cls, env: BanditEnv, split: str = "test") -> "TabularImputation":
         """The oracle imputation: the split's true 0/1 reward table."""
-        instances = env.split(split)
-        xs = np.stack([inst.features for inst in instances])
-        table = np.zeros((len(instances), env.action_count))
-        for i, inst in enumerate(instances):
-            table[i, sorted(inst.relevant_actions)] = 1.0
-        return cls(xs, table)
-
-    def _row(self, x) -> np.ndarray:
-        key = np.asarray(x, dtype=float).tobytes()
-        try:
-            return self.table[self._index[key]]
-        except KeyError:
-            raise ValueError("context not covered by this imputation") from None
+        return cls(*_split_table(env.split(split), env.action_count))
 
     def predict(self, x, action) -> float:
-        return float(self._row(x)[action])
+        return self.lookup.prob(x, action)
 
     def predict_matrix(self, xs: np.ndarray, action_count: int) -> np.ndarray:
-        return np.stack([self._row(x) for x in xs])
-
-
-def imputation_matrix(imputation, xs: np.ndarray, action_count: int) -> np.ndarray:
-    batched = getattr(imputation, "predict_matrix", None)
-    if batched is not None:
-        return batched(xs, action_count)
-    return np.array([[imputation.predict(x, a) for a in range(action_count)] for x in xs])
+        return self.lookup.distribution_matrix(xs)
 
 
 @dataclass(frozen=True)
@@ -229,7 +215,7 @@ def propensity_tables(
         rows=n, actions=dataset.actions, true_probs=dataset.true_logging_probs,
         beta_sel=beta_sel, beta_rows=beta_rows, us=us, counts=counts,
     )
-    return tables if policy is None else tables.with_target(policy_matrix(policy, dataset.xs))
+    return tables if policy is None else tables.with_target(policy.distribution_matrix(dataset.xs))
 
 
 def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.ndarray:
@@ -240,7 +226,8 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.nda
     minvar and stablevar, which normalize a score h over every action of the
     context (h = beta/pi^2 and h = sqrt(beta)/pi respectively), shrinkage,
     lam / (lam + (pi/beta)^2), and the uips family: the minimax weight or its
-    uncertainty-only variants exp(-gamma u) and exp(gamma u). bips_cap and
+    uncertainty-only variants exp(-gamma u) and exp(gamma u) (a uips_o weight
+    that overflows is the largest float, or 0 where pi is 0). bips_cap and
     dice_s clip the weight at ``cap``; ce weights every sample 1. snips
     weights are the bips weights: self-normalization is the caller's
     aggregation.
@@ -274,7 +261,10 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.nda
     elif kind == "uips_p":
         phi = np.exp(-weighting.hp.gamma * t.us)
     else:
-        phi = np.exp(weighting.hp.gamma * t.us)
+        # e^{gamma u} overflows above gamma u ~ 709.78
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = ratio * np.exp(weighting.hp.gamma * t.us)
+        return np.minimum(np.where(ratio > 0, w, 0.0), np.finfo(float).max)
     return ratio * phi
 
 
@@ -312,8 +302,8 @@ def estimate(
 
 def v_dm(dataset: LoggedDataset, policy, imputation) -> float:
     """Direct method: mean over contexts of sum_a pi(a|x) * imputed reward."""
-    pi = policy_matrix(policy, dataset.xs)
-    eta = imputation_matrix(imputation, dataset.xs, dataset.action_count)
+    pi = policy.distribution_matrix(dataset.xs)
+    eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
     return float(np.mean(np.sum(pi * eta, axis=1)))
 
 
@@ -326,23 +316,17 @@ def v_dr(
 ) -> float:
     """Direct method plus a ``weighting``-weighted residual correction."""
     tables = propensity_tables(dataset, policy, model, (weighting.kind,))
-    eta = imputation_matrix(imputation, dataset.xs, dataset.action_count)
+    eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
     dm = np.mean(np.sum(tables.pi_rows * eta, axis=1))
     residual = dataset.rewards - eta[tables.rows, tables.actions]
     return float(dm + np.mean(propensity_weights(weighting, tables) * residual))
 
 
 def _enumeration_tables(env: BanditEnv, policy, model: Optional[LoggingModel], split: str):
-    instances = env.split(split)
-    xs = np.stack([inst.features for inst in instances])
-    rewards = np.zeros((len(instances), env.action_count))
-    for i, inst in enumerate(instances):
-        rewards[i, sorted(inst.relevant_actions)] = 1.0
+    xs, rewards = _split_table(env.split(split), env.action_count)
     beta_star = env.logging_policy.distribution_matrix(xs)
-    pi = policy_matrix(policy, xs)
-    beta_hat = None
-    if model is not None:
-        beta_hat = np.maximum(model.beta_matrix(xs), BETA_FLOOR)
+    pi = policy.distribution_matrix(xs)
+    beta_hat = None if model is None else np.maximum(model.beta_matrix(xs), BETA_FLOOR)
     return xs, rewards, beta_star, pi, beta_hat
 
 

@@ -21,7 +21,6 @@ from uips.estimators import (
     MODEL_FREE_KINDS,
     PropensityTables,
     Weighting,
-    imputation_matrix,
     propensity_tables,
     propensity_weights,
 )
@@ -133,7 +132,7 @@ def dr_gradient(
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     pi_all = policy.distribution_matrix(batch.xs)
-    eta_all = imputation_matrix(imputation, batch.xs, batch.action_count)
+    eta_all = imputation.predict_matrix(batch.xs, batch.action_count)
     # sum_a pi_a eta_a grad log pi_a collapses to coefficients pi_a' (eta_a' - v)
     v = np.sum(pi_all * eta_all, axis=1, keepdims=True)
     c_dm = pi_all * (eta_all - v)

@@ -307,11 +307,10 @@ def uncertainty_frequency_bins(
     order = logged_actions[np.argsort(counts[logged_actions], kind="stable")]
     n_bins = min(n_bins, len(order))
     groups = np.array_split(order, n_bins)
-    bin_of_action = {}
+    bin_of_action = np.zeros(dataset.action_count, dtype=int)
     for b, group in enumerate(groups):
-        for a in group:
-            bin_of_action[int(a)] = b
-    sample_bins = np.array([bin_of_action[int(a)] for a in dataset.actions])
+        bin_of_action[group] = b
+    sample_bins = bin_of_action[dataset.actions]
     out = []
     for b, group in enumerate(groups):
         mask = sample_bins == b

@@ -167,20 +167,29 @@ def _plant_labels(
     return out
 
 
+def _split_table(instances: list[MultilabelInstance], action_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The contexts (m, dim) of ``instances`` and their 0/1 reward table (m, action_count).
+
+    Entry (i, a) is 1 exactly when action a is relevant to instance i: the
+    reward a logged draw of action a on instance i reveals.
+    """
+    xs = np.stack([inst.features for inst in instances])
+    table = np.zeros((len(instances), action_count))
+    for i, inst in enumerate(instances):
+        table[i, list(inst.relevant_actions)] = 1.0
+    return xs, table
+
+
 def _fit_one_vs_all_logistic(
     xs: np.ndarray,
-    labels: list[frozenset[int]],
-    action_count: int,
+    y: np.ndarray,
     lr: float = 2.0,
     iters: int = 400,
     l2: float = 1e-3,
 ) -> np.ndarray:
-    """Full-batch logistic regression scores, one binary problem per action."""
+    """Full-batch logistic regression scores, one binary problem per column of ``y``."""
     n, d = xs.shape
-    y = np.zeros((n, action_count))
-    for i, rel in enumerate(labels):
-        y[i, list(rel)] = 1.0
-    theta = np.zeros((action_count, d))
+    theta = np.zeros((y.shape[1], d))
     for _ in range(iters):
         p = 1.0 / (1.0 + np.exp(-(xs @ theta.T)))
         grad = (p - y).T @ xs / n + l2 * theta
@@ -208,9 +217,7 @@ def build_env(config: EnvConfig) -> BanditEnv:
         labels = _plant_labels(rng, xs, scorer, config.min_labels, config.max_labels, config.label_noise)
         splits[name] = [MultilabelInstance(x, rel) for x, rel in zip(xs, labels)]
 
-    train_xs = np.stack([inst.features for inst in splits["train"]])
-    train_labels = [inst.relevant_actions for inst in splits["train"]]
-    theta_star = _fit_one_vs_all_logistic(train_xs, train_labels, config.action_count)
+    theta_star = _fit_one_vs_all_logistic(*_split_table(splits["train"], config.action_count))
     logging_policy = SoftmaxLinearPolicy(theta=theta_star, tau=config.tau)
 
     return BanditEnv(
@@ -230,20 +237,17 @@ def _draw_log(env: BanditEnv, split: str, rng: np.random.Generator, pick_instanc
     instances = env.split(split)
     if not instances:
         raise ValueError(f"empty {split} split")
-    xs_all = np.stack([inst.features for inst in instances])
+    xs_all, table = _split_table(instances, env.action_count)
     probs_all = env.logging_policy.distribution_matrix(xs_all)
 
     idx = pick_instances(len(instances))
     cdf = np.cumsum(probs_all[idx], axis=1)
     u = rng.random(len(idx))
     actions = np.minimum((u[:, None] > cdf).sum(axis=1), env.action_count - 1)
-    rewards = np.array(
-        [1.0 if int(a) in instances[int(i)].relevant_actions else 0.0 for i, a in zip(idx, actions)]
-    )
     return LoggedDataset(
         xs=xs_all[idx],
         actions=actions,
-        rewards=rewards,
+        rewards=table[idx, actions],
         action_count=env.action_count,
         true_logging_probs=probs_all[idx, actions],
     )
@@ -287,7 +291,11 @@ def generate_log_per_context(
 
 @dataclass
 class TabularPolicy:
-    """Context-indexed action distribution, looked up by exact context match."""
+    """Context-indexed action distribution, looked up by exact context match.
+
+    This is the package's one exact-context index; ``TabularImputation``
+    looks its reward rows up through it.
+    """
 
     contexts: np.ndarray
     probs: np.ndarray
@@ -307,7 +315,7 @@ class TabularPolicy:
         try:
             return self._index[np.asarray(x, dtype=float).tobytes()]
         except KeyError:
-            raise ValueError("context not covered by this tabular policy") from None
+            raise ValueError("context not covered by this table") from None
 
     def distribution(self, x: np.ndarray) -> np.ndarray:
         return self.probs[self._id(x)]
@@ -325,18 +333,11 @@ def epsilon_greedy_policy(env: BanditEnv, epsilon: float, split: str = "test") -
     """Evaluation policy (1-eps)/|M_x| on the relevant set plus eps/|A| everywhere."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    instances = env.split(split)
-    n_actions = env.action_count
-    probs = np.full((len(instances), n_actions), epsilon / n_actions)
-    for i, inst in enumerate(instances):
-        rel = sorted(inst.relevant_actions)
-        if not rel:
-            raise ValueError("epsilon-greedy needs a non-empty relevant set")
-        probs[i, rel] += (1.0 - epsilon) / len(rel)
-    return TabularPolicy(
-        contexts=np.stack([inst.features for inst in instances]),
-        probs=probs,
-    )
+    xs, probs = _split_table(env.split(split), env.action_count)
+    # every relevant set is non-empty, so no row sum is 0
+    probs *= (1.0 - epsilon) / probs.sum(axis=1, keepdims=True)
+    probs += epsilon / env.action_count
+    return TabularPolicy(contexts=xs, probs=probs)
 
 
 def true_policy_value(env: BanditEnv, policy, split: str = "test") -> float:

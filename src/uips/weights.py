@@ -198,20 +198,6 @@ def oracle_phi(
     return float(phis[int(np.argmin(worst))])
 
 
-def variant_weight(kind: str, winput: WeightInput, hp: UipsHyperParams) -> float:
-    """Uncertainty-only reweighting baselines.
-
-    'penalize' down-weights uncertain samples with exp(-gamma*u);
-    'optimistic' uses the adversarial reciprocal exp(gamma*u).
-    """
-    gu = hp.gamma * winput.u
-    if kind == "penalize":
-        return math.exp(-gu)
-    if kind == "optimistic":
-        return math.exp(gu)
-    raise ValueError(f"unknown variant kind {kind!r}")
-
-
 def cap_region_threshold(lam: float, eta: float, gamma: float, u: float) -> float:
     """Ratio threshold below which the cap branch is declared active.
 

@@ -269,3 +269,47 @@ class TestMalformedLog:
         capsys.readouterr()
         assert main(["fit-logging", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestBadInputEntersAsConfigError:
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["generate", "--config", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("generate", None, "n_logged", "many"),
+        ("ope", None, "seed", "zero"),
+        ("ope", "ope", "samples_per_context", [10]),
+        ("ope", "ope", "n_seeds", None),
+        ("ope", "ope", "epsilon", "small"),
+        ("ope", "ope", "uips_hp", {"lam": -1.0}),
+        ("sweep", "sweep", "k_eval", "three"),
+        ("inspect-weights", "inspect", "epsilon", "small"),
+        ("inspect-weights", "inspect", "n_bins", "3 bins"),
+        ("inspect-weights", "inspect", "uips_hp", {"beta": 1.0}),
+    ])
+    def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
+        cfg = write_config(tmp_path, "bad")
+        if command == "inspect-weights":
+            run_ok(["generate", "--config", str(cfg)])
+            run_ok(["fit-logging", "--config", str(cfg)])
+        config = json.loads(cfg.read_text())
+        (config[section] if section else config)[key] = value
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"invalid {key}" in capsys.readouterr().err
+
+    def test_log_whose_contexts_do_not_match_the_env(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "short")
+        run_ok(["generate", "--config", str(cfg)])
+        path = tmp_path / "short" / "logged.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps({**r, "x": r["x"][:-1]}) + "\n" for r in records))
+        for command in ("fit-logging", "train", "inspect-weights"):
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "logged.jsonl: contexts have length 5" in capsys.readouterr().err
+        assert not (tmp_path / "short" / "logging_model.json").exists()

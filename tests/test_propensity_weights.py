@@ -5,6 +5,8 @@ rows with zeros allowed, strictly positive logging rows, uncertainties,
 count propensities and true propensities in their valid ranges.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,8 @@ from uips.estimators import (
 )
 from uips.weights import UipsHyperParams
 
-# gamma * u stays below 500, so exp(gamma * u) of uips_o is finite
-MAX_U, MAX_GAMMA = 10.0, 50.0
+# gamma * u reaches 5,000, far past where exp(gamma * u) overflows (about 709.78)
+MAX_U, MAX_GAMMA = 100.0, 50.0
 
 
 @st.composite
@@ -98,6 +100,21 @@ def test_every_kind_is_covered(kind):
                           hp=hp if kind.startswith("uips") else None)
     w = propensity_weights(weighting, make_tables(columns, np.arange(2)))
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+
+
+def test_uips_o_saturates_where_exp_overflows():
+    columns = {
+        "pi": np.array([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]]),
+        "beta": np.array([[0.5, 0.5], [0.5, 0.5], [1e-9, 1.0]]),
+        "actions": np.array([0, 1, 0]), "us": np.array([1.0, 1.0, 0.875]),
+        "counts": np.ones(3), "true_probs": np.ones(3),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = propensity_weights(Weighting(kind="uips_o", hp=UipsHyperParams(gamma=800.0)),
+                               make_tables(columns, np.arange(3)))
+    # pi = 0 weighs 0; e^{800} overflows; e^{700} is finite, but 5e8 times it is not
+    np.testing.assert_array_equal(w, [0.0, np.finfo(float).max, np.finfo(float).max])
 
 
 @settings(max_examples=200, deadline=None)

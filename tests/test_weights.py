@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import sample_weight_instances
 from uips.core import BETA_FLOOR, make_rng
+from uips.estimators import PropensityTables, Weighting, propensity_weights
 from uips.logging_fit import UncertaintyRecord, confidence_interval
 from uips.weights import (
     DEFAULT_SWEEP_GRID,
@@ -19,7 +20,6 @@ from uips.weights import (
     phi_star,
     phi_star_branch,
     phi_star_vector,
-    variant_weight,
     worst_case_beta,
     worst_case_objective,
 )
@@ -203,29 +203,33 @@ class TestOraclePhi:
         assert abs(grid - 0.8) <= 2.0 / 20_000 + 1e-12
 
 
+def variant_weight(kind: str, u: float, gamma: float) -> float:
+    """The uips_p or uips_o weight of one sample with pi = beta_hat, so the ratio is exactly 1."""
+    tables = PropensityTables(
+        rows=np.zeros(1, dtype=int), actions=np.zeros(1, dtype=int),
+        beta_sel=np.array([0.2]), us=np.array([u]),
+    ).with_target(np.array([[0.2]]))
+    return float(propensity_weights(Weighting(kind=kind, hp=UipsHyperParams(gamma=gamma)), tables)[0])
+
+
 class TestVariantWeights:
     def test_unit_at_zero_uncertainty(self):
-        hp = UipsHyperParams(gamma=3.0)
-        winput = WeightInput(pi=0.1, beta_hat=0.2, u=0.0)
-        assert variant_weight("penalize", winput, hp) == 1.0
-        assert variant_weight("optimistic", winput, hp) == 1.0
+        assert variant_weight("uips_p", 0.0, 3.0) == 1.0
+        assert variant_weight("uips_o", 0.0, 3.0) == 1.0
 
     def test_hand_value(self):
-        hp = UipsHyperParams(gamma=1.0)
-        winput = WeightInput(pi=0.1, beta_hat=0.2, u=math.log(3.0))
-        assert variant_weight("penalize", winput, hp) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert variant_weight("uips_p", math.log(3.0), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_product_is_one(self):
         rng = make_rng(25)
         for _ in range(50):
-            hp = UipsHyperParams(gamma=float(rng.uniform(0, 10)))
-            winput = WeightInput(pi=0.1, beta_hat=0.2, u=float(rng.uniform(0, 3)))
-            product = variant_weight("penalize", winput, hp) * variant_weight("optimistic", winput, hp)
+            gamma, u = float(rng.uniform(0, 10)), float(rng.uniform(0, 3))
+            product = variant_weight("uips_p", u, gamma) * variant_weight("uips_o", u, gamma)
             assert product == pytest.approx(1.0, rel=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            variant_weight("bogus", WeightInput(pi=0.1, beta_hat=0.2, u=0.1), UipsHyperParams())
+            Weighting(kind="bogus")
 
 
 def phi_of_u(ratio, lam, gamma, eta, u):
