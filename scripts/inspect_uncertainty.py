@@ -13,7 +13,13 @@ import sys
 import numpy as np
 
 from uips.core import make_rng
-from uips.logging_fit import LoggingFitConfig, accumulate_grams, fit_logging_policy, uncertainty_frequency_bins
+from uips.logging_fit import (
+    LoggingFitConfig,
+    accumulate_grams,
+    fit_logging_policy,
+    uncertainties,
+    uncertainty_frequency_bins,
+)
 from uips.synthetic import EnvConfig, build_env, generate_log
 
 
@@ -32,7 +38,7 @@ def main(argv=None):
     )
     beta = model.beta_matrix(dataset.xs)[np.arange(len(dataset)), dataset.actions]
 
-    bins = uncertainty_frequency_bins(dataset, model, n_bins=args.bins)
+    bins = uncertainty_frequency_bins(dataset, uncertainties(model, dataset), n_bins=args.bins)
     print("bin,min_count,max_count,n_samples,mean_uncertainty,mean_beta_hat")
     for b in bins:
         mask = np.isin(dataset.actions, b["actions"])

@@ -124,6 +124,30 @@ def _value(section: dict, key: str, default, build=int):
     return _parse(key, build, section.get(key, default))
 
 
+def _count(value) -> int:
+    """``value`` as an integer >= 1."""
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"{value!r} is not >= 1")
+    return count
+
+
+def _probability(value) -> float:
+    """``value`` as a float in [0, 1]."""
+    p = float(value)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{value!r} is not in [0, 1]")
+    return p
+
+
+def _seeds(value) -> list:
+    """``value`` as a non-empty list of seeds."""
+    seeds = list(value)
+    if not seeds:
+        raise ValueError("the list is empty")
+    return seeds
+
+
 def _weighting(spec: dict) -> Weighting:
     return _parse(f"weighting spec {spec}", Weighting.from_dict, spec)
 
@@ -159,7 +183,7 @@ def cmd_generate(resolved: dict) -> None:
     out = _out_dir(resolved)
     env_cfg = _value(resolved, "env", {}, EnvConfig.from_dict)
     env = build_env(env_cfg)
-    n_logged = _value(resolved, "n_logged", 5000)
+    n_logged = _value(resolved, "n_logged", 5000, _count)
     dataset = generate_log(env, n_logged, make_rng(env_cfg.seed))
     env.save(out / "env.json")
     dataset.to_jsonl(out / "logged.jsonl")
@@ -245,6 +269,11 @@ def run_sweep(
     Returns one leaderboard row per method with the selected point's test
     metrics. A one-point grid is exactly a single training run.
     """
+    base = _parse(
+        "training section",
+        lambda s: TrainConfig(seed=seed, k_eval=k_eval, **s),
+        {k: v for k, v in train_section.items() if k != "learning_rate"},
+    )
     dataset = generate_log(env, n_logged, make_rng(seed))
     model = accumulate_grams(
         dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed))
@@ -258,9 +287,8 @@ def run_sweep(
         best = None
         for weighting in candidates:
             for lr in lrs:
-                section = {k: v for k, v in train_section.items() if k != "learning_rate"}
-                config = TrainConfig(
-                    weighting=weighting, learning_rate=lr, seed=seed, k_eval=k_eval, **section
+                config = _parse(
+                    "training section", lambda rate: replace(base, weighting=weighting, learning_rate=rate), lr
                 )
                 policy = train_policy(dataset, model, config)
                 _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
@@ -312,8 +340,8 @@ def cmd_sweep(resolved: dict) -> None:
         train_section,
         _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict),
         seed=seed,
-        k_eval=_value(section, "k_eval", 5),
-        n_logged=_value(resolved, "n_logged", 5000),
+        k_eval=_value(section, "k_eval", 5, _count),
+        n_logged=_value(resolved, "n_logged", 5000, _count),
     )
     columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
     rows_out = [tuple(r[k] for k in columns) for r in rows]
@@ -339,20 +367,22 @@ def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
 
 def cmd_ope(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env = build_env(_value(resolved, "env", {}, EnvConfig.from_dict))
     section = resolved.get("ope", {})
-    epsilon = _value(section, "epsilon", 0.2, float)
+    epsilon = _value(section, "epsilon", 0.2, _probability)
+    env = build_env(_value(resolved, "env", {}, EnvConfig.from_dict))
     policy = epsilon_greedy_policy(env, epsilon)
     seeds = section.get("seeds")
     if seeds is None:
         base = _value(resolved, "seed", 0)
-        seeds = list(range(base, base + _value(section, "n_seeds", 20)))
+        seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
+    else:
+        seeds = _parse("seeds", _seeds, seeds)
     result = ope_mse_experiment(
         env,
         policy,
         _default_ope_estimators(section),
         seeds=seeds,
-        samples_per_context=_value(section, "samples_per_context", 100),
+        samples_per_context=_value(section, "samples_per_context", 100, _count),
         fit_config=_value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict),
     )
     write_csv(
@@ -373,10 +403,11 @@ def cmd_inspect_weights(resolved: dict) -> None:
     dataset = _load_dataset(out, env)
     model = _load_model(out)
     section = resolved.get("inspect", {})
-    epsilon = _value(section, "epsilon", 0.2, float)
+    epsilon = _value(section, "epsilon", 0.2, _probability)
     split = section.get("split", "train")
+    _parse("split", env.split, split)
     hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
-    n_bins = _value(section, "n_bins", 5)
+    n_bins = _value(section, "n_bins", 5, _count)
     policy = epsilon_greedy_policy(env, epsilon, split=split)
 
     tables = propensity_tables(dataset, policy, model, ("uips",))
@@ -391,7 +422,7 @@ def cmd_inspect_weights(resolved: dict) -> None:
         rows,
         config_hash(resolved),
     )
-    bins = uncertainty_frequency_bins(dataset, model, n_bins=n_bins)
+    bins = uncertainty_frequency_bins(dataset, tables.us, n_bins=n_bins)
     write_csv(
         out / "uncertainty_bins.csv",
         ["bin", "min_count", "max_count", "n_samples", "mean_uncertainty"],

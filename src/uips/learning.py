@@ -48,8 +48,8 @@ class TrainConfig:
         # zero learning rate is allowed: it turns training into a no-op probe
         if self.learning_rate < 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("learning_rate must be nonnegative, epochs/batch_size positive")
-        if self.eval_every <= 0:
-            raise ValueError("eval_every must be positive")
+        if self.eval_every <= 0 or self.k_eval <= 0:
+            raise ValueError("eval_every and k_eval must be positive")
 
 
 @dataclass

@@ -292,16 +292,20 @@ def confidence_interval(beta_hat: float, u: float, gamma: float, eta: float) -> 
 
 
 def uncertainty_frequency_bins(
-    dataset: LoggedDataset, model: LoggingModel, n_bins: int = 5
+    dataset: LoggedDataset, us: np.ndarray, n_bins: int = 5
 ) -> list[dict]:
-    """Mean per-sample uncertainty, binned by the logged frequency of the action.
+    """Mean per-sample uncertainty ``us``, binned by the logged frequency of the action.
 
-    Bins are equal-width in log-frequency rank: actions are sorted by their
-    count in the log and split into ``n_bins`` groups of (near-)equal size,
-    lowest-frequency group first. Skewed logging shows the signature trend
-    of the lowest-frequency bin carrying the highest mean uncertainty.
+    ``us`` holds one uncertainty per logged sample, as ``uncertainties(model,
+    dataset)`` returns. Bins are equal-width in log-frequency rank: actions
+    are sorted by their count in the log and split into ``n_bins`` groups of
+    (near-)equal size, lowest-frequency group first. Skewed logging shows
+    the signature trend of the lowest-frequency bin carrying the highest
+    mean uncertainty.
     """
-    us = uncertainties(model, dataset)
+    us = np.asarray(us, dtype=float)
+    if us.shape != (len(dataset),):
+        raise ValueError("one uncertainty per logged sample required")
     counts = np.bincount(dataset.actions, minlength=dataset.action_count)
     logged_actions = np.flatnonzero(counts)
     order = logged_actions[np.argsort(counts[logged_actions], kind="stable")]

@@ -187,14 +187,34 @@ def _fit_one_vs_all_logistic(
     iters: int = 400,
     l2: float = 1e-3,
 ) -> np.ndarray:
-    """Full-batch logistic regression scores, one binary problem per column of ``y``."""
+    """Full-batch logistic regression scores, one binary problem per column of ``y``.
+
+    Each iteration is ``p = 1 / (1 + exp(-xs @ theta.T))``, then
+    ``theta -= lr * ((p - y).T @ xs / n + l2 * theta)``, run in place on
+    buffers allocated once. The loop keeps ``-theta``, so the scores
+    product yields ``-scores`` directly; every sign flip is exact, so the
+    result is bit-identical to the plain expressions.
+    """
     n, d = xs.shape
-    theta = np.zeros((y.shape[1], d))
+    neg_theta = np.zeros((y.shape[1], d))
+    s = np.empty((n, y.shape[1]))
+    grad = np.empty_like(neg_theta)
+    decay = np.empty_like(neg_theta)
+    labelled = np.nonzero(y)
+    labels = y[labelled]
     for _ in range(iters):
-        p = 1.0 / (1.0 + np.exp(-(xs @ theta.T)))
-        grad = (p - y).T @ xs / n + l2 * theta
-        theta -= lr * grad
-    return theta
+        np.matmul(xs, neg_theta.T, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        s[labelled] -= labels
+        np.matmul(s.T, xs, out=grad)
+        grad /= n
+        np.multiply(neg_theta, l2, out=decay)
+        grad -= decay
+        grad *= lr
+        neg_theta += grad
+    return -neg_theta
 
 
 def build_env(config: EnvConfig) -> BanditEnv:

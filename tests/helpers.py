@@ -60,6 +60,21 @@ def count_ips_reference(dataset, policy, cap):
     return float(np.mean(np.asarray(terms)))
 
 
+def one_vs_all_reference(xs, y, lr=2.0, iters=400, l2=1e-3):
+    """The environment's one-vs-all logistic fit as plain array expressions.
+
+    Independent of ``uips.synthetic``, which runs the same iterations in
+    place; ``build_env`` must reproduce this ``theta`` bit for bit.
+    """
+    n, d = xs.shape
+    theta = np.zeros((y.shape[1], d))
+    for _ in range(iters):
+        p = 1.0 / (1.0 + np.exp(-(xs @ theta.T)))
+        grad = (p - y).T @ xs / n + l2 * theta
+        theta -= lr * grad
+    return theta
+
+
 def dense_fit_reference(dataset, config):
     """The logging fit's epoch loop on dense (n, action_count) arrays.
 

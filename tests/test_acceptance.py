@@ -301,7 +301,7 @@ def test_09_uncertainty_frequency_trend():
         model = accumulate_grams(
             ds, fit_logging_policy(ds, LoggingFitConfig(epochs=80, learning_rate=2.0, seed=seed))
         )
-        bins = uncertainty_frequency_bins(ds, model, n_bins=5)
+        bins = uncertainty_frequency_bins(ds, uncertainties(model, ds), n_bins=5)
         results.append(bins[0]["mean_uncertainty"] > bins[-1]["mean_uncertainty"])
     report(
         9, "lowest-frequency actions carry the highest estimation uncertainty",

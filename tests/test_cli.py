@@ -6,7 +6,7 @@ import pytest
 
 from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
-from uips.logging_fit import LoggingFitConfig
+from uips.logging_fit import LoggingFitConfig, uncertainties
 from uips.synthetic import BanditEnv, EnvConfig, build_env
 
 TINY_CONFIG = {
@@ -106,6 +106,23 @@ class TestPipeline:
         first_bin = bins[2].split(",")
         last_bin = bins[-1].split(",")
         assert float(first_bin[-1]) > float(last_bin[-1])  # low-frequency bin more uncertain
+
+    def test_inspect_weights_computes_uncertainties_once(self, tmp_path, monkeypatch):
+        import uips.estimators
+        import uips.logging_fit
+
+        cfg, _ = self._generate(tmp_path, "once")
+        run_ok(["fit-logging", "--config", str(cfg)])
+        calls = []
+
+        def counted(model, dataset):
+            calls.append(len(dataset))
+            return uncertainties(model, dataset)
+
+        monkeypatch.setattr(uips.estimators, "uncertainties", counted)
+        monkeypatch.setattr(uips.logging_fit, "uncertainties", counted)
+        run_ok(["inspect-weights", "--config", str(cfg)])
+        assert calls == [TINY_CONFIG["n_logged"]]
 
     def test_all_subcommands_are_deterministic(self, tmp_path):
         cfg, out = self._generate(tmp_path, "det")
@@ -289,6 +306,16 @@ class TestBadInputEntersAsConfigError:
         ("inspect-weights", "inspect", "epsilon", "small"),
         ("inspect-weights", "inspect", "n_bins", "3 bins"),
         ("inspect-weights", "inspect", "uips_hp", {"beta": 1.0}),
+        ("generate", None, "n_logged", 0),
+        ("sweep", None, "n_logged", 0),
+        ("ope", "ope", "epsilon", 2),
+        ("ope", "ope", "samples_per_context", 0),
+        ("ope", "ope", "n_seeds", 0),
+        ("ope", "ope", "seeds", []),
+        ("sweep", "sweep", "k_eval", 0),
+        ("inspect-weights", "inspect", "epsilon", 2),
+        ("inspect-weights", "inspect", "n_bins", 0),
+        ("inspect-weights", "inspect", "split", "bogus"),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -301,6 +328,31 @@ class TestBadInputEntersAsConfigError:
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
         assert f"invalid {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "bogus_key", 1),
+        ("sweep", "bogus_key", 1),
+        ("train", "k_eval", 0),
+    ])
+    def test_bad_training_section(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, "bogus")
+        if command == "train":
+            run_ok(["generate", "--config", str(cfg)])
+            run_ok(["fit-logging", "--config", str(cfg)])
+        config = json.loads(cfg.read_text())
+        config["training"][key] = value
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "invalid training section" in capsys.readouterr().err
+
+    def test_negative_learning_rate_in_a_sweep_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "negative")
+        config = json.loads(cfg.read_text())
+        config["sweep"]["methods"]["bips_cap"]["learning_rate"] = [-0.5]
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "invalid training section" in capsys.readouterr().err
 
     def test_log_whose_contexts_do_not_match_the_env(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "short")

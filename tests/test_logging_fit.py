@@ -296,7 +296,7 @@ class TestFrequencyBins:
             env = build_env(EnvConfig(tau=tau, seed=seed))
             ds = generate_log(env, 4000, make_rng(seed))
             model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(epochs=80, learning_rate=2.0, seed=seed)))
-            bins = uncertainty_frequency_bins(ds, model, n_bins=5)
+            bins = uncertainty_frequency_bins(ds, uncertainties(model, ds), n_bins=5)
             assert bins[0]["mean_uncertainty"] > bins[-1]["mean_uncertainty"]
             assert bins[0]["max_count"] <= bins[-1]["min_count"]
 
@@ -304,8 +304,14 @@ class TestFrequencyBins:
         env = build_env(EnvConfig(tau=0.6, seed=14))
         ds = generate_log(env, 1500, make_rng(1))
         model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(epochs=40, seed=1)))
-        bins = uncertainty_frequency_bins(ds, model, n_bins=4)
+        bins = uncertainty_frequency_bins(ds, uncertainties(model, ds), n_bins=4)
         assert sum(b["n_samples"] for b in bins) == len(ds)
+
+    def test_one_uncertainty_per_sample_required(self):
+        env = build_env(EnvConfig(dim=8, action_count=10, train_size=30, validation_size=10, test_size=10, seed=16))
+        ds = generate_log(env, 200, make_rng(4))
+        with pytest.raises(ValueError, match="one uncertainty per logged sample"):
+            uncertainty_frequency_bins(ds, np.ones(len(ds) - 1))
 
 
 def test_model_json_round_trip(tmp_path):

@@ -14,6 +14,8 @@ from uips.synthetic import (
     true_policy_value,
 )
 
+from helpers import one_vs_all_reference
+
 SMALL = EnvConfig(dim=8, action_count=10, train_size=40, validation_size=10, test_size=20, seed=5)
 
 
@@ -201,6 +203,32 @@ def test_skewness_increases_as_temperature_drops():
     max_sharp = sharp.logging_policy.distribution_matrix(xs).max(axis=1).mean()
     max_flat = flat.logging_policy.distribution_matrix(xs).max(axis=1).mean()
     assert max_sharp > max_flat
+
+
+# 5 train instances with at most 3 labels each leave some of the 30 actions unlabelled
+UNLABELLED_ACTIONS = EnvConfig(dim=8, action_count=30, train_size=5, seed=5)
+
+
+class TestOneVsAllFit:
+    """``build_env``'s in-place logistic fit equals the plain-expression loop bit for bit."""
+
+    @pytest.mark.parametrize("config", [
+        EnvConfig(seed=0),
+        EnvConfig(action_count=200, train_size=400, seed=1),
+        EnvConfig(label_noise=0.3, seed=2),
+        EnvConfig(train_size=1, seed=3),
+        EnvConfig(action_count=1, min_labels=1, max_labels=1, seed=4),
+        UNLABELLED_ACTIONS,
+    ], ids=["desk", "200-actions", "label-noise", "one-instance", "one-action", "unlabelled-actions"])
+    def test_theta_matches_the_reference_loop(self, config):
+        env = build_env(config)
+        xs = np.stack([inst.features for inst in env.train])
+        y = np.zeros((len(env.train), env.action_count))
+        for i, inst in enumerate(env.train):
+            y[i, sorted(inst.relevant_actions)] = 1.0
+        if config is UNLABELLED_ACTIONS:
+            assert (y.sum(axis=0) == 0).any()
+        np.testing.assert_array_equal(env.logging_policy.theta, one_vs_all_reference(xs, y))
 
 
 class TestTabularPolicy:
