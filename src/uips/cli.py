@@ -267,30 +267,36 @@ def run_sweep(
     """Grid sweep: train per grid point, select per method by validation NDCG.
 
     Returns one leaderboard row per method with the selected point's test
-    metrics. A one-point grid is exactly a single training run.
+    metrics. A one-point grid is exactly a single training run. Every grid
+    point trains on one logged dataset, one logging model and one set of
+    propensity tables, built once for every weighting kind of the grid.
     """
     base = _parse(
         "training section",
         lambda s: TrainConfig(seed=seed, k_eval=k_eval, **s),
         {k: v for k, v in train_section.items() if k != "learning_rate"},
     )
+    grids = {}
+    for method, grid in methods.items():
+        grids[method] = _parse(f"{method} grid", lambda g: expand_grid(method, g), grid or {})
+        if not grids[method]:
+            raise ConfigError(f"empty grid for method {method!r}")
     dataset = generate_log(env, n_logged, make_rng(seed))
     model = accumulate_grams(
         dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed))
     )
+    kinds = {weighting.kind for candidates in grids.values() for weighting in candidates}
+    tables = propensity_tables(dataset, None, model, kinds)
     rows = []
-    for method, grid in methods.items():
-        candidates = expand_grid(method, grid or {})
-        if not candidates:
-            raise ConfigError(f"empty grid for method {method!r}")
-        lrs = (grid or {}).get("learning_rate", [train_section.get("learning_rate", 0.5)])
+    for method, candidates in grids.items():
+        lrs = (methods[method] or {}).get("learning_rate", [train_section.get("learning_rate", 0.5)])
         best = None
         for weighting in candidates:
             for lr in lrs:
                 config = _parse(
                     "training section", lambda rate: replace(base, weighting=weighting, learning_rate=rate), lr
                 )
-                policy = train_policy(dataset, model, config)
+                policy = train_policy(dataset, model, config, tables)
                 _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
                 key = (val_ndcg, -lr)
                 if best is None or key > best[0]:

@@ -36,6 +36,19 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _context_index(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``xs`` and, per row, the index of its distinct row.
+
+    Two rows are the same context when they are equal byte for byte, as
+    their ``tobytes()`` keys are. Sorting the rows as opaque byte strings is
+    several times faster than ``np.unique(xs, axis=0)``.
+    """
+    xs = np.ascontiguousarray(xs)
+    rows = xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).reshape(-1)
+    _, first, context = np.unique(rows, return_index=True, return_inverse=True)
+    return xs[first], context.reshape(-1)
+
+
 def _first_invalid_row(xs, actions, rewards, action_count, true_logging_probs) -> Optional[tuple]:
     """The first row of a logged dataset that breaks an invariant, and why; or None."""
     p = true_logging_probs
@@ -70,8 +83,8 @@ class LoggedDataset:
         self.xs = np.asarray(self.xs, dtype=float)
         self.actions = np.asarray(self.actions, dtype=int)
         self.rewards = np.asarray(self.rewards, dtype=float)
-        if self.xs.ndim != 2:
-            raise ValueError("xs must have shape (n, dim)")
+        if self.xs.ndim != 2 or self.xs.shape[1] == 0:
+            raise ValueError("xs must have shape (n, dim) with dim >= 1")
         n = self.xs.shape[0]
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("actions/rewards must match the number of contexts")
@@ -215,11 +228,18 @@ class SoftmaxLinearPolicy:
         return e / e.sum()
 
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Row-wise distributions for a batch of contexts, shape (n, actions)."""
-        s = xs @ self.theta.T / self.tau
+        """Row-wise distributions for a batch of contexts, shape (n, actions).
+
+        Every step after the scores product runs in place on its one buffer;
+        the division by a temperature of 1 is exact, so it is skipped.
+        """
+        s = xs @ self.theta.T
+        if self.tau != 1.0:
+            s /= self.tau
         s -= s.max(axis=1, keepdims=True)
-        e = np.exp(s)
-        return e / e.sum(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+        return s
 
     def prob(self, x: np.ndarray, action: int) -> float:
         if not 0 <= action < self.action_count:

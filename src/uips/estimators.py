@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, make_rng
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _context_index, make_rng
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -76,9 +76,10 @@ class Weighting:
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS and self.kind != "ce":
             raise ValueError(f"unknown weighting kind {self.kind!r}")
-        if self.kind in ("bips_cap", "dice_s") and (self.cap is None or self.cap <= 0):
+        # written so that NaN fails each check; an infinite cap means no cap
+        if self.kind in ("bips_cap", "dice_s") and not (self.cap is not None and self.cap > 0):
             raise ValueError(f"{self.kind} needs a positive cap")
-        if self.kind == "shrinkage" and (self.lam is None or self.lam < 0):
+        if self.kind == "shrinkage" and not (self.lam is not None and self.lam >= 0):
             raise ValueError("shrinkage needs a nonnegative lam")
         if self.kind in UIPS_KINDS and self.hp is None:
             raise ValueError(f"{self.kind} needs hyper-parameters")
@@ -163,25 +164,31 @@ class PropensityTables:
         """These tables for the target policy whose rows are ``pi_rows``."""
         return replace(self, pi_rows=pi_rows, pi_sel=pi_rows[self.rows, self.actions])
 
-    def select(self, idx: np.ndarray) -> "PropensityTables":
-        """The tables of the samples ``idx`` of a dataset, without a target."""
+    def select(self, idx: np.ndarray, pi_rows: Optional[np.ndarray] = None) -> "PropensityTables":
+        """The tables of the samples ``idx`` of a dataset.
+
+        ``pi_rows`` are the target policy's rows over those samples, or None
+        for tables without a target.
+        """
 
         def take(table):
             return None if table is None else table[idx]
 
+        rows, actions = np.arange(len(idx)), self.actions[idx]
         return PropensityTables(
-            rows=np.arange(len(idx)), actions=self.actions[idx], true_probs=take(self.true_probs),
+            rows=rows, actions=actions, true_probs=take(self.true_probs),
             beta_sel=take(self.beta_sel), beta_rows=take(self.beta_rows), us=take(self.us),
-            counts=take(self.counts),
+            counts=take(self.counts), pi_rows=pi_rows,
+            pi_sel=None if pi_rows is None else pi_rows[rows, actions],
         )
 
 
 def count_propensities(dataset: LoggedDataset) -> np.ndarray:
     """Per-sample count propensity N(x, a) / N(x) of the logged pair.
 
-    Two samples share a context when their rows are equal entry by entry.
+    Two samples share a context when their rows are equal byte for byte.
     """
-    _, context = np.unique(dataset.xs, axis=0, return_inverse=True)
+    _, context = _context_index(dataset.xs)
     pairs = context * dataset.action_count + dataset.actions
     _, pair, pair_counts = np.unique(pairs, return_inverse=True, return_counts=True)
     return pair_counts[pair] / np.bincount(context)[context]

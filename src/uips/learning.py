@@ -46,7 +46,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # zero learning rate is allowed: it turns training into a no-op probe
-        if self.learning_rate < 0 or self.epochs <= 0 or self.batch_size <= 0:
+        if not self.learning_rate >= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("learning_rate must be nonnegative, epochs/batch_size positive")
         if self.eval_every <= 0 or self.k_eval <= 0:
             raise ValueError("eval_every and k_eval must be positive")
@@ -63,13 +63,13 @@ class TrainTrace:
         return [tuple(r.get(c) for c in cols) for r in self.records]
 
 
-def _weights(weighting: Weighting, tables: PropensityTables, pi_all: np.ndarray) -> np.ndarray:
-    """Per-sample weights of the policy whose rows over the samples are ``pi_all``.
+def _weights(weighting: Weighting, tables: PropensityTables) -> np.ndarray:
+    """Per-sample weights of the target policy of ``tables``.
 
     snips weights are rescaled to sum to the sample count, so that the mean
     of w * r is the self-normalized estimate.
     """
-    w = propensity_weights(weighting, tables.with_target(pi_all))
+    w = propensity_weights(weighting, tables)
     if weighting.kind == "snips":
         w = w / max(w.sum(), TINY) * len(w)
     return w
@@ -83,13 +83,39 @@ def _mean_value(weighting: Weighting, w: np.ndarray, rewards: np.ndarray) -> flo
 
 
 def _log_trick_gradient(
-    policy: SoftmaxLinearPolicy, batch: LoggedDataset, pi_all: np.ndarray, coeff: np.ndarray
+    policy: SoftmaxLinearPolicy, xs: np.ndarray, actions: np.ndarray, pi_all: np.ndarray,
+    coeff: np.ndarray,
 ) -> np.ndarray:
-    """(1/B) sum_n coeff_n grad log pi(a_n|x_n), given the rows ``pi_all``."""
-    onehot_minus_pi = -pi_all
-    onehot_minus_pi[np.arange(len(batch)), batch.actions] += 1.0
-    c = onehot_minus_pi * coeff[:, None]
-    return c.T @ batch.xs / (policy.tau * len(batch))
+    """(1/B) sum_n coeff_n grad log pi(a_n|x_n) over the B rows ``xs``.
+
+    ``pi_all`` holds the policy's rows over ``xs``; it is overwritten with
+    the coefficients (1{a == a_n} - pi(a|x_n)) * coeff_n. Off the logged
+    actions that is pi * -coeff_n, which equals -pi * coeff_n exactly.
+    """
+    rows = np.arange(len(actions))
+    pi_logged = pi_all[rows, actions]
+    c = np.multiply(pi_all, -coeff[:, None], out=pi_all)
+    c[rows, actions] = (1.0 - pi_logged) * coeff
+    return c.T @ xs / (policy.tau * len(actions))
+
+
+def _step_gradient(
+    policy: SoftmaxLinearPolicy,
+    xs: np.ndarray,
+    rewards: np.ndarray,
+    weighting: Weighting,
+    tables: PropensityTables,
+    idx: np.ndarray,
+) -> np.ndarray:
+    """One step's gradient over the samples ``idx`` of ``tables``.
+
+    ``tables`` are the propensity tables, without a target, of the dataset
+    whose rows ``idx`` hold the contexts ``xs`` and rewards ``rewards``.
+    """
+    pi_all = policy.distribution_matrix(xs)
+    batch_tables = tables.select(idx, pi_all)
+    w = _weights(weighting, batch_tables)
+    return _log_trick_gradient(policy, xs, batch_tables.actions, pi_all, w * rewards)
 
 
 def weighted_gradient(
@@ -106,13 +132,12 @@ def weighted_gradient(
     not differentiated through. ``tables`` are the batch's propensity
     tables without a target; they are computed from the batch unless
     passed, so count propensities for dice_s are then the batch's own.
+    This is one step of :func:`train_epochs` on the whole batch.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    pi_all = policy.distribution_matrix(batch.xs)
     tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
-    w = _weights(weighting, tables, pi_all)
-    return _log_trick_gradient(policy, batch, pi_all, w * batch.rewards)
+    return _step_gradient(policy, batch.xs, batch.rewards, weighting, tables, np.arange(len(batch)))
 
 
 def dr_gradient(
@@ -138,9 +163,9 @@ def dr_gradient(
     c_dm = pi_all * (eta_all - v)
 
     tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
-    w = _weights(weighting, tables, pi_all)
+    w = _weights(weighting, tables.with_target(pi_all))
     residual = batch.rewards - eta_all[np.arange(len(batch)), batch.actions]
-    correction = _log_trick_gradient(policy, batch, pi_all, w * residual)
+    correction = _log_trick_gradient(policy, batch.xs, batch.actions, pi_all, w * residual)
     return c_dm.T @ batch.xs / (policy.tau * len(batch)) + correction
 
 
@@ -154,7 +179,7 @@ def estimate_value(
     """Weighted value estimate of the current policy on the full dataset."""
     pi_all = policy.distribution_matrix(dataset.xs)
     tables = tables or propensity_tables(dataset, None, model, (weighting.kind,))
-    return _mean_value(weighting, _weights(weighting, tables, pi_all), dataset.rewards)
+    return _mean_value(weighting, _weights(weighting, tables.with_target(pi_all)), dataset.rewards)
 
 
 def true_gradient_norm(
@@ -162,15 +187,16 @@ def true_gradient_norm(
 ) -> float:
     """Frobenius norm of the exact-propensity REINFORCE gradient over the pool.
 
-    ``pi_all``, the policy's rows for the pool, is computed unless passed in.
+    ``pi_all``, the policy's rows for the pool, is computed unless passed
+    in; a passed array is left unchanged.
     """
     if pool.true_logging_probs is None:
         raise ValueError("pool carries no true logging probabilities")
-    if pi_all is None:
-        pi_all = policy.distribution_matrix(pool.xs)
+    pi_all = policy.distribution_matrix(pool.xs) if pi_all is None else pi_all.copy()
     ips_true = Weighting(kind="ips_true")
-    w = _weights(ips_true, propensity_tables(pool, None, None, (ips_true.kind,)), pi_all)
-    return float(np.linalg.norm(_log_trick_gradient(policy, pool, pi_all, w * pool.rewards)))
+    w = _weights(ips_true, propensity_tables(pool, None, None, (ips_true.kind,)).with_target(pi_all))
+    grad = _log_trick_gradient(policy, pool.xs, pool.actions, pi_all, w * pool.rewards)
+    return float(np.linalg.norm(grad))
 
 
 @dataclass(frozen=True)
@@ -188,21 +214,30 @@ def train_epochs(
     source: Union[BanditEnv, LoggedDataset],
     model: Optional[LoggingModel],
     config: TrainConfig,
+    tables: Optional[PropensityTables] = None,
 ) -> Iterator[EpochState]:
     """Minibatch REINFORCE ascent under the configured weighting, one epoch per yield.
 
     This is the one step loop; :func:`train` and :func:`train_policy` both
     run it. ``source`` is either a logged dataset or an environment (in
-    which case ``config.n_logged`` samples are drawn first). The dataset's
-    propensity tables are computed once before the loop, and each step
-    selects its batch from them; set ``refit_logging_per_epoch`` to refit
-    the logging model, and recompute the tables, at every epoch instead.
+    which case ``config.n_logged`` samples are drawn first). ``tables`` are
+    the dataset's propensity tables without a target, holding at least what
+    the configured weighting reads; they are computed once before the loop
+    unless passed, which needs a dataset ``source``. Set
+    ``refit_logging_per_epoch`` to refit the logging model, and recompute
+    the tables, at every epoch instead.
+
+    Each step works on the batch's index array: it gathers the batch's
+    contexts, rewards and table columns, computes one softmax over the
+    batch and turns that buffer into the gradient's coefficients in place.
 
     The policy depends only on the steps. Whatever a caller computes from
     the yielded states, such as a trace, is diagnostic and cannot change it.
     """
     rng = make_rng(config.seed)
     if isinstance(source, BanditEnv):
+        if tables is not None:
+            raise ValueError("tables need a logged dataset as the source")
         dataset = generate_log(source, config.n_logged, rng)
     else:
         dataset = source
@@ -210,13 +245,14 @@ def train_epochs(
     kinds = (config.weighting.kind,)
     fit_cfg = config.logging_fit or LoggingFitConfig(seed=config.seed)
     needs_model = config.weighting.kind not in MODEL_FREE_KINDS
-    if model is None and needs_model:
-        model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
-    tables = propensity_tables(dataset, None, model, kinds)
+    if tables is None:
+        if model is None and needs_model:
+            model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
+        tables = propensity_tables(dataset, None, model, kinds)
 
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-    n = len(dataset)
+    xs, rewards, n = dataset.xs, dataset.rewards, len(dataset)
 
     for epoch in range(1, config.epochs + 1):
         if config.refit_logging_per_epoch and needs_model:
@@ -226,11 +262,8 @@ def train_epochs(
             tables = propensity_tables(dataset, None, model, kinds)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            grad = weighted_gradient(
-                policy, dataset.subset(batch_idx), model, config.weighting,
-                tables=tables.select(batch_idx),
-            )
+            idx = order[start : start + config.batch_size]
+            grad = _step_gradient(policy, xs.take(idx, axis=0), rewards[idx], config.weighting, tables, idx)
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + config.learning_rate * grad
             if not np.all(np.isfinite(theta)):
@@ -245,9 +278,13 @@ def train_policy(
     source: Union[BanditEnv, LoggedDataset],
     model: Optional[LoggingModel],
     config: TrainConfig,
+    tables: Optional[PropensityTables] = None,
 ) -> SoftmaxLinearPolicy:
-    """The policy :func:`train` returns, without computing its trace."""
-    for state in train_epochs(source, model, config):
+    """The policy :func:`train` returns, without computing its trace.
+
+    ``tables`` are passed on to :func:`train_epochs`.
+    """
+    for state in train_epochs(source, model, config, tables):
         pass
     return state.policy
 
@@ -275,7 +312,7 @@ def train(
         policy, dataset = state.policy, state.dataset
         record = {"epoch": state.epoch}
         pi_all = policy.distribution_matrix(dataset.xs)
-        w = _weights(config.weighting, state.tables, pi_all)
+        w = _weights(config.weighting, state.tables.with_target(pi_all))
         record["value"] = _mean_value(config.weighting, w, dataset.rewards)
         record["max_weight"] = float(w.max())
         if val_instances is not None and state.epoch % config.eval_every == 0:

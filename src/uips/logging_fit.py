@@ -13,12 +13,13 @@ and therefore carry high uncertainty.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _context_index, make_rng
 
 
 class FitError(RuntimeError):
@@ -40,8 +41,10 @@ class LoggingFitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs <= 0 or self.negatives < 0:
+        if not self.learning_rate > 0 or self.epochs <= 0 or self.negatives < 0:
             raise ValueError("learning_rate/epochs must be positive, negatives >= 0")
+        if math.isnan(self.l2):
+            raise ValueError("l2 must be a number, not NaN")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LoggingFitConfig":
@@ -122,14 +125,21 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     parameters). Gram matrices are initialized to identity; call
     :func:`accumulate_grams` to add the data mass.
 
-    Each epoch evaluates the sigmoid only at the cells that carry gradient:
-    the n positives and the n * negatives sampled cells; every other cell of
-    the (n, action_count) loss derivative is exactly zero. The scores and
-    the gradient remain two dense matrix products, which fixes their
-    summation order, and the loss is evaluated once, for the last epoch.
-    ``theta``, the diagnostics and the RNG stream are therefore bit-identical
-    to a fit that evaluates every cell every epoch
-    (``tests/helpers.dense_fit_reference``).
+    Each epoch computes the scores on the distinct contexts only, a
+    (distinct, action_count) product, and gathers through a context index
+    the cells that carry gradient: the n positives and the n * negatives
+    sampled cells. Every other cell of the (n, action_count) loss derivative
+    is exactly zero. The gradient stays one dense product with the contexts
+    of all n rows, which fixes its summation order, and the loss is
+    evaluated once, for the last epoch. ``theta``, the diagnostics and the
+    RNG stream are bit-identical to a fit that evaluates every cell of every
+    row every epoch (``tests/helpers.dense_fit_reference``) wherever BLAS
+    computes a row of a matrix product independently of the other rows.
+    numpy sends a product with one row or one column to gemv, which rounds
+    differently, so a single distinct context is padded to two rows and a
+    single action keeps all n rows. The bundled OpenBLAS also picks a small-matrix
+    kernel by the product's size once ``dim`` reaches 32; there ``theta``
+    differs from the dense loop by rounding only.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a logging policy on an empty dataset")
@@ -139,16 +149,26 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     theta = np.zeros((a_count, d))
     xs = dataset.xs
     acts = dataset.actions
+    if a_count == 1:
+        # a one-column product goes to gemv, whose rows depend on their position
+        ux, context = xs, np.arange(n)
+    else:
+        ux, context = _context_index(xs)
+        if len(ux) == 1 and n > 1:
+            # a one-row product goes to gemv; two rows go to gemm, as the n rows do
+            ux = np.concatenate([ux, ux])
 
     pos_flat = np.arange(n) * a_count + acts
+    pos_cell = context * a_count + acts
     row_start = np.arange(n)[:, None] * a_count
+    context_start = context[:, None] * a_count
     k = min(config.negatives, a_count - 1)
     flat = np.empty(0, dtype=np.intp)
-    scores = np.empty((n, a_count))
+    scores = np.empty((len(ux), a_count))
     cell_scores = scores.reshape(-1)
     dloss = np.empty(n * a_count)
     for _ in range(config.epochs):
-        np.matmul(xs, theta.T, out=scores)
+        np.matmul(ux, theta.T, out=scores)
         dloss.fill(0.0)
         if k > 0:
             # negatives are uniform over non-chosen actions; a cell drawn c times
@@ -157,8 +177,8 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             negs += negs >= acts[:, None]
             flat = (negs + row_start).ravel()
             np.add.at(dloss, flat, 1.0)
-            dloss[flat] *= _sigmoid(cell_scores[flat])
-        dloss[pos_flat] = _sigmoid(cell_scores[pos_flat]) - 1.0
+            dloss[flat] *= _sigmoid(cell_scores[(negs + context_start).ravel()])
+        dloss[pos_flat] = _sigmoid(cell_scores[pos_cell]) - 1.0
         grad = dloss.reshape(n, a_count).T @ xs / n + config.l2 * theta
         theta_last = theta
         with np.errstate(over="ignore", invalid="ignore"):
@@ -167,19 +187,19 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             raise FitError("logging fit diverged to non-finite parameters")
 
     # the loss of the last epoch, at its pre-step parameters and negatives
-    p = _sigmoid(xs @ theta_last.T)
+    p = _sigmoid(ux @ theta_last.T)
     neg_counts = np.bincount(flat, minlength=n * a_count).reshape(n, a_count).astype(float)
     loss = float(
-        np.mean(-np.log(np.maximum(p[np.arange(n), acts], TINY)))
-        + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, TINY))) / n
+        np.mean(-np.log(np.maximum(p[context, acts], TINY)))
+        + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, TINY))[context]) / n
     )
     if not np.isfinite(loss):
         raise FitError(f"logging fit loss is not finite: {loss}")
 
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-    scores = xs @ theta.T
+    scores = ux @ theta.T
     median = np.median(scores, axis=1)
-    frac_above = float(np.mean(scores[np.arange(n), acts] > median))
+    frac_above = float(np.mean(scores[context, acts] > median[context]))
     diagnostics = {
         "final_loss": loss,
         "epochs": config.epochs,

@@ -62,11 +62,12 @@ class UipsHyperParams:
     eta2: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
+        # written so that NaN fails every check
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if self.eta1 <= 0 or self.eta2 <= 0:
+        if not (self.eta1 > 0 and self.eta2 > 0):
             raise ValueError("eta1 and eta2 must be positive")
 
     @classmethod

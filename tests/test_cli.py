@@ -4,10 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_train
 from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
+from uips.learning import train_policy
 from uips.logging_fit import LoggingFitConfig, uncertainties
 from uips.synthetic import BanditEnv, EnvConfig, build_env
+
+NAN = float("nan")
 
 TINY_CONFIG = {
     "n_logged": 300,
@@ -235,6 +239,40 @@ class TestSingletonSweepMatchesTrain:
         assert len(a) == 1 and a[0]["method"] == "uips"
 
 
+class TestSweepSharesTables:
+    def test_every_grid_point_matches_its_own_training_run(self, monkeypatch):
+        # one set of propensity tables serves every kind of the grid: minvar
+        # reads the beta_hat rows, dice_s the count propensities, uips the
+        # uncertainties; 300 rows in batches of 70 leave a ragged last batch
+        env = build_env(EnvConfig(**TINY_CONFIG["env"]))
+        methods = {
+            "uips": {"lam": [10], "gamma": [0.5, 2], "eta1": [1], "eta2": [100]},
+            "minvar": {},
+            "dice_s": {"cap": [5]},
+            "bips_cap": {"cap": [2, 10]},
+        }
+        calls = []
+
+        def recording_train_policy(dataset, model, config, tables=None):
+            policy = train_policy(dataset, model, config, tables)
+            calls.append((dataset, model, config, tables, policy))
+            return policy
+
+        monkeypatch.setattr("uips.cli.train_policy", recording_train_policy)
+        train_section = {"learning_rate": 0.5, "epochs": 3, "batch_size": 70}
+        fit_cfg = LoggingFitConfig(**TINY_CONFIG["logging_fit"])
+        run_sweep(env, methods, train_section, fit_cfg, seed=4, k_eval=3, n_logged=300)
+
+        assert sorted(c[2].weighting.kind for c in calls) == sorted(
+            ["uips", "uips", "minvar", "dice_s", "bips_cap", "bips_cap"]
+        )
+        shared = calls[0][3]
+        assert shared is not None and all(c[3] is shared for c in calls)
+        for dataset, model, config, _, policy in calls:
+            ref_policy, _ = reference_train(dataset, model, config)
+            np.testing.assert_array_equal(policy.theta, ref_policy.theta)
+
+
 class TestExitCodes:
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -353,6 +391,37 @@ class TestBadInputEntersAsConfigError:
         cfg.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "invalid training section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("train", ("training", "learning_rate"), NAN, "invalid training section"),
+        ("fit-logging", ("logging_fit", "learning_rate"), NAN, "invalid logging_fit"),
+        ("fit-logging", ("logging_fit", "l2"), NAN, "invalid logging_fit"),
+        ("train", ("training", "weighting", "hp", "lam"), NAN, "invalid weighting spec"),
+        ("train", ("training", "weighting", "hp", "gamma"), NAN, "invalid weighting spec"),
+        ("train", ("training", "weighting", "hp", "eta1"), NAN, "invalid weighting spec"),
+        ("train", ("training", "weighting", "hp", "eta2"), NAN, "invalid weighting spec"),
+        ("train", ("training", "weighting"), {"kind": "bips_cap", "cap": NAN}, "invalid weighting spec"),
+        ("train", ("training", "weighting"), {"kind": "shrinkage", "lam": NAN}, "invalid weighting spec"),
+        ("ope", ("ope", "uips_hp", "lam"), NAN, "invalid uips_hp"),
+        ("sweep", ("sweep", "methods", "uips", "lam"), [NAN], "invalid uips grid"),
+    ], ids=["train-learning_rate", "fit-learning_rate", "fit-l2", "hp-lam", "hp-gamma", "hp-eta1",
+            "hp-eta2", "weighting-cap", "weighting-lam", "ope-hp-lam", "sweep-grid-lam"])
+    def test_nan_hyper_parameter(self, tmp_path, capsys, command, path, value, message):
+        cfg = write_config(tmp_path, "nan")
+        if command in ("train", "fit-logging"):
+            run_ok(["generate", "--config", str(cfg)])
+        if command == "train":
+            run_ok(["fit-logging", "--config", str(cfg)])
+        config = json.loads(cfg.read_text())
+        config["ope"]["uips_hp"] = {"lam": 10.0, "gamma": 2.0, "eta1": 1.0, "eta2": 100.0}
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_log_whose_contexts_do_not_match_the_env(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "short")

@@ -166,6 +166,11 @@ class TestLoggedData:
             LoggedDataset(xs=np.array([[1.0], [np.nan]]), actions=[0, 0], rewards=[0.5, 0.5],
                           action_count=1)
 
+    def test_contexts_need_at_least_one_feature(self):
+        # rows of zero bytes cannot be told apart as contexts
+        with pytest.raises(ValueError, match="dim >= 1"):
+            LoggedDataset(xs=np.zeros((3, 0)), actions=[0, 0, 0], rewards=[0, 0, 0], action_count=1)
+
     def test_dataset_action_bounds(self):
         with pytest.raises(ValueError):
             LoggedDataset(xs=np.ones((2, 2)), actions=[0, 5], rewards=[0, 1], action_count=3)

@@ -383,6 +383,12 @@ class TestSharedStepLoop:
                     state.tables.beta_sel[idx], expected[np.arange(size), batch.actions]
                 )
 
+    def test_passed_tables_need_a_dataset_source(self):
+        env, ds, model = make_setup(seed=28, n=300)
+        tables = propensity_tables(ds, None, model, ("bips",))
+        with pytest.raises(ValueError, match="logged dataset"):
+            next(train_epochs(env, model, TrainConfig(weighting=Weighting(kind="bips")), tables))
+
     def test_one_row_batch_differs_only_by_rounding(self):
         # numpy computes a one-row product with gemv, not gemm, so the last
         # row of 301 in batches of 100 can round differently from its
@@ -421,6 +427,14 @@ class TestTrueGradientNorm:
         a = true_gradient_norm(policy, ds)
         b = true_gradient_norm(policy, ds.subset(perm))
         assert a == pytest.approx(b, rel=1e-9)
+
+    def test_passed_policy_rows_are_left_unchanged(self):
+        env, ds, model = make_setup(seed=26)
+        policy = random_policy(make_rng(27), 8, 6)
+        pi_all = policy.distribution_matrix(ds.xs)
+        kept = pi_all.copy()
+        assert true_gradient_norm(policy, ds, pi_all) == true_gradient_norm(policy, ds)
+        np.testing.assert_array_equal(pi_all, kept)
 
     def test_requires_true_propensities(self):
         ds = LoggedDataset(xs=np.ones((2, 3)), actions=[0, 1], rewards=[1.0, 0.0], action_count=2)

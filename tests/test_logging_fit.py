@@ -113,8 +113,12 @@ class TestFitMatchesDenseReference:
             (lambda: _random_log(22, 150, 20, 4, 1), LoggingFitConfig(epochs=8, negatives=5, seed=3)),
             (lambda: _random_log(23, 150, 20, 4, 2), LoggingFitConfig(epochs=8, negatives=5, seed=4)),
             (lambda: _random_log(24, 150, 20, 4, 3), LoggingFitConfig(epochs=8, negatives=5, seed=5)),
+            (lambda: _random_log(26, 120, 1, 6, 10), LoggingFitConfig(epochs=8, negatives=5, seed=6)),
+            (lambda: _random_log(27, 1500, 1000, 16, 200), LoggingFitConfig(epochs=4, negatives=5, seed=7)),
+            (lambda: _random_log(29, 300, 10, 14, 1), LoggingFitConfig(epochs=8, negatives=5, seed=9)),
         ],
-        ids=["desk-ope-repeated", "all-distinct", "no-negatives", "one-action", "two-actions", "duplicate-negatives"],
+        ids=["desk-ope-repeated", "all-distinct", "no-negatives", "one-action", "two-actions",
+             "duplicate-negatives", "one-context", "200-actions-rarely-repeated", "one-action-dim-14"],
     )
     def test_theta_and_diagnostics_are_bit_identical(self, make_log, config):
         ds = make_log()
@@ -122,6 +126,17 @@ class TestFitMatchesDenseReference:
         model = fit_logging_policy(ds, config)
         np.testing.assert_array_equal(model.policy.theta, theta)
         assert model.fit_diagnostics == diagnostics
+
+    def test_wide_contexts_differ_only_by_rounding(self):
+        # from dim 32 the bundled OpenBLAS picks a small-matrix kernel by the
+        # product's size, so a distinct context's scores can round differently
+        # from its rows in the dense product
+        ds = _random_log(28, 300, 10, 40, 10)
+        config = LoggingFitConfig(learning_rate=2.0, epochs=5, negatives=5, seed=8)
+        theta, diagnostics = dense_fit_reference(ds, config)
+        model = fit_logging_policy(ds, config)
+        np.testing.assert_allclose(model.policy.theta, theta, rtol=0, atol=1e-12)
+        assert model.fit_diagnostics["final_loss"] == pytest.approx(diagnostics["final_loss"], rel=1e-12)
 
     def test_nan_context_raises_fit_error(self):
         ds = _random_log(25, 50, 10, 4, 5)
