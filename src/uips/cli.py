@@ -36,7 +36,7 @@ from uips.logging_fit import (
 )
 from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv, EnvConfig, build_env, epsilon_greedy_policy, generate_log
-from uips.weights import DEFAULT_SWEEP_GRID, UipsHyperParams, WeightInput, phi_star_branch
+from uips.weights import DEFAULT_SWEEP_GRID, UipsHyperParams, phi_star_vector
 
 
 class ConfigError(Exception):
@@ -234,6 +234,8 @@ def cmd_train(resolved: dict) -> None:
 
 def expand_grid(kind: str, grid: dict) -> list[Weighting]:
     """Cartesian product of the per-method hyper-parameter lists."""
+    if not isinstance(grid, dict):
+        raise TypeError(f"a grid is a JSON object, not {type(grid).__name__}")
     if kind == "uips":
         keys = ["lam", "gamma", "eta1", "eta2"]
         lists = [grid.get(k, DEFAULT_SWEEP_GRID.get(k, [1.0]))[:] for k in keys]
@@ -334,7 +336,7 @@ def cmd_sweep(resolved: dict) -> None:
     env = build_env(_value(resolved, "env", {}, EnvConfig.from_dict))
     section = resolved.get("sweep", {})
     methods = section.get("methods")
-    if not methods:
+    if not methods or not isinstance(methods, dict):
         raise ConfigError("sweep section needs a non-empty methods map")
     train_section = dict(resolved.get("training", {}))
     for key in ("weighting", "seed", "k_eval"):
@@ -417,11 +419,13 @@ def cmd_inspect_weights(resolved: dict) -> None:
     policy = epsilon_greedy_policy(env, epsilon, split=split)
 
     tables = propensity_tables(dataset, policy, model, ("uips",))
-    rows = []
-    columns = (dataset.actions, tables.pi_sel, tables.beta_sel, tables.us)
-    for i, (a, pi, beta, u) in enumerate(zip(*(c.tolist() for c in columns))):
-        phi, branch = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=u), hp)
-        rows.append((i, a, pi, beta, u, phi, branch))
+    # the phi* the uips estimator applies to these samples
+    phi, on_cap = phi_star_vector(tables.pi_sel, tables.beta_sel, tables.us, hp)
+    columns = (dataset.actions, tables.pi_sel, tables.beta_sel, tables.us, phi, on_cap)
+    rows = [
+        (i, a, pi, beta, u, w, "cap" if cap else "first_term")
+        for i, (a, pi, beta, u, w, cap) in enumerate(zip(*(c.tolist() for c in columns)))
+    ]
     write_csv(
         out / "weights.csv",
         ["sample", "action", "pi", "beta_hat", "uncertainty", "phi_star", "branch"],

@@ -264,7 +264,7 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.nda
         # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
         phi = np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
     elif kind == "uips":
-        phi = phi_star_vector(t.pi_sel, t.beta_sel, t.us, weighting.hp)
+        phi, _ = phi_star_vector(t.pi_sel, t.beta_sel, t.us, weighting.hp)
     elif kind == "uips_p":
         phi = np.exp(-weighting.hp.gamma * t.us)
     else:

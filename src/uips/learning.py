@@ -11,7 +11,7 @@ weighted sample mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -41,8 +41,6 @@ class TrainConfig:
     eval_every: int = 1
     k_eval: int = 5
     n_logged: int = 5000
-    refit_logging_per_epoch: bool = False
-    logging_fit: Optional[LoggingFitConfig] = None
 
     def __post_init__(self):
         # zero learning rate is allowed: it turns training into a no-op probe
@@ -169,19 +167,6 @@ def dr_gradient(
     return c_dm.T @ batch.xs / (policy.tau * len(batch)) + correction
 
 
-def estimate_value(
-    policy: SoftmaxLinearPolicy,
-    dataset: LoggedDataset,
-    model: Optional[LoggingModel],
-    weighting: Weighting,
-    tables: Optional[PropensityTables] = None,
-) -> float:
-    """Weighted value estimate of the current policy on the full dataset."""
-    pi_all = policy.distribution_matrix(dataset.xs)
-    tables = tables or propensity_tables(dataset, None, model, (weighting.kind,))
-    return _mean_value(weighting, _weights(weighting, tables.with_target(pi_all)), dataset.rewards)
-
-
 def true_gradient_norm(
     policy: SoftmaxLinearPolicy, pool: LoggedDataset, pi_all: Optional[np.ndarray] = None
 ) -> float:
@@ -206,7 +191,6 @@ class EpochState:
     epoch: int
     policy: SoftmaxLinearPolicy
     dataset: LoggedDataset
-    model: Optional[LoggingModel]
     tables: PropensityTables
 
 
@@ -223,9 +207,9 @@ def train_epochs(
     which case ``config.n_logged`` samples are drawn first). ``tables`` are
     the dataset's propensity tables without a target, holding at least what
     the configured weighting reads; they are computed once before the loop
-    unless passed, which needs a dataset ``source``. Set
-    ``refit_logging_per_epoch`` to refit the logging model, and recompute
-    the tables, at every epoch instead.
+    unless passed, which needs a dataset ``source``. A weighting that reads
+    a logging model, given neither ``model`` nor ``tables``, fits one with
+    the default :class:`LoggingFitConfig` seeded with ``config.seed``.
 
     Each step works on the batch's index array: it gathers the batch's
     contexts, rewards and table columns, computes one softmax over the
@@ -242,24 +226,17 @@ def train_epochs(
     else:
         dataset = source
 
-    kinds = (config.weighting.kind,)
-    fit_cfg = config.logging_fit or LoggingFitConfig(seed=config.seed)
-    needs_model = config.weighting.kind not in MODEL_FREE_KINDS
     if tables is None:
-        if model is None and needs_model:
-            model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
-        tables = propensity_tables(dataset, None, model, kinds)
+        if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
+            fit_config = LoggingFitConfig(seed=config.seed)
+            model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_config))
+        tables = propensity_tables(dataset, None, model, (config.weighting.kind,))
 
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
     xs, rewards, n = dataset.xs, dataset.rewards, len(dataset)
 
     for epoch in range(1, config.epochs + 1):
-        if config.refit_logging_per_epoch and needs_model:
-            model = accumulate_grams(
-                dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=fit_cfg.seed + epoch))
-            )
-            tables = propensity_tables(dataset, None, model, kinds)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -271,7 +248,7 @@ def train_epochs(
                     f"training diverged to non-finite parameters at epoch {epoch}"
                 )
             policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-        yield EpochState(epoch, policy, dataset, model, tables)
+        yield EpochState(epoch, policy, dataset, tables)
 
 
 def train_policy(

@@ -70,9 +70,6 @@ class LoggingModel:
             raise ValueError(f"grams must have shape ({a}, {d}, {d})")
         self._chol = None
 
-    def beta_hat(self, x: np.ndarray, action: int) -> float:
-        return self.policy.prob(x, action)
-
     def beta_matrix(self, xs: np.ndarray) -> np.ndarray:
         return self.policy.distribution_matrix(xs)
 
@@ -244,6 +241,12 @@ def uncertainty(model: LoggingModel, x: np.ndarray, action: int) -> float:
     return float(np.sqrt(max(g @ sol, 0.0)))
 
 
+def _half_widths(factor, g: np.ndarray) -> np.ndarray:
+    """sqrt(g_n' M^{-1} g_n) for every row g_n of ``g``, given the Cholesky ``factor`` of M."""
+    sol = cho_solve(factor, g.T)
+    return np.sqrt(np.maximum(np.einsum("nd,dn->n", g, sol), 0.0))
+
+
 def uncertainties(model: LoggingModel, dataset: LoggedDataset) -> np.ndarray:
     """Per-sample uncertainties for the logged (x, a) pairs."""
     if dataset.dim != model.policy.dim:
@@ -253,8 +256,7 @@ def uncertainties(model: LoggingModel, dataset: LoggedDataset) -> np.ndarray:
     g = dataset.xs / model.policy.tau
     for a in np.unique(dataset.actions):
         mask = dataset.actions == a
-        sol = cho_solve(chol[int(a)], g[mask].T)
-        out[mask] = np.sqrt(np.maximum(np.einsum("nd,dn->n", g[mask], sol), 0.0))
+        out[mask] = _half_widths(chol[int(a)], g[mask])
     return out
 
 
@@ -266,8 +268,7 @@ def uncertainty_matrix(model: LoggingModel, xs: np.ndarray) -> np.ndarray:
     g = xs / model.policy.tau
     out = np.empty((xs.shape[0], model.policy.action_count))
     for a, factor in enumerate(model._cholesky()):
-        sol = cho_solve(factor, g.T)
-        out[:, a] = np.sqrt(np.maximum(np.einsum("nd,dn->n", g, sol), 0.0))
+        out[:, a] = _half_widths(factor, g)
     return out
 
 

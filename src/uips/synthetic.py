@@ -313,8 +313,7 @@ def generate_log_per_context(
 class TabularPolicy:
     """Context-indexed action distribution, looked up by exact context match.
 
-    This is the package's one exact-context index; ``TabularImputation``
-    looks its reward rows up through it.
+    ``TabularImputation`` looks its reward rows up through it.
     """
 
     contexts: np.ndarray

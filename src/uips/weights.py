@@ -101,26 +101,23 @@ def phi_star(winput: WeightInput, hp: UipsHyperParams) -> float:
 def phi_star_branch(winput: WeightInput, hp: UipsHyperParams) -> tuple[float, str]:
     """Weight plus which branch produced it ('first_term' or 'cap').
 
-    Finite and within [0, 2 * eta2] for any valid input, including a
-    gamma*u large enough that e^{gamma u} overflows.
+    The one-sample view of :func:`phi_star_vector`.
     """
-    gu = hp.gamma * winput.u
-    ratio = winput.pi / max(winput.beta_hat, BETA_FLOOR)
-    gu_capped = min(gu, GU_UNSCALED_MAX)
-    scale = math.exp(gu_capped - gu)
-    e_neg, e_pos = math.exp(-gu) * scale, math.exp(gu_capped)
-    denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
-    first = hp.lam * scale / denom if denom > 0 else math.inf
-    cap = 2.0 * hp.eta2 * scale / (e_pos + e_neg)
-    if first <= cap:
-        return first, "first_term"
-    return cap, "cap"
+    phi, on_cap = phi_star_vector(
+        np.array([winput.pi]), np.array([winput.beta_hat]), np.array([winput.u]), hp
+    )
+    return float(phi[0]), "cap" if on_cap[0] else "first_term"
 
 
 def phi_star_vector(
     pis: np.ndarray, beta_hats: np.ndarray, us: np.ndarray, hp: UipsHyperParams
-) -> np.ndarray:
-    """Vectorized :func:`phi_star` over per-sample arrays; finite for any gamma*u."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimax weights over per-sample arrays, and where the cap branch gave them.
+
+    Returns ``(phi, on_cap)``; a tie goes to the first term. Finite and
+    within [0, 2 * eta2] for any valid input, including a gamma*u large
+    enough that e^{gamma u} overflows.
+    """
     gu = hp.gamma * np.asarray(us, dtype=float)
     ratio = np.asarray(pis, dtype=float) / np.maximum(beta_hats, BETA_FLOOR)
     e_neg, e_pos = np.exp(-gu), np.minimum(gu, GU_UNSCALED_MAX)
@@ -135,7 +132,7 @@ def phi_star_vector(
         denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
         first = np.divide(hp.lam * scale, denom, out=np.full_like(denom, np.inf), where=denom > 0)
     cap = 2.0 * hp.eta2 * scale / (e_pos + e_neg)
-    return np.minimum(first, cap)
+    return np.minimum(first, cap), first > cap
 
 
 def minmax_objective(phi: float, beta: float, winput: WeightInput, lam: float) -> float:

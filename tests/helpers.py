@@ -1,12 +1,13 @@
 """Shared samplers and reference implementations used across test modules."""
 
+import math
 from dataclasses import replace
 from typing import Optional, Union
 
 import numpy as np
 
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
-from uips.core import TINY
+from uips.core import BETA_FLOOR, TINY
 from uips.estimators import propensity_tables, propensity_weights
 from uips.learning import TrainConfig, TrainTrace, true_gradient_norm, weighted_gradient
 from uips.logging_fit import (
@@ -18,7 +19,7 @@ from uips.logging_fit import (
 )
 from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv, generate_log
-from uips.weights import WeightInput
+from uips.weights import GU_UNSCALED_MAX, UipsHyperParams, WeightInput
 
 
 def sample_weight_instances(n, seed, gamma=1.0, eta=1.0):
@@ -35,6 +36,25 @@ def sample_weight_instances(n, seed, gamma=1.0, eta=1.0):
         winput = WeightInput(pi=pi, beta_hat=beta_hat, u=u)
         out.append((winput, confidence_interval(beta_hat, u, gamma, eta), lam))
     return out
+
+
+def phi_star_scalar_reference(winput: WeightInput, hp: UipsHyperParams) -> tuple[float, str]:
+    """The minimax weight and its branch for one sample, in scalar ``math`` arithmetic.
+
+    Independent of ``uips.weights.phi_star_vector``, which evaluates the
+    same formula with numpy and may differ from it in the last bit.
+    """
+    gu = hp.gamma * winput.u
+    ratio = winput.pi / max(winput.beta_hat, BETA_FLOOR)
+    gu_capped = min(gu, GU_UNSCALED_MAX)
+    scale = math.exp(gu_capped - gu)
+    e_neg, e_pos = math.exp(-gu) * scale, math.exp(gu_capped)
+    denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
+    first = hp.lam * scale / denom if denom > 0 else math.inf
+    cap = 2.0 * hp.eta2 * scale / (e_pos + e_neg)
+    if first <= cap:
+        return first, "first_term"
+    return cap, "cap"
 
 
 def count_ips_reference(dataset, policy, cap):
@@ -150,10 +170,8 @@ def reference_train(
     else:
         dataset = source
 
-    fit_cfg = config.logging_fit or LoggingFitConfig(seed=config.seed)
-    needs_model = config.weighting.kind not in ("ce", "ips_true", "dice_s")
-    if model is None and needs_model:
-        model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
+    if model is None and config.weighting.kind not in ("ce", "ips_true", "dice_s"):
+        model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
 
     kinds = (config.weighting.kind,)
     full = propensity_tables(dataset, None, model, kinds)
@@ -166,11 +184,6 @@ def reference_train(
     track_grad_norm = dataset.true_logging_probs is not None
 
     for epoch in range(1, config.epochs + 1):
-        if config.refit_logging_per_epoch and needs_model:
-            model = accumulate_grams(
-                dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=fit_cfg.seed + epoch))
-            )
-            full = propensity_tables(dataset, None, model, kinds)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]

@@ -202,7 +202,7 @@ def test_06_gradient_finite_difference_agreement():
         else:
             from uips.weights import phi_star_vector
 
-            w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, hp)
+            w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, hp)[0]
         frozen = w_ref / pi_ref
 
         analytic_w = weighted_gradient(policy, batch, model, weighting)

@@ -7,9 +7,11 @@ import pytest
 from helpers import reference_train
 from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
+from uips.estimators import propensity_tables
 from uips.learning import train_policy
-from uips.logging_fit import LoggingFitConfig, uncertainties
-from uips.synthetic import BanditEnv, EnvConfig, build_env
+from uips.logging_fit import LoggingFitConfig, LoggingModel, uncertainties
+from uips.synthetic import BanditEnv, EnvConfig, build_env, epsilon_greedy_policy
+from uips.weights import UipsHyperParams, phi_star_vector
 
 NAN = float("nan")
 
@@ -110,6 +112,22 @@ class TestPipeline:
         first_bin = bins[2].split(",")
         last_bin = bins[-1].split(",")
         assert float(first_bin[-1]) > float(last_bin[-1])  # low-frequency bin more uncertain
+
+    def test_inspect_weights_reports_the_phi_star_the_uips_estimator_applies(self, tmp_path):
+        cfg, out = self._generate(tmp_path, "applied")
+        run_ok(["fit-logging", "--config", str(cfg)])
+        run_ok(["inspect-weights", "--config", str(cfg)])
+        env = BanditEnv.load(out / "env.json")
+        dataset = LoggedDataset.from_jsonl(out / "logged.jsonl", env.action_count)
+        model = LoggingModel.load(out / "logging_model.json")
+        inspect = TINY_CONFIG["inspect"]
+        policy = epsilon_greedy_policy(env, inspect["epsilon"], split=inspect["split"])
+        tables = propensity_tables(dataset, policy, model, ("uips",))
+        phi, on_cap = phi_star_vector(tables.pi_sel, tables.beta_sel, tables.us,
+                                      UipsHyperParams(**inspect["uips_hp"]))
+        rows = [line.split(",") for line in (out / "weights.csv").read_text().splitlines()[2:]]
+        np.testing.assert_array_equal(np.array([float(r[5]) for r in rows]), phi)
+        assert [r[6] for r in rows] == ["cap" if c else "first_term" for c in on_cap]
 
     def test_inspect_weights_computes_uncertainties_once(self, tmp_path, monkeypatch):
         import uips.estimators
@@ -371,6 +389,10 @@ class TestBadInputEntersAsConfigError:
         ("train", "bogus_key", 1),
         ("sweep", "bogus_key", 1),
         ("train", "k_eval", 0),
+        ("train", "refit_logging_per_epoch", True),
+        ("train", "logging_fit", {"epochs": 20}),
+        ("sweep", "refit_logging_per_epoch", True),
+        ("sweep", "logging_fit", {"epochs": 20}),
     ])
     def test_bad_training_section(self, tmp_path, capsys, command, key, value):
         cfg = write_config(tmp_path, "bogus")
@@ -391,6 +413,18 @@ class TestBadInputEntersAsConfigError:
         cfg.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "invalid training section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods, message", [
+        ({"bips_cap": [5]}, "invalid bips_cap grid: a grid is a JSON object, not list"),
+        (["uips"], "sweep section needs a non-empty methods map"),
+    ], ids=["grid-list", "methods-list"])
+    def test_sweep_methods_that_are_not_objects(self, tmp_path, capsys, methods, message):
+        cfg = write_config(tmp_path, "notobject")
+        config = json.loads(cfg.read_text())
+        config["sweep"]["methods"] = methods
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, path, value, message", [
         ("train", ("training", "learning_rate"), NAN, "invalid training section"),

@@ -419,7 +419,8 @@ class TestExactBiasVariance:
             pi = np.stack([policy.distribution(x) for x in xs])
             beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
             u_mat = uncertainty_matrix(model, xs)
-            phi = phi_star_vector(pi.ravel(), beta_hat.ravel(), u_mat.ravel(), hp).reshape(pi.shape)
+            phi, _ = phi_star_vector(pi.ravel(), beta_hat.ravel(), u_mat.ravel(), hp)
+            phi = phi.reshape(pi.shape)
             bound = mse_upper_bound(env, policy, model, phi, 25)
             assert mse <= bound + 1e-12
 

@@ -8,7 +8,6 @@ from uips.estimators import ConstantImputation, TabularImputation, Weighting, pr
 from uips.learning import (
     TrainConfig,
     dr_gradient,
-    estimate_value,
     train,
     train_epochs,
     train_policy,
@@ -117,7 +116,7 @@ class TestWeightedGradient:
                     from uips.weights import phi_star_vector
 
                     w_ref = ratio * phi_star_vector(pi_ref, beta_sel, uncertainties(model, batch),
-                                                    weighting.hp)
+                                                    weighting.hp)[0]
             frozen = w_ref / pi_ref  # multiplier independent of theta
             fd = np.zeros_like(analytic)
             for i in range(8):
@@ -222,7 +221,7 @@ class TestDrGradient:
             else:
                 from uips.weights import phi_star_vector
 
-                w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, weighting.hp)
+                w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, weighting.hp)[0]
             frozen = w_ref / pi_ref
             eta_sel = np.array([eta.predict(batch.xs[i], int(batch.actions[i])) for i in n])
 
@@ -291,17 +290,6 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="epoch"):
             train(ds, model, config)
 
-    def test_refit_logging_per_epoch_changes_the_trace(self):
-        env, ds, model = make_setup(seed=26, n=300)
-        base = dict(learning_rate=0.5, epochs=3, batch_size=100,
-                    weighting=Weighting(kind="uips", hp=UIPS_HP), seed=4)
-        frozen_policy, _ = train(ds, None, TrainConfig(**base), env=env)
-        refit_policy, _ = train(ds, None, TrainConfig(refit_logging_per_epoch=True, **base), env=env)
-        # refitting reseeds the logging model each epoch, so the runs differ
-        assert not np.array_equal(frozen_policy.theta, refit_policy.theta)
-        again, _ = train(ds, None, TrainConfig(refit_logging_per_epoch=True, **base), env=env)
-        np.testing.assert_array_equal(refit_policy.theta, again.theta)
-
     @pytest.mark.parametrize("weighting", [
         Weighting(kind="ce"),
         Weighting(kind="dice_s", cap=10.0),
@@ -327,9 +315,12 @@ class TestTrain:
                 learning_rate=0.5, epochs=15, batch_size=500,
                 weighting=Weighting(kind="uips",
                                     hp=UipsHyperParams(lam=50, gamma=5, eta1=0.5, eta2=100)),
-                seed=seed, n_logged=5000, eval_every=15, logging_fit=fit_cfg,
+                seed=seed, n_logged=5000, eval_every=15,
             )
-            policy, _ = train(env, None, config)
+            # the log train draws from the environment with this seed
+            dataset = generate_log(env, config.n_logged, make_rng(seed))
+            model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
+            policy, _ = train(env, model, config)
             _, _, before = evaluate_policy(SoftmaxLinearPolicy.uniform(env.action_count, env.dim),
                                            env.validation, 5)
             _, _, after = evaluate_policy(policy, env.validation, 5)
@@ -340,15 +331,11 @@ class TestTrain:
 class TestSharedStepLoop:
     # 300 rows in batches of 70 leave a ragged last batch of 20; a batch of
     # one row is left out, see test_one_row_batch_differs_only_by_rounding
-    @pytest.mark.parametrize(
-        "weighting, refit",
-        [(w, False) for w in EVERY_WEIGHTING] + [(Weighting(kind="uips", hp=UIPS_HP), True)],
-        ids=[w.kind for w in EVERY_WEIGHTING] + ["uips-refit"],
-    )
-    def test_policy_and_trace_match_the_reference(self, weighting, refit):
+    @pytest.mark.parametrize("weighting", EVERY_WEIGHTING, ids=[w.kind for w in EVERY_WEIGHTING])
+    def test_policy_and_trace_match_the_reference(self, weighting):
         env, ds, model = make_setup(seed=28, n=300)
         config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=70, weighting=weighting,
-                             seed=5, eval_every=2, refit_logging_per_epoch=refit)
+                             seed=5, eval_every=2)
         policy, trace = train(ds, model, config, env=env)
         ref_policy, ref_trace = reference_train(ds, model, config, env=env)
         np.testing.assert_array_equal(policy.theta, ref_policy.theta)
@@ -358,8 +345,7 @@ class TestSharedStepLoop:
     def test_environment_source_matches_the_reference(self):
         env = build_env(SMALL)
         config = TrainConfig(learning_rate=0.5, epochs=2, batch_size=60, n_logged=240, seed=6,
-                             weighting=Weighting(kind="uips", hp=UIPS_HP),
-                             logging_fit=LoggingFitConfig(epochs=20, learning_rate=2.0, seed=6))
+                             weighting=Weighting(kind="uips", hp=UIPS_HP))
         policy, trace = train(env, None, config)
         ref_policy, ref_trace = reference_train(env, None, config)
         np.testing.assert_array_equal(policy.theta, ref_policy.theta)
@@ -468,10 +454,13 @@ class TestTrueGradientNorm:
         assert holds >= 8
 
 
-def test_estimate_value_snips_normalization():
+def test_snips_trace_value_normalization():
     env, ds, model = make_setup(seed=24)
-    policy = random_policy(make_rng(25), 8, 6)
-    got = estimate_value(policy, ds, model, Weighting(kind="snips"))
+    config = TrainConfig(learning_rate=0.5, epochs=2, batch_size=40,
+                         weighting=Weighting(kind="snips"), seed=25)
+    policy, trace = train(ds, model, config)
+    # the last epoch's record is the estimate for the returned policy
+    got = trace.records[-1]["value"]
     n = np.arange(len(ds))
     pi = policy.distribution_matrix(ds.xs)[n, ds.actions]
     beta = np.maximum(model.beta_matrix(ds.xs)[n, ds.actions], 1e-8)

@@ -57,8 +57,9 @@ class TestFitLoggingPolicy:
             rewards=np.zeros(30), action_count=1,
         )
         model = fit_logging_policy(ds, LoggingFitConfig(epochs=20))
+        beta = model.beta_matrix(ds.xs[:5])
         for i in range(5):
-            assert model.beta_hat(ds.xs[i], 0) == 1.0
+            assert beta[i, 0] == 1.0
 
     def test_deterministic_given_seed(self):
         env = build_env(EnvConfig(dim=8, action_count=10, train_size=30, validation_size=10, test_size=10, seed=7))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import sample_weight_instances
+from helpers import phi_star_scalar_reference, sample_weight_instances
 from uips.core import BETA_FLOOR, make_rng
 from uips.estimators import PropensityTables, Weighting, propensity_weights
 from uips.logging_fit import UncertaintyRecord, confidence_interval
@@ -78,11 +78,12 @@ class TestPhiStar:
         pis = rng.uniform(0, 1, 50)
         betas = rng.uniform(1e-3, 1, 50)
         us = rng.uniform(0, 3, 50)
-        vec = phi_star_vector(pis, betas, us, hp)
+        vec, on_cap = phi_star_vector(pis, betas, us, hp)
         for i in range(50):
-            assert vec[i] == pytest.approx(
-                phi_star(WeightInput(pi=pis[i], beta_hat=betas[i], u=us[i]), hp), abs=1e-14
-            )
+            winput = WeightInput(pi=pis[i], beta_hat=betas[i], u=us[i])
+            value, branch = phi_star_scalar_reference(winput, hp)
+            assert vec[i] == pytest.approx(value, abs=1e-14)
+            assert on_cap[i] == (branch == "cap")
 
     @pytest.mark.parametrize("gu", [700.0, 710.0, 1e4])
     @pytest.mark.parametrize("pi, beta_hat", [(0.0, 0.1), (0.3, 0.1), (1.0, 1e-9)])
@@ -91,21 +92,13 @@ class TestPhiStar:
         u = gu / hp.gamma
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _ = phi_star_branch(WeightInput(pi=pi, beta_hat=beta_hat, u=u), hp)
-            vec = phi_star_vector(np.array([pi]), np.array([beta_hat]), np.array([u]), hp)
+            value, _ = phi_star_scalar_reference(WeightInput(pi=pi, beta_hat=beta_hat, u=u), hp)
+            vec, _ = phi_star_vector(np.array([pi]), np.array([beta_hat]), np.array([u]), hp)
         assert math.isfinite(value) and 0.0 <= value <= 2.0 * hp.eta2
         assert vec[0] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_values_up_to_gamma_u_700_are_the_unscaled_formula(self):
         # the direct formula, before large gamma*u was rescaled
-        def unscaled_scalar(pi, beta_hat, u, hp):
-            gu = hp.gamma * u
-            ratio = pi / max(beta_hat, BETA_FLOOR)
-            e_neg, e_pos = math.exp(-gu), math.exp(gu)
-            denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
-            first = hp.lam / denom if denom > 0 else math.inf
-            return min(first, 2.0 * hp.eta2 / (e_pos + e_neg))
-
         def unscaled_vector(pis, beta_hats, us, hp):
             gu = hp.gamma * us
             ratio = pis / np.maximum(beta_hats, BETA_FLOOR)
@@ -121,14 +114,15 @@ class TestPhiStar:
         betas = np.append(10.0 ** rng.uniform(-9, 0, 200), 0.5)
         us = np.append(rng.uniform(0, 700 / hp.gamma, 200), 700 / hp.gamma)
         # two entries above 700 take the rescaled form without touching the rest
-        vec = phi_star_vector(np.append(pis, [0.3, 0.3]), np.append(betas, [0.1, 0.1]),
-                              np.append(us, [710.0 / hp.gamma, 1e4 / hp.gamma]), hp)
+        vec, _ = phi_star_vector(np.append(pis, [0.3, 0.3]), np.append(betas, [0.1, 0.1]),
+                                 np.append(us, [710.0 / hp.gamma, 1e4 / hp.gamma]), hp)
         np.testing.assert_array_equal(vec[:-2], unscaled_vector(pis, betas, us, hp))
-        np.testing.assert_array_equal(vec[:-2], phi_star_vector(pis, betas, us, hp))
+        np.testing.assert_array_equal(vec[:-2], phi_star_vector(pis, betas, us, hp)[0])
         assert np.all((vec[-2:] >= 0.0) & (vec[-2:] <= 2.0 * hp.eta2))
+        # the scalar view runs the vector formula
         for pi, beta, u in zip(pis.tolist(), betas.tolist(), us.tolist()):
             value, _ = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=u), hp)
-            assert value == unscaled_scalar(pi, beta, u, hp)
+            assert value == unscaled_vector(np.array([pi]), np.array([beta]), np.array([u]), hp)[0]
 
 
 class TestMinmaxObjective:
