@@ -140,12 +140,13 @@ def _probability(value) -> float:
     return p
 
 
-def _seeds(value) -> list:
-    """``value`` as a non-empty list of seeds."""
-    seeds = list(value)
-    if not seeds:
+def _list(value) -> list:
+    """``value`` as a non-empty JSON list."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, not {type(value).__name__}")
+    if not value:
         raise ValueError("the list is empty")
-    return seeds
+    return value
 
 
 def _weighting(spec: dict) -> Weighting:
@@ -215,6 +216,7 @@ def cmd_train(resolved: dict) -> None:
     dataset = _load_dataset(out, env)
     model = _load_model(out)
     section = dict(resolved.get("training", {}))
+    section.pop("n_logged", None)  # the log is logged.jsonl, written by generate
     weighting = _weighting(section.pop("weighting", {"kind": "bips"}))
     config = _parse("training section", lambda s: TrainConfig(weighting=weighting, **s), section)
     policy, trace = train(dataset, model, config, env=env)
@@ -272,11 +274,13 @@ def run_sweep(
     metrics. A one-point grid is exactly a single training run. Every grid
     point trains on one logged dataset, one logging model and one set of
     propensity tables, built once for every weighting kind of the grid.
+    ``train_section`` holds ``TrainConfig`` fields; a ``n_logged`` key there
+    is ignored, because the log has the ``n_logged`` rows of the argument.
     """
     base = _parse(
         "training section",
         lambda s: TrainConfig(seed=seed, k_eval=k_eval, **s),
-        {k: v for k, v in train_section.items() if k != "learning_rate"},
+        {k: v for k, v in train_section.items() if k != "n_logged"},
     )
     grids = {}
     for method, grid in methods.items():
@@ -291,14 +295,16 @@ def run_sweep(
     tables = propensity_tables(dataset, None, model, kinds)
     rows = []
     for method, candidates in grids.items():
-        lrs = (methods[method] or {}).get("learning_rate", [train_section.get("learning_rate", 0.5)])
+        lrs = _parse(
+            f"{method} learning_rate", _list, (methods[method] or {}).get("learning_rate", [base.learning_rate])
+        )
         best = None
         for weighting in candidates:
             for lr in lrs:
                 config = _parse(
                     "training section", lambda rate: replace(base, weighting=weighting, learning_rate=rate), lr
                 )
-                policy = train_policy(dataset, model, config, tables)
+                policy = train_policy(dataset, tables, config)
                 _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
                 key = (val_ndcg, -lr)
                 if best is None or key > best[0]:
@@ -357,10 +363,18 @@ def cmd_sweep(resolved: dict) -> None:
     _write_report(out / "sweep_report.json", resolved, seed=seed, leaderboard=rows)
 
 
+def _estimator(spec: dict) -> tuple[str, Weighting]:
+    """A named weighting from an ``ope.estimators`` entry; the name defaults to the kind."""
+    spec = dict(spec)
+    name = spec.pop("name", None)
+    weighting = Weighting.from_dict(spec)
+    return (weighting.kind if name is None else name), weighting
+
+
 def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     specs = section.get("estimators")
-    if specs:
-        return [(s.get("name", s["kind"]), _weighting({k: v for k, v in s.items() if k != "name"})) for s in specs]
+    if specs is not None:
+        return _parse("estimators", lambda s: [_estimator(spec) for spec in _list(s)], specs)
     hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
     lam = _value(section, "shrinkage_lam", 10.0, float)
     return [
@@ -384,7 +398,7 @@ def cmd_ope(resolved: dict) -> None:
         base = _value(resolved, "seed", 0)
         seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
     else:
-        seeds = _parse("seeds", _seeds, seeds)
+        seeds = _parse("seeds", _list, seeds)
     result = ope_mse_experiment(
         env,
         policy,

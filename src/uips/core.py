@@ -246,10 +246,6 @@ class SoftmaxLinearPolicy:
             raise ValueError(f"action {action} out of range [0, {self.action_count})")
         return float(self.distribution(x)[action])
 
-    def sample_action(self, x: np.ndarray, rng: np.random.Generator) -> int:
-        p = self.distribution(x)
-        return int(rng.choice(self.action_count, p=p))
-
     def log_prob_grad(self, x: np.ndarray, action: int) -> np.ndarray:
         """Gradient of log pi(action|x) with respect to theta.
 

@@ -12,7 +12,7 @@ weighted sample mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from uips.estimators import (
 )
 from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy
 from uips.metrics import evaluate_policy
-from uips.synthetic import BanditEnv, generate_log
+from uips.synthetic import BanditEnv
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 1
     k_eval: int = 5
-    n_logged: int = 5000
 
     def __post_init__(self):
         # zero learning rate is allowed: it turns training into a no-op probe
@@ -184,54 +183,24 @@ def true_gradient_norm(
     return float(np.linalg.norm(grad))
 
 
-@dataclass(frozen=True)
-class EpochState:
-    """The step loop after one epoch: the policy and what its steps used."""
-
-    epoch: int
-    policy: SoftmaxLinearPolicy
-    dataset: LoggedDataset
-    tables: PropensityTables
-
-
 def train_epochs(
-    source: Union[BanditEnv, LoggedDataset],
-    model: Optional[LoggingModel],
-    config: TrainConfig,
-    tables: Optional[PropensityTables] = None,
-) -> Iterator[EpochState]:
+    dataset: LoggedDataset, tables: PropensityTables, config: TrainConfig
+) -> Iterator[SoftmaxLinearPolicy]:
     """Minibatch REINFORCE ascent under the configured weighting, one epoch per yield.
 
     This is the one step loop; :func:`train` and :func:`train_policy` both
-    run it. ``source`` is either a logged dataset or an environment (in
-    which case ``config.n_logged`` samples are drawn first). ``tables`` are
-    the dataset's propensity tables without a target, holding at least what
-    the configured weighting reads; they are computed once before the loop
-    unless passed, which needs a dataset ``source``. A weighting that reads
-    a logging model, given neither ``model`` nor ``tables``, fits one with
-    the default :class:`LoggingFitConfig` seeded with ``config.seed``.
+    run it, and it yields the policy after each epoch. ``tables`` are the
+    propensity tables of ``dataset`` without a target, holding at least
+    what the configured weighting reads.
 
     Each step works on the batch's index array: it gathers the batch's
     contexts, rewards and table columns, computes one softmax over the
     batch and turns that buffer into the gradient's coefficients in place.
 
     The policy depends only on the steps. Whatever a caller computes from
-    the yielded states, such as a trace, is diagnostic and cannot change it.
+    the yielded policies, such as a trace, is diagnostic and cannot change it.
     """
     rng = make_rng(config.seed)
-    if isinstance(source, BanditEnv):
-        if tables is not None:
-            raise ValueError("tables need a logged dataset as the source")
-        dataset = generate_log(source, config.n_logged, rng)
-    else:
-        dataset = source
-
-    if tables is None:
-        if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
-            fit_config = LoggingFitConfig(seed=config.seed)
-            model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_config))
-        tables = propensity_tables(dataset, None, model, (config.weighting.kind,))
-
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
     xs, rewards, n = dataset.xs, dataset.rewards, len(dataset)
@@ -248,51 +217,48 @@ def train_epochs(
                     f"training diverged to non-finite parameters at epoch {epoch}"
                 )
             policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-        yield EpochState(epoch, policy, dataset, tables)
+        yield policy
 
 
 def train_policy(
-    source: Union[BanditEnv, LoggedDataset],
-    model: Optional[LoggingModel],
-    config: TrainConfig,
-    tables: Optional[PropensityTables] = None,
+    dataset: LoggedDataset, tables: PropensityTables, config: TrainConfig
 ) -> SoftmaxLinearPolicy:
-    """The policy :func:`train` returns, without computing its trace.
-
-    ``tables`` are passed on to :func:`train_epochs`.
-    """
-    for state in train_epochs(source, model, config, tables):
+    """The policy of the last epoch of :func:`train_epochs`, without a trace."""
+    for policy in train_epochs(dataset, tables, config):
         pass
-    return state.policy
+    return policy
 
 
 def train(
-    source: Union[BanditEnv, LoggedDataset],
+    dataset: LoggedDataset,
     model: Optional[LoggingModel],
     config: TrainConfig,
     env: Optional[BanditEnv] = None,
 ) -> tuple[SoftmaxLinearPolicy, TrainTrace]:
     """Minibatch REINFORCE ascent under the configured weighting, with a trace.
 
-    Runs the step loop of :func:`train_epochs` and records one
-    :class:`TrainTrace` entry per epoch. Passing the environment, as
-    ``source`` or ``env``, adds validation ranking metrics to the trace.
+    Builds the propensity tables of ``dataset`` once, runs the step loop of
+    :func:`train_epochs` on them and records one :class:`TrainTrace` entry
+    per epoch. A weighting that reads a logging model, given no ``model``,
+    fits one with the default :class:`LoggingFitConfig` seeded with
+    ``config.seed``. Passing the environment adds validation ranking
+    metrics to the trace.
 
     The trace is diagnostic only: the policy does not depend on it, and is
-    the one :func:`train_policy` returns for the same arguments.
+    the one :func:`train_policy` returns on the same tables.
     """
-    if isinstance(source, BanditEnv):
-        env = env or source
+    if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
+        model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
+    tables = propensity_tables(dataset, None, model, (config.weighting.kind,))
     val_instances = env.validation if env is not None else None
     trace = TrainTrace()
-    for state in train_epochs(source, model, config):
-        policy, dataset = state.policy, state.dataset
-        record = {"epoch": state.epoch}
+    for epoch, policy in enumerate(train_epochs(dataset, tables, config), start=1):
+        record = {"epoch": epoch}
         pi_all = policy.distribution_matrix(dataset.xs)
-        w = _weights(config.weighting, state.tables.with_target(pi_all))
+        w = _weights(config.weighting, tables.with_target(pi_all))
         record["value"] = _mean_value(config.weighting, w, dataset.rewards)
         record["max_weight"] = float(w.max())
-        if val_instances is not None and state.epoch % config.eval_every == 0:
+        if val_instances is not None and epoch % config.eval_every == 0:
             p, r, ndcg = evaluate_policy(policy, val_instances, config.k_eval)
             record.update({"p_at_k": p, "r_at_k": r, "ndcg_at_k": ndcg})
         else:
@@ -303,4 +269,4 @@ def train(
         )
         trace.records.append(record)
 
-    return state.policy, trace
+    return policy, trace

@@ -2,14 +2,14 @@
 
 import math
 from dataclasses import replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR, TINY
-from uips.estimators import propensity_tables, propensity_weights
-from uips.learning import TrainConfig, TrainTrace, true_gradient_norm, weighted_gradient
+from uips.estimators import Weighting, propensity_tables, propensity_weights
+from uips.learning import TrainConfig, TrainTrace
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -18,7 +18,7 @@ from uips.logging_fit import (
     fit_logging_policy,
 )
 from uips.metrics import evaluate_policy
-from uips.synthetic import BanditEnv, generate_log
+from uips.synthetic import BanditEnv
 from uips.weights import GU_UNSCALED_MAX, UipsHyperParams, WeightInput
 
 
@@ -149,39 +149,43 @@ def dense_fit_reference(dataset, config):
 
 
 def reference_train(
-    source: Union[BanditEnv, LoggedDataset],
+    dataset: LoggedDataset,
     model: Optional[LoggingModel],
     config: TrainConfig,
     env: Optional[BanditEnv] = None,
 ) -> tuple[SoftmaxLinearPolicy, TrainTrace]:
     """``learning.train`` as one loop, with its steps and epoch records inline.
 
-    Independent of ``uips.learning.train_epochs``: every step recomputes
-    ``beta_hat`` for its batch (uncertainties and count propensities come
-    from the full log, as in training), and every epoch record computes its
-    own softmaxes, weights and the true-gradient norm. The library ``train`` must
-    reproduce its policy bit for bit and its trace records exactly.
-    Returns ``(policy, trace)``.
+    Independent of ``uips.learning``'s step loop and gradients: every step
+    recomputes ``beta_hat`` for its batch (uncertainties and count
+    propensities come from the full log, as in training) and writes the
+    log-trick gradient as ``((onehot - pi) * coeff).T @ xs / (tau * B)``,
+    and every epoch record computes its own softmaxes, weights and the
+    true-gradient norm. The library ``train`` must reproduce its policy bit
+    for bit and its trace records exactly. Returns ``(policy, trace)``.
     """
     rng = make_rng(config.seed)
-    if isinstance(source, BanditEnv):
-        env = env or source
-        dataset = generate_log(source, config.n_logged, rng)
-    else:
-        dataset = source
-
     if model is None and config.weighting.kind not in ("ce", "ips_true", "dice_s"):
         model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
 
     kinds = (config.weighting.kind,)
     full = propensity_tables(dataset, None, model, kinds)
+    truth = propensity_tables(dataset, None, None, ("ips_true",)) if dataset.true_logging_probs is not None else None
+    onehot = np.eye(dataset.action_count)
+
+    def gradient(policy, batch, tables, weighting):
+        pi = policy.distribution_matrix(batch.xs)
+        w = propensity_weights(weighting, tables.with_target(pi))
+        if weighting.kind == "snips":
+            w = w / max(w.sum(), TINY) * len(batch)
+        coeff = w * batch.rewards
+        return ((onehot[batch.actions] - pi) * coeff[:, None]).T @ batch.xs / (policy.tau * len(batch))
 
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
     trace = TrainTrace()
     n = len(dataset)
     val_instances = env.validation if env is not None else None
-    track_grad_norm = dataset.true_logging_probs is not None
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -193,7 +197,7 @@ def reference_train(
                 us=None if full.us is None else full.us[batch_idx],
                 counts=None if full.counts is None else full.counts[batch_idx],
             )
-            grad = weighted_gradient(policy, batch, model, config.weighting, tables=tables)
+            grad = gradient(policy, batch, tables, config.weighting)
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + config.learning_rate * grad
             if not np.all(np.isfinite(theta)):
@@ -217,7 +221,10 @@ def reference_train(
             record.update({"p_at_k": p, "r_at_k": r, "ndcg_at_k": ndcg})
         else:
             record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})
-        record["grad_norm"] = true_gradient_norm(policy, dataset) if track_grad_norm else None
+        record["grad_norm"] = (
+            float(np.linalg.norm(gradient(policy, dataset, truth, Weighting(kind="ips_true"))))
+            if truth is not None else None
+        )
         trace.records.append(record)
 
     return policy, trace

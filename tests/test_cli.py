@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
 from uips.estimators import propensity_tables
 from uips.learning import train_policy
-from uips.logging_fit import LoggingFitConfig, LoggingModel, uncertainties
+from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy, uncertainties
 from uips.synthetic import BanditEnv, EnvConfig, build_env, epsilon_greedy_policy
 from uips.weights import UipsHyperParams, phi_star_vector
 
@@ -257,6 +258,36 @@ class TestSingletonSweepMatchesTrain:
         assert len(a) == 1 and a[0]["method"] == "uips"
 
 
+class TestTrainingLogSizeIsIgnored:
+    def test_train_and_sweep_outputs_do_not_depend_on_it(self, tmp_path):
+        # the log is logged.jsonl for train and the top-level n_logged for
+        # sweep; outputs differ only in the echoed config and its hash
+        outputs = {}
+        for name, n_logged in (("with", 300), ("other", 7), ("without", None)):
+            config = json.loads(json.dumps(TINY_CONFIG))
+            config["output_dir"] = str(tmp_path / name)
+            if n_logged is None:
+                del config["training"]["n_logged"]
+            else:
+                config["training"]["n_logged"] = n_logged
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            for command in ("generate", "fit-logging", "train", "sweep"):
+                run_ok([command, "--config", str(path)])
+            files = {}
+            for file, data in read_bytes_map(tmp_path / name).items():
+                if file.endswith(".csv"):
+                    files[file] = data.split(b"\n", 1)[1]
+                elif file.endswith("_report.json") or file == "manifest.json":
+                    files[file] = {k: v for k, v in json.loads(data).items() if k not in ("config", "config_hash")}
+                else:
+                    files[file] = data
+            outputs[name] = files
+        assert set(outputs["without"]) >= {"policy.json", "trace.csv", "leaderboard.csv"}
+        assert outputs["with"] == outputs["without"]
+        assert outputs["other"] == outputs["without"]
+
+
 class TestSweepSharesTables:
     def test_every_grid_point_matches_its_own_training_run(self, monkeypatch):
         # one set of propensity tables serves every kind of the grid: minvar
@@ -271,9 +302,9 @@ class TestSweepSharesTables:
         }
         calls = []
 
-        def recording_train_policy(dataset, model, config, tables=None):
-            policy = train_policy(dataset, model, config, tables)
-            calls.append((dataset, model, config, tables, policy))
+        def recording_train_policy(dataset, tables, config):
+            policy = train_policy(dataset, tables, config)
+            calls.append((dataset, tables, config, policy))
             return policy
 
         monkeypatch.setattr("uips.cli.train_policy", recording_train_policy)
@@ -284,9 +315,13 @@ class TestSweepSharesTables:
         assert sorted(c[2].weighting.kind for c in calls) == sorted(
             ["uips", "uips", "minvar", "dice_s", "bips_cap", "bips_cap"]
         )
-        shared = calls[0][3]
-        assert shared is not None and all(c[3] is shared for c in calls)
-        for dataset, model, config, _, policy in calls:
+        shared = calls[0][1]
+        assert shared is not None and all(c[1] is shared for c in calls)
+        dataset = calls[0][0]
+        assert all(c[0] is dataset for c in calls)
+        # the logging model run_sweep fits on its log for seed 4
+        model = accumulate_grams(dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=4)))
+        for _, _, config, policy in calls:
             ref_policy, _ = reference_train(dataset, model, config)
             np.testing.assert_array_equal(policy.theta, ref_policy.theta)
 
@@ -372,6 +407,10 @@ class TestBadInputEntersAsConfigError:
         ("inspect-weights", "inspect", "epsilon", 2),
         ("inspect-weights", "inspect", "n_bins", 0),
         ("inspect-weights", "inspect", "split", "bogus"),
+        ("ope", "ope", "seeds", "ab"),
+        ("ope", "ope", "estimators", [{"name": "x"}]),
+        ("ope", "ope", "estimators", {"kind": "bips"}),
+        ("ope", "ope", "estimators", []),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -417,7 +456,9 @@ class TestBadInputEntersAsConfigError:
     @pytest.mark.parametrize("methods, message", [
         ({"bips_cap": [5]}, "invalid bips_cap grid: a grid is a JSON object, not list"),
         (["uips"], "sweep section needs a non-empty methods map"),
-    ], ids=["grid-list", "methods-list"])
+        ({"bips_cap": {"learning_rate": 0.5}}, "invalid bips_cap learning_rate: expected a JSON list, not float"),
+        ({"bips_cap": {"learning_rate": []}}, "invalid bips_cap learning_rate: the list is empty"),
+    ], ids=["grid-list", "methods-list", "learning_rate-number", "learning_rate-empty"])
     def test_sweep_methods_that_are_not_objects(self, tmp_path, capsys, methods, message):
         cfg = write_config(tmp_path, "notobject")
         config = json.loads(cfg.read_text())

@@ -101,26 +101,6 @@ class TestPolicyDistribution:
         np.testing.assert_allclose(shifted.distribution(x), policy.distribution(x), atol=1e-12)
 
 
-class TestSampleAction:
-    def test_near_deterministic_policy(self):
-        policy = SoftmaxLinearPolicy(theta=np.array([[2.0], [0.5], [0.0]]), tau=1e-6)
-        rng = make_rng(10)
-        draws = [policy.sample_action(np.array([1.0]), rng) for _ in range(1000)]
-        assert sum(a == 0 for a in draws) >= 999
-
-    def test_uniform_frequencies(self):
-        policy = SoftmaxLinearPolicy(theta=np.zeros((4, 2)))
-        rng = make_rng(11)
-        x = np.array([1.0, -1.0])
-        counts = np.bincount([policy.sample_action(x, rng) for _ in range(40_000)], minlength=4)
-        np.testing.assert_allclose(counts / 40_000, 0.25, atol=0.02)
-
-    def test_same_seed_same_action(self):
-        policy = random_policy(make_rng(5))
-        x = np.array([0.1, 0.2, 0.3])
-        assert policy.sample_action(x, make_rng(42)) == policy.sample_action(x, make_rng(42))
-
-
 class TestLogProbGrad:
     def test_hand_computed_two_action_gradient(self):
         policy = SoftmaxLinearPolicy(theta=np.zeros((2, 1)))

@@ -9,7 +9,6 @@ from uips.learning import (
     TrainConfig,
     dr_gradient,
     train,
-    train_epochs,
     train_policy,
     true_gradient_norm,
     weighted_gradient,
@@ -315,12 +314,11 @@ class TestTrain:
                 learning_rate=0.5, epochs=15, batch_size=500,
                 weighting=Weighting(kind="uips",
                                     hp=UipsHyperParams(lam=50, gamma=5, eta1=0.5, eta2=100)),
-                seed=seed, n_logged=5000, eval_every=15,
+                seed=seed, eval_every=15,
             )
-            # the log train draws from the environment with this seed
-            dataset = generate_log(env, config.n_logged, make_rng(seed))
+            dataset = generate_log(env, 5000, make_rng(seed))
             model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
-            policy, _ = train(env, model, config)
+            policy, _ = train(dataset, model, config)
             _, _, before = evaluate_policy(SoftmaxLinearPolicy.uniform(env.action_count, env.dim),
                                            env.validation, 5)
             _, _, after = evaluate_policy(policy, env.validation, 5)
@@ -340,40 +338,38 @@ class TestSharedStepLoop:
         ref_policy, ref_trace = reference_train(ds, model, config, env=env)
         np.testing.assert_array_equal(policy.theta, ref_policy.theta)
         assert trace.records == ref_trace.records
-        np.testing.assert_array_equal(train_policy(ds, model, config).theta, policy.theta)
+        tables = propensity_tables(ds, None, model, (weighting.kind,))
+        np.testing.assert_array_equal(train_policy(ds, tables, config).theta, policy.theta)
 
-    def test_environment_source_matches_the_reference(self):
+    def test_default_logging_fit_matches_the_reference(self):
         env = build_env(SMALL)
-        config = TrainConfig(learning_rate=0.5, epochs=2, batch_size=60, n_logged=240, seed=6,
+        ds = generate_log(env, 240, make_rng(6))
+        config = TrainConfig(learning_rate=0.5, epochs=2, batch_size=60, seed=6,
                              weighting=Weighting(kind="uips", hp=UIPS_HP))
-        policy, trace = train(env, None, config)
-        ref_policy, ref_trace = reference_train(env, None, config)
+        policy, trace = train(ds, None, config)
+        ref_policy, ref_trace = reference_train(ds, None, config)
         np.testing.assert_array_equal(policy.theta, ref_policy.theta)
         assert trace.records == ref_trace.records
-        np.testing.assert_array_equal(train_policy(env, None, config).theta, policy.theta)
+        model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(seed=config.seed)))
+        tables = propensity_tables(ds, None, model, ("uips",))
+        np.testing.assert_array_equal(train_policy(ds, tables, config).theta, policy.theta)
 
     @pytest.mark.parametrize("kind", ["bips", "minvar"])
     def test_hoisted_logging_rows_equal_the_per_batch_rows(self, kind):
         env, ds, model = make_setup(seed=29, n=300)
-        state = next(train_epochs(ds, model, TrainConfig(weighting=Weighting(kind=kind), seed=0)))
+        tables = propensity_tables(ds, None, model, (kind,))
         rng = make_rng(30)
         for size in (2, 3, 70, 300):
             idx = rng.permutation(len(ds))[:size]
             batch = ds.subset(idx)
             expected = model.beta_matrix(batch.xs)
             if kind == "minvar":
-                np.testing.assert_array_equal(state.tables.beta_rows[idx], expected)
+                np.testing.assert_array_equal(tables.beta_rows[idx], expected)
             else:
-                assert state.tables.beta_rows is None
+                assert tables.beta_rows is None
                 np.testing.assert_array_equal(
-                    state.tables.beta_sel[idx], expected[np.arange(size), batch.actions]
+                    tables.beta_sel[idx], expected[np.arange(size), batch.actions]
                 )
-
-    def test_passed_tables_need_a_dataset_source(self):
-        env, ds, model = make_setup(seed=28, n=300)
-        tables = propensity_tables(ds, None, model, ("bips",))
-        with pytest.raises(ValueError, match="logged dataset"):
-            next(train_epochs(env, model, TrainConfig(weighting=Weighting(kind="bips")), tables))
 
     def test_one_row_batch_differs_only_by_rounding(self):
         # numpy computes a one-row product with gemv, not gemm, so the last
@@ -383,7 +379,8 @@ class TestSharedStepLoop:
         config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=100,
                              weighting=Weighting(kind="uips", hp=UIPS_HP), seed=5)
         ref_policy, _ = reference_train(ds, model, config, env=env)
-        np.testing.assert_allclose(train_policy(ds, model, config).theta, ref_policy.theta,
+        tables = propensity_tables(ds, None, model, ("uips",))
+        np.testing.assert_allclose(train_policy(ds, tables, config).theta, ref_policy.theta,
                                    rtol=0, atol=1e-12)
 
     def test_snips_survives_zero_target_mass_on_the_logged_actions(self):
