@@ -24,7 +24,7 @@ from uips.logging_fit import (
 from uips.synthetic import (
     BanditEnv,
     EnvConfig,
-    MultilabelInstance,
+    Split,
     TabularPolicy,
     build_env,
     epsilon_greedy_policy,
@@ -46,8 +46,8 @@ __all__ = [
     "LoggedDataset",
     "LoggingFitConfig",
     "LoggingModel",
-    "MultilabelInstance",
     "SoftmaxLinearPolicy",
+    "Split",
     "TabularPolicy",
     "UipsHyperParams",
     "UncertaintyRecord",

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from uips import __version__
 from uips.core import LoggedDataset, make_rng
-from uips.estimators import Weighting, ope_mse_experiment, propensity_tables
+from uips.estimators import UIPS_KINDS, WEIGHT_KINDS, Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, train, train_policy
 from uips.logging_fit import (
     LoggingFitConfig,
@@ -85,9 +86,9 @@ def resolve_config(config: dict, seed_override, out_override) -> dict:
     """Apply CLI overrides; flags beat config keys."""
     resolved = json.loads(json.dumps(config))  # deep copy
     if seed_override is not None:
-        resolved.setdefault("env", {})["seed"] = seed_override
-        resolved.setdefault("logging_fit", {})["seed"] = seed_override
-        resolved.setdefault("training", {})["seed"] = seed_override
+        _parse("--seed", _seed, seed_override)
+        for section in ("env", "logging_fit", "training"):
+            resolved.setdefault(section, {})["seed"] = seed_override
         resolved["seed"] = seed_override
     if out_override is not None:
         resolved["output_dir"] = out_override
@@ -112,10 +113,10 @@ def _out_dir(resolved: dict) -> Path:
 
 
 def _parse(what: str, build, value):
-    """``build(value)``; a TypeError or ValueError there is an invalid ``what``."""
+    """``build(value)``; a KeyError, TypeError or ValueError there is an invalid ``what``."""
     try:
         return build(value)
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
@@ -130,6 +131,14 @@ def _count(value) -> int:
     if count < 1:
         raise ValueError(f"{value!r} is not >= 1")
     return count
+
+
+def _seed(value) -> int:
+    """``value`` as a non-negative integer."""
+    seed = operator.index(value)
+    if seed < 0:
+        raise ValueError(f"{value!r} is negative")
+    return seed
 
 
 def _probability(value) -> float:
@@ -153,31 +162,25 @@ def _weighting(spec: dict) -> Weighting:
     return _parse(f"weighting spec {spec}", Weighting.from_dict, spec)
 
 
-def _load_env(out: Path) -> BanditEnv:
-    path = out / "env.json"
+def _load(path: Path, load, producer: str):
+    """``load(path)``; a missing or malformed file is a config error naming it."""
     if not path.exists():
-        raise ConfigError(f"missing {path}; run the generate subcommand first")
-    return BanditEnv.load(path)
+        raise ConfigError(f"missing {path}; run the {producer} subcommand first")
+    return _parse(str(path), load, path)
 
 
-def _load_dataset(out: Path, env: BanditEnv) -> LoggedDataset:
+def _load_log(out: Path) -> tuple[BanditEnv, LoggedDataset]:
+    """The ``env.json`` and ``logged.jsonl`` that the generate subcommand wrote to ``out``."""
+    env = _load(out / "env.json", BanditEnv.load, "generate")
     path = out / "logged.jsonl"
-    if not path.exists():
-        raise ConfigError(f"missing {path}; run the generate subcommand first")
-    try:
-        dataset = LoggedDataset.from_jsonl(path, env.action_count)
-    except ValueError as exc:
-        raise ConfigError(f"invalid logged data: {exc}") from exc
+    dataset = _load(path, lambda p: LoggedDataset.from_jsonl(p, env.action_count), "generate")
     if dataset.dim != env.dim:
         raise ConfigError(f"{path}: contexts have length {dataset.dim}, env.json has dim {env.dim}")
-    return dataset
+    return env, dataset
 
 
 def _load_model(out: Path) -> LoggingModel:
-    path = out / "logging_model.json"
-    if not path.exists():
-        raise ConfigError(f"missing {path}; run the fit-logging subcommand first")
-    return LoggingModel.load(path)
+    return _load(out / "logging_model.json", LoggingModel.load, "fit-logging")
 
 
 def cmd_generate(resolved: dict) -> None:
@@ -203,8 +206,7 @@ def cmd_generate(resolved: dict) -> None:
 
 def cmd_fit_logging(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env = _load_env(out)
-    dataset = _load_dataset(out, env)
+    env, dataset = _load_log(out)
     fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
     model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_config))
     model.save(out / "logging_model.json")
@@ -212,8 +214,7 @@ def cmd_fit_logging(resolved: dict) -> None:
 
 def cmd_train(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env = _load_env(out)
-    dataset = _load_dataset(out, env)
+    env, dataset = _load_log(out)
     model = _load_model(out)
     section = dict(resolved.get("training", {}))
     section.pop("n_logged", None)  # the log is logged.jsonl, written by generate
@@ -234,29 +235,30 @@ def cmd_train(resolved: dict) -> None:
     )
 
 
+#: The hyper-parameter lists a sweep grid may hold per method, besides ``learning_rate``;
+#: a method not listed reads none.
+GRID_KEYS = {
+    "uips": ("lam", "gamma", "eta1", "eta2"), "uips_p": ("gamma",), "uips_o": ("gamma",),
+    "shrinkage": ("lam",), "bips_cap": ("cap",), "dice_s": ("cap",),
+}
+
+
 def expand_grid(kind: str, grid: dict) -> list[Weighting]:
     """Cartesian product of the per-method hyper-parameter lists."""
+    if kind != "ce" and kind not in WEIGHT_KINDS:
+        raise ConfigError(f"unknown sweep method {kind!r}")
     if not isinstance(grid, dict):
         raise TypeError(f"a grid is a JSON object, not {type(grid).__name__}")
-    if kind == "uips":
-        keys = ["lam", "gamma", "eta1", "eta2"]
-        lists = [grid.get(k, DEFAULT_SWEEP_GRID.get(k, [1.0]))[:] for k in keys]
-        return [
-            Weighting(kind="uips", hp=UipsHyperParams(lam=l, gamma=g, eta1=e1, eta2=e2))
-            for l, g, e1, e2 in itertools.product(*lists)
-        ]
-    if kind in ("uips_p", "uips_o"):
-        return [
-            Weighting(kind=kind, hp=UipsHyperParams(gamma=g))
-            for g in grid.get("gamma", DEFAULT_SWEEP_GRID["gamma"])
-        ]
-    if kind == "shrinkage":
-        return [Weighting(kind="shrinkage", lam=l) for l in grid.get("lam", DEFAULT_SWEEP_GRID["lam"])]
-    if kind in ("bips_cap", "dice_s"):
-        return [Weighting(kind=kind, cap=c) for c in grid.get("cap", [1, 2, 5, 10, 100])]
-    if kind in ("ce", "bips", "snips", "ips_true", "minvar", "stablevar"):
-        return [Weighting(kind=kind)]
-    raise ConfigError(f"unknown sweep method {kind!r}")
+    keys = GRID_KEYS.get(kind, ())
+    unread = sorted(set(grid) - {"learning_rate", *keys})
+    if unread:
+        raise ValueError(f"{kind} reads no {', '.join(unread)}")
+    defaults = {**DEFAULT_SWEEP_GRID, "cap": [1, 2, 5, 10, 100]}
+    lists = [grid.get(key, defaults[key]) for key in keys]
+    points = [dict(zip(keys, values)) for values in itertools.product(*lists)]
+    if kind in UIPS_KINDS:
+        return [Weighting(kind=kind, hp=UipsHyperParams(**point)) for point in points]
+    return [Weighting(kind=kind, **point) for point in points]
 
 
 def run_sweep(
@@ -347,7 +349,7 @@ def cmd_sweep(resolved: dict) -> None:
     train_section = dict(resolved.get("training", {}))
     for key in ("weighting", "seed", "k_eval"):
         train_section.pop(key, None)
-    seed = _value(resolved, "seed", resolved.get("env", {}).get("seed", 0))
+    seed = _value(resolved, "seed", resolved.get("env", {}).get("seed", 0), _seed)
     rows = run_sweep(
         env,
         methods,
@@ -395,10 +397,10 @@ def cmd_ope(resolved: dict) -> None:
     policy = epsilon_greedy_policy(env, epsilon)
     seeds = section.get("seeds")
     if seeds is None:
-        base = _value(resolved, "seed", 0)
+        base = _value(resolved, "seed", 0, _seed)
         seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
     else:
-        seeds = _parse("seeds", _list, seeds)
+        seeds = _parse("seeds", lambda s: [_seed(v) for v in _list(s)], seeds)
     result = ope_mse_experiment(
         env,
         policy,
@@ -414,15 +416,14 @@ def cmd_ope(resolved: dict) -> None:
         config_hash(resolved),
     )
     _write_report(
-        out / "ope_summary.json", resolved, seeds=[int(s) for s in seeds],
+        out / "ope_summary.json", resolved, seeds=seeds,
         true_value=result.true_value, epsilon=epsilon, mse=result.summary,
     )
 
 
 def cmd_inspect_weights(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env = _load_env(out)
-    dataset = _load_dataset(out, env)
+    env, dataset = _load_log(out)
     model = _load_model(out)
     section = resolved.get("inspect", {})
     epsilon = _value(section, "epsilon", 0.2, _probability)

@@ -36,16 +36,16 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _context_index(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``xs`` and, per row, the index of its distinct row.
-
-    Two rows are the same context when they are equal byte for byte, as
-    their ``tobytes()`` keys are. Sorting the rows as opaque byte strings is
-    several times faster than ``np.unique(xs, axis=0)``.
-    """
+def _row_keys(xs: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D ``xs`` as one byte string: two rows are the same context when
+    their keys are equal. Keys sort several times faster than ``np.unique(xs, axis=0)``."""
     xs = np.ascontiguousarray(xs)
-    rows = xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).reshape(-1)
-    _, first, context = np.unique(rows, return_index=True, return_inverse=True)
+    return xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).reshape(-1)
+
+
+def _context_index(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``xs`` and, per row, the index of its distinct row."""
+    _, first, context = np.unique(_row_keys(xs), return_index=True, return_inverse=True)
     return xs[first], context.reshape(-1)
 
 

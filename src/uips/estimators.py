@@ -31,7 +31,6 @@ from uips.logging_fit import (
 from uips.synthetic import (
     BanditEnv,
     TabularPolicy,
-    _split_table,
     generate_log_per_context,
     true_policy_value,
 )
@@ -127,7 +126,8 @@ class TabularImputation:
     @classmethod
     def from_env(cls, env: BanditEnv, split: str = "test") -> "TabularImputation":
         """The oracle imputation: the split's true 0/1 reward table."""
-        return cls(*_split_table(env.split(split), env.action_count))
+        data = env.split(split)
+        return cls(data.xs, data.rewards)
 
     def predict(self, x, action) -> float:
         return self.lookup.prob(x, action)
@@ -330,7 +330,8 @@ def v_dr(
 
 
 def _enumeration_tables(env: BanditEnv, policy, model: Optional[LoggingModel], split: str):
-    xs, rewards = _split_table(env.split(split), env.action_count)
+    data = env.split(split)
+    xs, rewards = data.xs, data.rewards
     beta_star = env.logging_policy.distribution_matrix(xs)
     pi = policy.distribution_matrix(xs)
     beta_hat = None if model is None else np.maximum(model.beta_matrix(xs), BETA_FLOOR)
@@ -358,8 +359,7 @@ def exact_bias_variance(
     is E[t] and its variance is Var(t)/n_logged. The terms come from
     :func:`propensity_weights` with every (context, action) cell selected.
     """
-    instances = env.split(split)
-    if len(instances) * env.action_count > max_outcomes:
+    if len(env.split(split)) * env.action_count > max_outcomes:
         raise ValueError("environment too large to enumerate")
     if estimator_kind in ("snips", "dice_s"):
         raise ValueError(f"{estimator_kind} is not a per-sample mean; no exact enumeration")
@@ -373,7 +373,7 @@ def exact_bias_variance(
     )
     t = propensity_weights(weighting, tables.with_target(pi)).reshape(pi.shape) * rewards
 
-    p_outcome = beta_star / len(instances)
+    p_outcome = beta_star / len(xs)
     e_t = float((p_outcome * t).sum())
     e_t2 = float((p_outcome * t * t).sum())
     true_value = float(np.mean(np.sum(pi * rewards, axis=1)))

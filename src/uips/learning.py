@@ -250,7 +250,7 @@ def train(
     if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
         model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
     tables = propensity_tables(dataset, None, model, (config.weighting.kind,))
-    val_instances = env.validation if env is not None else None
+    validation = env.validation if env is not None else None
     trace = TrainTrace()
     for epoch, policy in enumerate(train_epochs(dataset, tables, config), start=1):
         record = {"epoch": epoch}
@@ -258,8 +258,8 @@ def train(
         w = _weights(config.weighting, tables.with_target(pi_all))
         record["value"] = _mean_value(config.weighting, w, dataset.rewards)
         record["max_weight"] = float(w.max())
-        if val_instances is not None and epoch % config.eval_every == 0:
-            p, r, ndcg = evaluate_policy(policy, val_instances, config.k_eval)
+        if validation is not None and epoch % config.eval_every == 0:
+            p, r, ndcg = evaluate_policy(policy, validation, config.k_eval)
             record.update({"p_at_k": p, "r_at_k": r, "ndcg_at_k": ndcg})
         else:
             record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})

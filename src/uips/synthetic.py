@@ -18,21 +18,39 @@ from typing import Optional
 
 import numpy as np
 
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.core import LoggedDataset, SoftmaxLinearPolicy, _row_keys, make_rng
+
+
+SPLITS = ("train", "validation", "test")
 
 
 @dataclass(frozen=True)
-class MultilabelInstance:
-    """A context plus the set of actions with a positive label."""
+class Split:
+    """The m >= 1 contexts ``xs`` (m, dim) of a split and their 0/1 table ``rewards`` (m, action_count).
 
-    features: np.ndarray
-    relevant_actions: frozenset[int]
+    ``rewards[i, a]`` is 1 exactly when action a is relevant to context i: the
+    reward a logged draw of a on i reveals. Each context has a relevant action.
+    """
+
+    xs: np.ndarray
+    rewards: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "relevant_actions", frozenset(int(a) for a in self.relevant_actions))
-        if not self.relevant_actions:
+        xs = np.asarray(self.xs, dtype=float)
+        rewards = np.asarray(self.rewards, dtype=float)
+        if xs.ndim != 2 or rewards.ndim != 2 or xs.shape[0] != rewards.shape[0]:
+            raise ValueError(f"contexts {xs.shape} and reward table {rewards.shape} need one row per instance")
+        if not len(xs):
+            raise ValueError("a split needs at least one instance")
+        if not ((rewards == 0.0) | (rewards == 1.0)).all():
+            raise ValueError("reward table entries must be 0 or 1")
+        if not rewards.any(axis=1).all():
             raise ValueError("each instance needs at least one relevant action")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "rewards", rewards)
+
+    def __len__(self) -> int:
+        return self.xs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -72,29 +90,26 @@ class EnvConfig:
 
 @dataclass
 class BanditEnv:
-    """Generated environment: three instance splits plus the logging policy."""
+    """Generated environment: three splits plus the logging policy."""
 
-    train: list[MultilabelInstance]
-    validation: list[MultilabelInstance]
-    test: list[MultilabelInstance]
+    train: Split
+    validation: Split
+    test: Split
     logging_policy: SoftmaxLinearPolicy
     action_count: int
     dim: int
     config: Optional[EnvConfig] = None
 
-    def split(self, name: str) -> list[MultilabelInstance]:
-        if name not in ("train", "validation", "test"):
+    def split(self, name: str) -> Split:
+        if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
     def to_json(self) -> str:
-        def pack(instances):
+        def pack(split):
             return [
-                {
-                    "x": [float(v) for v in inst.features],
-                    "relevant": sorted(inst.relevant_actions),
-                }
-                for inst in instances
+                {"x": x.tolist(), "relevant": np.flatnonzero(row).tolist()}
+                for x, row in zip(split.xs, split.rewards)
             ]
 
         obj = {
@@ -103,9 +118,7 @@ class BanditEnv:
             "config": asdict(self.config) if self.config is not None else None,
             "logging_theta": [[float(v) for v in row] for row in self.logging_policy.theta],
             "logging_tau": float(self.logging_policy.tau),
-            "train": pack(self.train),
-            "validation": pack(self.validation),
-            "test": pack(self.test),
+            **{name: pack(self.split(name)) for name in SPLITS},
         }
         return json.dumps(obj, sort_keys=True)
 
@@ -116,23 +129,27 @@ class BanditEnv:
     @classmethod
     def from_json(cls, text: str) -> "BanditEnv":
         obj = json.loads(text)
+        action_count, dim = int(obj["action_count"]), int(obj["dim"])
 
-        def unpack(rows):
-            return [
-                MultilabelInstance(np.asarray(r["x"], dtype=float), frozenset(r["relevant"]))
-                for r in rows
-            ]
+        def unpack(name):
+            rows = obj[name]
+            rewards = np.zeros((len(rows), action_count))
+            for i, r in enumerate(rows):
+                relevant = np.asarray(r["relevant"], dtype=int)
+                if ((relevant < 0) | (relevant >= action_count)).any():
+                    raise ValueError(f"{name} instance {i}: relevant action outside [0, {action_count})")
+                rewards[i, relevant] = 1.0
+            xs = np.asarray([r["x"] for r in rows], dtype=float).reshape(len(rows), dim)
+            return Split(xs, rewards)
 
         return cls(
-            train=unpack(obj["train"]),
-            validation=unpack(obj["validation"]),
-            test=unpack(obj["test"]),
+            **{name: unpack(name) for name in SPLITS},
             logging_policy=SoftmaxLinearPolicy(
                 theta=np.asarray(obj["logging_theta"], dtype=float),
                 tau=float(obj["logging_tau"]),
             ),
-            action_count=int(obj["action_count"]),
-            dim=int(obj["dim"]),
+            action_count=action_count,
+            dim=dim,
             config=EnvConfig.from_dict(obj["config"]) if obj.get("config") else None,
         )
 
@@ -155,29 +172,16 @@ def _plant_labels(
     min_labels: int,
     max_labels: int,
     noise: float,
-) -> list[frozenset[int]]:
+) -> np.ndarray:
+    """The 0/1 reward table that marks each context's k top-scoring actions relevant."""
     scores = xs @ scorer.T
     if noise > 0:
         scores = scores + noise * rng.standard_normal(scores.shape)
     ks = rng.integers(min_labels, max_labels + 1, size=xs.shape[0])
-    out = []
-    for row, k in zip(scores, ks):
-        top = np.argpartition(-row, int(k) - 1)[: int(k)]
-        out.append(frozenset(int(a) for a in top))
-    return out
-
-
-def _split_table(instances: list[MultilabelInstance], action_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The contexts (m, dim) of ``instances`` and their 0/1 reward table (m, action_count).
-
-    Entry (i, a) is 1 exactly when action a is relevant to instance i: the
-    reward a logged draw of action a on instance i reveals.
-    """
-    xs = np.stack([inst.features for inst in instances])
-    table = np.zeros((len(instances), action_count))
-    for i, inst in enumerate(instances):
-        table[i, list(inst.relevant_actions)] = 1.0
-    return xs, table
+    table = np.zeros(scores.shape)
+    for row, k, out in zip(scores, ks, table):
+        out[np.argpartition(-row, int(k) - 1)[: int(k)]] = 1.0
+    return table
 
 
 def _fit_one_vs_all_logistic(
@@ -228,22 +232,16 @@ def build_env(config: EnvConfig) -> BanditEnv:
     scorer = rng.standard_normal((config.action_count, config.dim))
 
     splits = {}
-    for name, size in (
-        ("train", config.train_size),
-        ("validation", config.validation_size),
-        ("test", config.test_size),
-    ):
+    for name, size in zip(SPLITS, (config.train_size, config.validation_size, config.test_size)):
         xs = _draw_contexts(rng, size, config.dim)
-        labels = _plant_labels(rng, xs, scorer, config.min_labels, config.max_labels, config.label_noise)
-        splits[name] = [MultilabelInstance(x, rel) for x, rel in zip(xs, labels)]
+        rewards = _plant_labels(rng, xs, scorer, config.min_labels, config.max_labels, config.label_noise)
+        splits[name] = Split(xs, rewards)
 
-    theta_star = _fit_one_vs_all_logistic(*_split_table(splits["train"], config.action_count))
+    theta_star = _fit_one_vs_all_logistic(splits["train"].xs, splits["train"].rewards)
     logging_policy = SoftmaxLinearPolicy(theta=theta_star, tau=config.tau)
 
     return BanditEnv(
-        train=splits["train"],
-        validation=splits["validation"],
-        test=splits["test"],
+        **splits,
         logging_policy=logging_policy,
         action_count=config.action_count,
         dim=config.dim,
@@ -254,20 +252,17 @@ def build_env(config: EnvConfig) -> BanditEnv:
 def _draw_log(env: BanditEnv, split: str, rng: np.random.Generator, pick_instances) -> LoggedDataset:
     """Log the split's instances ``pick_instances(len(split))``, picked before the
     actions are drawn from the logging policy by one vectorized inverse-CDF draw."""
-    instances = env.split(split)
-    if not instances:
-        raise ValueError(f"empty {split} split")
-    xs_all, table = _split_table(instances, env.action_count)
-    probs_all = env.logging_policy.distribution_matrix(xs_all)
+    data = env.split(split)
+    probs_all = env.logging_policy.distribution_matrix(data.xs)
 
-    idx = pick_instances(len(instances))
+    idx = pick_instances(len(data))
     cdf = np.cumsum(probs_all[idx], axis=1)
     u = rng.random(len(idx))
     actions = np.minimum((u[:, None] > cdf).sum(axis=1), env.action_count - 1)
     return LoggedDataset(
-        xs=xs_all[idx],
+        xs=data.xs[idx],
         actions=actions,
-        rewards=table[idx, actions],
+        rewards=data.rewards[idx, actions],
         action_count=env.action_count,
         true_logging_probs=probs_all[idx, actions],
     )
@@ -313,7 +308,8 @@ def generate_log_per_context(
 class TabularPolicy:
     """Context-indexed action distribution, looked up by exact context match.
 
-    ``TabularImputation`` looks its reward rows up through it.
+    A context matches the distinct table context equal to it byte for byte,
+    found by binary search. ``TabularImputation`` looks its reward rows up through it.
     """
 
     contexts: np.ndarray
@@ -324,46 +320,55 @@ class TabularPolicy:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.contexts.shape[0] != self.probs.shape[0]:
             raise ValueError("one probability row per context required")
-        self._index = {self.contexts[i].tobytes(): i for i in range(self.contexts.shape[0])}
+        keys = _row_keys(self.contexts)
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+        if (self._keys[1:] == self._keys[:-1]).any():
+            raise ValueError("the table holds a context twice")
 
     @property
     def action_count(self) -> int:
         return self.probs.shape[1]
 
-    def _id(self, x: np.ndarray) -> int:
-        try:
-            return self._index[np.asarray(x, dtype=float).tobytes()]
-        except KeyError:
-            raise ValueError("context not covered by this table") from None
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        """The table row of each context of the 2-D ``xs``."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape[1:] != self.contexts.shape[1:]:
+            raise ValueError("context not covered by this table")
+        keys = _row_keys(xs)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        if not (self._keys[at] == keys).all():
+            raise ValueError("context not covered by this table")
+        return self._order[at]
 
     def distribution(self, x: np.ndarray) -> np.ndarray:
-        return self.probs[self._id(x)]
+        return self.probs[self._rows(np.asarray(x, dtype=float)[None])[0]]
 
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Distribution rows for a batch of contexts, one lookup per row."""
-        xs = np.asarray(xs, dtype=float)
-        return self.probs[np.array([self._id(x) for x in xs], dtype=np.intp)]
+        """Distribution rows for a batch of contexts."""
+        return self.probs[self._rows(xs)]
 
     def prob(self, x: np.ndarray, action: int) -> float:
-        return float(self.probs[self._id(x), action])
+        return float(self.distribution(x)[action])
 
 
 def epsilon_greedy_policy(env: BanditEnv, epsilon: float, split: str = "test") -> TabularPolicy:
     """Evaluation policy (1-eps)/|M_x| on the relevant set plus eps/|A| everywhere."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    xs, probs = _split_table(env.split(split), env.action_count)
+    data = env.split(split)
+    probs = data.rewards.copy()
     # every relevant set is non-empty, so no row sum is 0
     probs *= (1.0 - epsilon) / probs.sum(axis=1, keepdims=True)
     probs += epsilon / env.action_count
-    return TabularPolicy(contexts=xs, probs=probs)
+    return TabularPolicy(contexts=data.xs, probs=probs)
 
 
 def true_policy_value(env: BanditEnv, policy, split: str = "test") -> float:
     """Exact expected reward of ``policy`` on the split: no sampling involved."""
-    instances = env.split(split)
+    data = env.split(split)
     total = 0.0
-    for inst in instances:
-        p = policy.distribution(inst.features)
-        total += sum(p[a] for a in inst.relevant_actions)
-    return total / len(instances)
+    for x, row in zip(data.xs, data.rewards):
+        p = policy.distribution(x)
+        total += sum(p[a] for a in np.flatnonzero(row).tolist())
+    return total / len(data)

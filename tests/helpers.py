@@ -185,7 +185,7 @@ def reference_train(
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
     trace = TrainTrace()
     n = len(dataset)
-    val_instances = env.validation if env is not None else None
+    validation = env.validation if env is not None else None
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -216,8 +216,8 @@ def reference_train(
         else:
             record["value"] = float(coeff.mean())
         record["max_weight"] = float(w.max())
-        if val_instances is not None and epoch % config.eval_every == 0:
-            p, r, ndcg = evaluate_policy(policy, val_instances, config.k_eval)
+        if validation is not None and epoch % config.eval_every == 0:
+            p, r, ndcg = evaluate_policy(policy, validation, config.k_eval)
             record.update({"p_at_k": p, "r_at_k": r, "ndcg_at_k": ndcg})
         else:
             record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})

@@ -123,10 +123,7 @@ def test_04_estimated_propensity_bias_identity():
         policy = epsilon_greedy_policy(env, float(rng.uniform(0.05, 0.6)), split="train")
         bias, _, _ = exact_bias_variance(env, policy, model, "bips", int(rng.integers(1, 200)))
 
-        xs = np.stack([inst.features for inst in env.train])
-        rewards = np.zeros((len(env.train), env.action_count))
-        for i, inst in enumerate(env.train):
-            rewards[i, sorted(inst.relevant_actions)] = 1.0
+        xs, rewards = env.train.xs, env.train.rewards
         pi = np.stack([policy.distribution(x) for x in xs])
         beta_star = env.logging_policy.distribution_matrix(xs)
         beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)

@@ -411,6 +411,12 @@ class TestBadInputEntersAsConfigError:
         ("ope", "ope", "estimators", [{"name": "x"}]),
         ("ope", "ope", "estimators", {"kind": "bips"}),
         ("ope", "ope", "estimators", []),
+        ("ope", "ope", "seeds", [1.5]),
+        ("ope", "ope", "seeds", ["a"]),
+        ("ope", "ope", "seeds", [-1]),
+        ("ope", None, "seed", -1),
+        ("sweep", None, "seed", -1),
+        ("sweep", None, "seed", 1.5),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -423,6 +429,33 @@ class TestBadInputEntersAsConfigError:
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
         assert f"invalid {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "ope"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "negative-seed")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "invalid --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, file, damage, message", [
+        ("inspect-weights", "env.json",
+         lambda text: json.dumps({**json.loads(text), "train": [{"x": [0.0] * 6, "relevant": [999]}]}),
+         "relevant action outside [0, 8)"),
+        ("train", "env.json",
+         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "test"}),
+         "env.json: 'test'"),
+        ("train", "logging_model.json", lambda text: text[:100], "invalid"),
+    ], ids=["relevant-out-of-range", "missing-split", "truncated-model"])
+    def test_malformed_input_file_is_a_config_error_naming_it(self, tmp_path, capsys, command, file, damage, message):
+        cfg = write_config(tmp_path, "damaged")
+        run_ok(["generate", "--config", str(cfg)])
+        run_ok(["fit-logging", "--config", str(cfg)])
+        path = tmp_path / "damaged" / file
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
 
     @pytest.mark.parametrize("command, key, value", [
         ("train", "bogus_key", 1),
@@ -458,7 +491,11 @@ class TestBadInputEntersAsConfigError:
         (["uips"], "sweep section needs a non-empty methods map"),
         ({"bips_cap": {"learning_rate": 0.5}}, "invalid bips_cap learning_rate: expected a JSON list, not float"),
         ({"bips_cap": {"learning_rate": []}}, "invalid bips_cap learning_rate: the list is empty"),
-    ], ids=["grid-list", "methods-list", "learning_rate-number", "learning_rate-empty"])
+        ({"bips_cap": {"caps": [5]}}, "invalid bips_cap grid: bips_cap reads no caps"),
+        ({"uips_p": {"gamma": [2], "lam": [10]}}, "invalid uips_p grid: uips_p reads no lam"),
+        ({"bips": {"cap": [5]}}, "invalid bips grid: bips reads no cap"),
+    ], ids=["grid-list", "methods-list", "learning_rate-number", "learning_rate-empty",
+            "unread-key", "key-of-another-method", "key-of-a-method-without-grid"])
     def test_sweep_methods_that_are_not_objects(self, tmp_path, capsys, methods, message):
         cfg = write_config(tmp_path, "notobject")
         config = json.loads(cfg.read_text())

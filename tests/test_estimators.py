@@ -25,7 +25,6 @@ from uips.logging_fit import (
 from uips.synthetic import (
     BanditEnv,
     EnvConfig,
-    MultilabelInstance,
     TabularPolicy,
     build_env,
     epsilon_greedy_policy,
@@ -388,10 +387,7 @@ class TestExactBiasVariance:
                                    tau=env.logging_policy.tau)
             policy = epsilon_greedy_policy(env, 0.3, split="train")
             bias, _, _ = exact_bias_variance(env, policy, model, "bips", 77)
-            xs = np.stack([inst.features for inst in env.train])
-            r = np.zeros((len(env.train), env.action_count))
-            for i, inst in enumerate(env.train):
-                r[i, sorted(inst.relevant_actions)] = 1.0
+            xs, r = env.train.xs, env.train.rewards
             pi = np.stack([policy.distribution(x) for x in xs])
             beta_star = env.logging_policy.distribution_matrix(xs)
             beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
@@ -415,7 +411,7 @@ class TestExactBiasVariance:
             ds = generate_log(env, 150, make_rng(seed))
             model = fitted_model(ds, seed=seed, epochs=60)
             _, _, mse = exact_bias_variance(env, policy, model, "uips", 25, hp=hp)
-            xs = np.stack([inst.features for inst in env.train])
+            xs = env.train.xs
             pi = np.stack([policy.distribution(x) for x in xs])
             beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
             u_mat = uncertainty_matrix(model, xs)
@@ -449,7 +445,7 @@ class TestPerPairBoundOrdering:
         ds = generate_log(env, 400, make_rng(16))
         model = fitted_model(ds, seed=16)
         policy = epsilon_greedy_policy(env, 0.3, split="train")
-        xs = np.stack([inst.features for inst in env.train])
+        xs = env.train.xs
         pi = np.stack([policy.distribution(x) for x in xs])
         beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
         u_mat = uncertainty_matrix(model, xs)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uips.core import make_rng
 from uips.metrics import evaluate_policy, ndcg_at_k, precision_at_k, rank_actions, recall_at_k
-from uips.synthetic import MultilabelInstance, TabularPolicy
+from uips.synthetic import Split, TabularPolicy
 
 
 class TestRankActions:
@@ -65,47 +65,43 @@ class TestAtK:
 
 
 class TestEvaluatePolicy:
-    def _instances(self, rng, n, action_count, labels):
-        out = []
-        for _ in range(n):
-            rel = rng.choice(action_count, size=labels, replace=False)
-            out.append(MultilabelInstance(rng.standard_normal(3), frozenset(int(a) for a in rel)))
-        return out
+    def _split(self, rng, n, action_count, labels):
+        xs, rewards = np.empty((n, 3)), np.zeros((n, action_count))
+        for i in range(n):
+            rewards[i, rng.choice(action_count, size=labels, replace=False)] = 1.0
+            xs[i] = rng.standard_normal(3)
+        return Split(xs, rewards)
 
     def test_oracle_policy_scores_one(self):
         # exactly k relevant actions, each given a huge margin
         rng = make_rng(5)
         k = 3
-        instances = self._instances(rng, 12, 10, labels=k)
-        contexts = np.stack([inst.features for inst in instances])
+        split = self._split(rng, 12, 10, labels=k)
         probs = np.full((12, 10), 1e-9)
-        for i, inst in enumerate(instances):
-            probs[i, sorted(inst.relevant_actions)] = 1.0 / k
-        policy = TabularPolicy(contexts=contexts, probs=probs)
-        p, r, ndcg = evaluate_policy(policy, instances, k)
+        probs[split.rewards == 1.0] = 1.0 / k
+        policy = TabularPolicy(contexts=split.xs, probs=probs)
+        p, r, ndcg = evaluate_policy(policy, split, k)
         assert (p, r, ndcg) == (1.0, 1.0, 1.0)
 
     def test_uniform_scores_follow_declared_tie_order(self):
         # uniform scores rank actions 0..k-1, so the metrics are computable exactly
         rng = make_rng(6)
-        instances = self._instances(rng, 15, 8, labels=2)
-        contexts = np.stack([inst.features for inst in instances])
-        policy = TabularPolicy(contexts=contexts, probs=np.full((15, 8), 1.0 / 8.0))
+        split = self._split(rng, 15, 8, labels=2)
+        policy = TabularPolicy(contexts=split.xs, probs=np.full((15, 8), 1.0 / 8.0))
         k = 4
-        p, r, n = evaluate_policy(policy, instances, k)
-        expected_p = np.mean([len(inst.relevant_actions & set(range(k))) / k for inst in instances])
-        expected_r = np.mean(
-            [len(inst.relevant_actions & set(range(k))) / len(inst.relevant_actions) for inst in instances]
-        )
+        p, r, n = evaluate_policy(policy, split, k)
+        hits = split.rewards[:, :k].sum(axis=1)
+        expected_p = np.mean(hits / k)
+        expected_r = np.mean(hits / split.rewards.sum(axis=1))
         assert p == pytest.approx(expected_p, abs=1e-12)
         assert r == pytest.approx(expected_r, abs=1e-12)
 
     def test_average_is_permutation_invariant(self):
         rng = make_rng(7)
-        instances = self._instances(rng, 10, 6, labels=2)
-        contexts = np.stack([inst.features for inst in instances])
-        policy = TabularPolicy(contexts=contexts, probs=rng.dirichlet(np.ones(6), size=10))
-        shuffled = [instances[i] for i in rng.permutation(10)]
-        assert evaluate_policy(policy, instances, 3) == pytest.approx(
+        split = self._split(rng, 10, 6, labels=2)
+        policy = TabularPolicy(contexts=split.xs, probs=rng.dirichlet(np.ones(6), size=10))
+        order = rng.permutation(10)
+        shuffled = Split(split.xs[order], split.rewards[order])
+        assert evaluate_policy(policy, split, 3) == pytest.approx(
             evaluate_policy(policy, shuffled, 3), abs=1e-12
         )

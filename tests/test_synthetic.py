@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from uips.core import make_rng
 from uips.synthetic import (
     BanditEnv,
     EnvConfig,
-    MultilabelInstance,
+    Split,
     TabularPolicy,
     build_env,
     epsilon_greedy_policy,
@@ -37,8 +39,8 @@ class TestBuildEnv:
     def test_logging_policy_ranks_relevant_actions_first(self):
         env = build_env(EnvConfig(seed=1))  # default config has zero label noise
         hits = sum(
-            int(np.argmax(env.logging_policy.distribution(inst.features))) in inst.relevant_actions
-            for inst in env.train
+            row[np.argmax(env.logging_policy.distribution(x))] == 1.0
+            for x, row in zip(env.train.xs, env.train.rewards)
         )
         assert hits / len(env.train) >= 0.80
 
@@ -57,15 +59,43 @@ class TestBuildEnv:
         back = BanditEnv.load(path)
         assert back.to_json() == env.to_json()
 
+    @pytest.mark.parametrize("config", [EnvConfig(seed=2), EnvConfig(action_count=200, train_size=400, seed=1)],
+                             ids=["desk", "200-actions"])
+    def test_from_json_reproduces_every_split_array(self, config):
+        env = build_env(config)
+        back = BanditEnv.from_json(env.to_json())
+        assert back.to_json() == env.to_json()
+        for name in ("train", "validation", "test"):
+            np.testing.assert_array_equal(back.split(name).xs, env.split(name).xs)
+            np.testing.assert_array_equal(back.split(name).rewards, env.split(name).rewards)
+
+    @pytest.mark.parametrize("xs, rewards, message", [
+        (np.eye(2), [[0.0, 1.0], [0.0, 0.0]], "at least one relevant action"),
+        (np.eye(2), [[0.0, 1.0], [0.5, 1.0]], "entries must be 0 or 1"),
+        (np.eye(2), [[0.0, 1.0]], "one row per instance"),
+        (np.zeros((0, 2)), np.zeros((0, 2)), "at least one instance"),
+    ], ids=["empty-relevant-row", "not-0-or-1", "row-count-mismatch", "no-instance"])
+    def test_split_rejects_a_malformed_reward_table(self, xs, rewards, message):
+        with pytest.raises(ValueError, match=message):
+            Split(xs, np.array(rewards))
+
+    def test_from_json_rejects_a_relevant_action_outside_the_action_range(self):
+        env = build_env(SMALL)
+        for relevant in ([SMALL.action_count], [-1]):
+            obj = json.loads(env.to_json())
+            obj["test"][3]["relevant"] = relevant
+            with pytest.raises(ValueError, match=r"test instance 3: relevant action outside \[0, 10\)"):
+                BanditEnv.from_json(json.dumps(obj))
+
 
 class TestGenerateLog:
     def test_rewards_match_relevance_exactly(self):
         env = build_env(SMALL)
         ds = generate_log(env, 500, make_rng(1))
-        by_features = {inst.features.tobytes(): inst.relevant_actions for inst in env.train}
+        by_features = {x.tobytes(): row for x, row in zip(env.train.xs, env.train.rewards)}
         for i in range(len(ds)):
             relevant = by_features[ds.xs[i].tobytes()]
-            assert ds.rewards[i] == (1.0 if int(ds.actions[i]) in relevant else 0.0)
+            assert ds.rewards[i] == relevant[int(ds.actions[i])]
 
     def test_true_probs_match_logging_policy(self):
         env = build_env(SMALL)
@@ -85,15 +115,15 @@ class TestGenerateLog:
         )
         ds = generate_log(sharp, 200, make_rng(3))
         assert len(np.unique(ds.actions)) == 1
-        top = int(np.argmax(sharp.logging_policy.distribution(base.train[0].features)))
-        if top in base.train[0].relevant_actions:
+        top = int(np.argmax(sharp.logging_policy.distribution(base.train.xs[0])))
+        if base.train.rewards[0, top] == 1.0:
             assert np.all(ds.rewards == 1.0)
 
     def test_empirical_frequencies_match_policy(self):
         env = build_env(EnvConfig(dim=8, action_count=10, train_size=1, validation_size=5, test_size=5, seed=6))
         ds = generate_log(env, 50_000, make_rng(4))
         freq = np.bincount(ds.actions, minlength=10) / len(ds)
-        p = env.logging_policy.distribution(env.train[0].features)
+        p = env.logging_policy.distribution(env.train.xs[0])
         assert 0.5 * np.abs(freq - p).sum() < 0.02
 
     def test_per_context_protocol_counts(self):
@@ -113,9 +143,9 @@ class TestGenerateLog:
 
 class TestEpsilonGreedy:
     def _tiny_env(self):
-        instances = [MultilabelInstance(np.array([1.0, 0.0]), frozenset({1, 2}))]
+        split = Split(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0, 1.0, 0.0]]))
         return BanditEnv(
-            train=instances, validation=instances, test=instances,
+            train=split, validation=split, test=split,
             logging_policy=type(build_env(SMALL).logging_policy)(theta=np.zeros((4, 2))),
             action_count=4, dim=2,
         )
@@ -123,24 +153,30 @@ class TestEpsilonGreedy:
     def test_formula_values(self):
         env = self._tiny_env()
         policy = epsilon_greedy_policy(env, 0.2)
-        x = env.test[0].features
+        x = env.test.xs[0]
         assert policy.prob(x, 1) == pytest.approx(0.8 / 2 + 0.2 / 4, abs=1e-15)  # 0.45
         assert policy.prob(x, 3) == pytest.approx(0.2 / 4, abs=1e-15)  # 0.05
 
     def test_epsilon_one_is_uniform(self):
         env = self._tiny_env()
         policy = epsilon_greedy_policy(env, 1.0)
-        np.testing.assert_allclose(policy.distribution(env.test[0].features), 0.25, atol=1e-15)
+        np.testing.assert_allclose(policy.distribution(env.test.xs[0]), 0.25, atol=1e-15)
 
     def test_epsilon_zero_single_label_is_point_mass(self):
-        instances = [MultilabelInstance(np.array([0.5, 0.5]), frozenset({2}))]
+        split = Split(np.array([[0.5, 0.5]]), np.array([[0.0, 0.0, 1.0, 0.0]]))
         env = self._tiny_env()
         env = BanditEnv(
-            train=instances, validation=instances, test=instances,
+            train=split, validation=split, test=split,
             logging_policy=env.logging_policy, action_count=4, dim=2,
         )
         policy = epsilon_greedy_policy(env, 0.0)
-        np.testing.assert_allclose(policy.distribution(instances[0].features), [0, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(policy.distribution(split.xs[0]), [0, 0, 1, 0], atol=1e-15)
+
+    def test_policy_leaves_the_split_unchanged(self):
+        env = build_env(SMALL)
+        before = env.test.rewards.copy()
+        epsilon_greedy_policy(env, 0.37)
+        np.testing.assert_array_equal(env.test.rewards, before)
 
     def test_distribution_rows_normalize(self):
         env = build_env(SMALL)
@@ -151,18 +187,17 @@ class TestEpsilonGreedy:
 class TestTruePolicyValue:
     def test_uniform_policy_two_labels(self):
         rng = make_rng(7)
-        instances = [
-            MultilabelInstance(rng.standard_normal(3), frozenset(int(a) for a in rng.choice(10, 2, replace=False)))
-            for _ in range(12)
-        ]
+        xs, rewards = np.empty((12, 3)), np.zeros((12, 10))
+        for i in range(12):
+            xs[i] = rng.standard_normal(3)
+            rewards[i, rng.choice(10, 2, replace=False)] = 1.0
+        split = Split(xs, rewards)
         env = BanditEnv(
-            train=instances, validation=instances, test=instances,
+            train=split, validation=split, test=split,
             logging_policy=type(build_env(SMALL).logging_policy)(theta=np.zeros((10, 3))),
             action_count=10, dim=3,
         )
-        policy = TabularPolicy(
-            contexts=np.stack([i.features for i in instances]), probs=np.full((12, 10), 0.1)
-        )
+        policy = TabularPolicy(contexts=xs, probs=np.full((12, 10), 0.1))
         assert true_policy_value(env, policy) == pytest.approx(0.2, abs=1e-12)
 
     def test_greedy_policy_scores_one(self):
@@ -172,10 +207,10 @@ class TestTruePolicyValue:
     def test_invariant_to_test_order(self):
         env = build_env(SMALL)
         policy = epsilon_greedy_policy(env, 0.3)
-        rng = make_rng(8)
+        order = make_rng(8).permutation(len(env.test))
         shuffled = BanditEnv(
             train=env.train, validation=env.validation,
-            test=[env.test[i] for i in rng.permutation(len(env.test))],
+            test=Split(env.test.xs[order], env.test.rewards[order]),
             logging_policy=env.logging_policy, action_count=env.action_count, dim=env.dim,
         )
         assert true_policy_value(shuffled, policy) == pytest.approx(true_policy_value(env, policy), abs=1e-12)
@@ -189,9 +224,8 @@ class TestTruePolicyValue:
         idx = rng.integers(0, len(env.test), n)
         rewards = np.empty(n)
         for j, i in enumerate(idx):
-            inst = env.test[int(i)]
-            a = int(rng.choice(env.action_count, p=policy.distribution(inst.features)))
-            rewards[j] = 1.0 if a in inst.relevant_actions else 0.0
+            a = int(rng.choice(env.action_count, p=policy.distribution(env.test.xs[i])))
+            rewards[j] = env.test.rewards[i, a]
         se = rewards.std() / np.sqrt(n)
         assert abs(rewards.mean() - exact) < 3 * se + 1e-12
 
@@ -199,7 +233,7 @@ class TestTruePolicyValue:
 def test_skewness_increases_as_temperature_drops():
     sharp = build_env(EnvConfig(tau=0.5, seed=12))
     flat = build_env(EnvConfig(tau=2.0, seed=12))
-    xs = np.stack([inst.features for inst in sharp.test])
+    xs = sharp.test.xs
     max_sharp = sharp.logging_policy.distribution_matrix(xs).max(axis=1).mean()
     max_flat = flat.logging_policy.distribution_matrix(xs).max(axis=1).mean()
     assert max_sharp > max_flat
@@ -222,10 +256,7 @@ class TestOneVsAllFit:
     ], ids=["desk", "200-actions", "label-noise", "one-instance", "one-action", "unlabelled-actions"])
     def test_theta_matches_the_reference_loop(self, config):
         env = build_env(config)
-        xs = np.stack([inst.features for inst in env.train])
-        y = np.zeros((len(env.train), env.action_count))
-        for i, inst in enumerate(env.train):
-            y[i, sorted(inst.relevant_actions)] = 1.0
+        xs, y = env.train.xs, env.train.rewards
         if config is UNLABELLED_ACTIONS:
             assert (y.sum(axis=0) == 0).any()
         np.testing.assert_array_equal(env.logging_policy.theta, one_vs_all_reference(xs, y))
@@ -244,3 +275,8 @@ class TestTabularPolicy:
         xs = np.vstack([policy.contexts[:2], np.full((1, SMALL.dim), 7.0)])
         with pytest.raises(ValueError):
             policy.distribution_matrix(xs)
+
+    def test_a_context_held_twice_is_rejected(self):
+        contexts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="context twice"):
+            TabularPolicy(contexts=contexts, probs=np.full((3, 4), 0.25))
