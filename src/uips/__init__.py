@@ -15,11 +15,9 @@ from uips.core import (
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
-    UncertaintyRecord,
     accumulate_grams,
-    confidence_interval,
     fit_logging_policy,
-    uncertainty,
+    uncertainties,
 )
 from uips.synthetic import (
     BanditEnv,
@@ -33,11 +31,7 @@ from uips.synthetic import (
 )
 from uips.weights import (
     UipsHyperParams,
-    WeightInput,
-    minmax_objective,
-    oracle_phi,
-    phi_star,
-    worst_case_beta,
+    phi_star_vector,
 )
 
 __all__ = [
@@ -50,21 +44,15 @@ __all__ = [
     "Split",
     "TabularPolicy",
     "UipsHyperParams",
-    "UncertaintyRecord",
-    "WeightInput",
     "accumulate_grams",
     "build_env",
-    "confidence_interval",
     "epsilon_greedy_policy",
     "fit_logging_policy",
     "generate_log",
     "make_rng",
-    "minmax_objective",
-    "oracle_phi",
-    "phi_star",
+    "phi_star_vector",
     "true_policy_value",
-    "uncertainty",
-    "worst_case_beta",
+    "uncertainties",
 ]
 
 __version__ = "0.1.0"

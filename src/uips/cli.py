@@ -18,14 +18,13 @@ import argparse
 import hashlib
 import itertools
 import json
-import operator
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from uips import __version__
-from uips.core import LoggedDataset, make_rng
+from uips.core import LoggedDataset, _integer, make_rng
 from uips.estimators import UIPS_KINDS, WEIGHT_KINDS, Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, train, train_policy
 from uips.logging_fit import (
@@ -86,7 +85,7 @@ def resolve_config(config: dict, seed_override, out_override) -> dict:
     """Apply CLI overrides; flags beat config keys."""
     resolved = json.loads(json.dumps(config))  # deep copy
     if seed_override is not None:
-        _parse("--seed", _seed, seed_override)
+        _parse("--seed", _integer, seed_override)
         for section in ("env", "logging_fit", "training"):
             resolved.setdefault(section, {})["seed"] = seed_override
         resolved["seed"] = seed_override
@@ -120,25 +119,14 @@ def _parse(what: str, build, value):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _value(section: dict, key: str, default, build=int):
+def _value(section: dict, key: str, default, build):
     """``section[key]``, or ``default``, passed through ``build``."""
     return _parse(key, build, section.get(key, default))
 
 
 def _count(value) -> int:
     """``value`` as an integer >= 1."""
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"{value!r} is not >= 1")
-    return count
-
-
-def _seed(value) -> int:
-    """``value`` as a non-negative integer."""
-    seed = operator.index(value)
-    if seed < 0:
-        raise ValueError(f"{value!r} is negative")
-    return seed
+    return _integer(value, least=1, what="count")
 
 
 def _probability(value) -> float:
@@ -349,7 +337,7 @@ def cmd_sweep(resolved: dict) -> None:
     train_section = dict(resolved.get("training", {}))
     for key in ("weighting", "seed", "k_eval"):
         train_section.pop(key, None)
-    seed = _value(resolved, "seed", resolved.get("env", {}).get("seed", 0), _seed)
+    seed = _value(resolved, "seed", resolved.get("env", {}).get("seed", 0), _integer)
     rows = run_sweep(
         env,
         methods,
@@ -397,10 +385,10 @@ def cmd_ope(resolved: dict) -> None:
     policy = epsilon_greedy_policy(env, epsilon)
     seeds = section.get("seeds")
     if seeds is None:
-        base = _value(resolved, "seed", 0, _seed)
+        base = _value(resolved, "seed", 0, _integer)
         seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
     else:
-        seeds = _parse("seeds", lambda s: [_seed(v) for v in _list(s)], seeds)
+        seeds = _parse("seeds", lambda s: [_integer(v) for v in _list(s)], seeds)
     result = ope_mse_experiment(
         env,
         policy,

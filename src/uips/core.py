@@ -36,6 +36,20 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _integer(value, least: int = 0, what: str = "seed") -> int:
+    """``value`` as an integer >= ``least``; anything else is a ValueError naming ``what``.
+
+    The test is ``operator.index``, so a float is refused even when whole.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if number < least:
+        raise ValueError(f"{what} {value!r} is below {least}")
+    return number
+
+
 def _row_keys(xs: np.ndarray) -> np.ndarray:
     """Each row of the 2-D ``xs`` as one byte string: two rows are the same context when
     their keys are equal. Keys sort several times faster than ``np.unique(xs, axis=0)``."""
@@ -245,19 +259,6 @@ class SoftmaxLinearPolicy:
         if not 0 <= action < self.action_count:
             raise ValueError(f"action {action} out of range [0, {self.action_count})")
         return float(self.distribution(x)[action])
-
-    def log_prob_grad(self, x: np.ndarray, action: int) -> np.ndarray:
-        """Gradient of log pi(action|x) with respect to theta.
-
-        Row a' equals x/tau * (1{a'==action} - pi(a'|x)); rows sum to zero.
-        """
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"action {action} out of range [0, {self.action_count})")
-        x = self._check_context(x)
-        p = self.distribution(x)
-        coeff = -p
-        coeff[action] += 1.0
-        return np.outer(coeff, x / self.tau)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -329,15 +329,6 @@ def v_dr(
     return float(dm + np.mean(propensity_weights(weighting, tables) * residual))
 
 
-def _enumeration_tables(env: BanditEnv, policy, model: Optional[LoggingModel], split: str):
-    data = env.split(split)
-    xs, rewards = data.xs, data.rewards
-    beta_star = env.logging_policy.distribution_matrix(xs)
-    pi = policy.distribution_matrix(xs)
-    beta_hat = None if model is None else np.maximum(model.beta_matrix(xs), BETA_FLOOR)
-    return xs, rewards, beta_star, pi, beta_hat
-
-
 def exact_bias_variance(
     env: BanditEnv,
     policy,
@@ -359,12 +350,16 @@ def exact_bias_variance(
     is E[t] and its variance is Var(t)/n_logged. The terms come from
     :func:`propensity_weights` with every (context, action) cell selected.
     """
-    if len(env.split(split)) * env.action_count > max_outcomes:
+    data = env.split(split)
+    xs, rewards = data.xs, data.rewards
+    if len(xs) * env.action_count > max_outcomes:
         raise ValueError("environment too large to enumerate")
     if estimator_kind in ("snips", "dice_s"):
         raise ValueError(f"{estimator_kind} is not a per-sample mean; no exact enumeration")
     weighting = Weighting(kind=estimator_kind, cap=cap, lam=lam, hp=hp)
-    xs, rewards, beta_star, pi, beta_hat = _enumeration_tables(env, policy, model, split)
+    beta_star = env.logging_policy.distribution_matrix(xs)
+    pi = policy.distribution_matrix(xs)
+    beta_hat = None if model is None else np.maximum(model.beta_matrix(xs), BETA_FLOOR)
     rows, actions = np.divmod(np.arange(pi.size), pi.shape[1])
     tables = PropensityTables(
         rows=rows, actions=actions, true_probs=beta_star.ravel(),
@@ -380,30 +375,6 @@ def exact_bias_variance(
     bias = e_t - true_value
     variance = (e_t2 - e_t**2) / n_logged
     return bias, variance, bias**2 + variance
-
-
-def mse_upper_bound(
-    env: BanditEnv,
-    policy,
-    model: LoggingModel,
-    phi_table: np.ndarray,
-    n_logged: int,
-    split: str = "train",
-) -> float:
-    """Bias-variance bound on the MSE of a phi-reweighted estimator.
-
-    Squared bias is bounded through Cauchy-Schwarz by
-    E_pi[r^2 pi/beta_star] * E_beta_star[(beta_star phi / beta_hat - 1)^2],
-    and variance by E_beta_star[(pi phi r / beta_hat)^2] / n_logged. The
-    bound holds for any per-pair phi table.
-    """
-    xs, rewards, beta_star, pi, beta_hat = _enumeration_tables(env, policy, model, split)
-    n_ctx = xs.shape[0]
-    lam_true = float((pi * rewards**2 * (pi / beta_star)).sum() / n_ctx)
-    delta = beta_star * phi_table / beta_hat - 1.0
-    bias_sq = lam_true * float((beta_star * delta**2).sum() / n_ctx)
-    var_term = float((beta_star * (pi / beta_hat * phi_table * rewards) ** 2).sum() / n_ctx) / n_logged
-    return bias_sq + var_term
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, make_rng
 from uips.estimators import (
     MODEL_FREE_KINDS,
     PropensityTables,
@@ -47,6 +47,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be nonnegative, epochs/batch_size positive")
         if self.eval_every <= 0 or self.k_eval <= 0:
             raise ValueError("eval_every and k_eval must be positive")
+        _integer(self.seed)
 
 
 @dataclass

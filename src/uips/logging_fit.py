@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _context_index, make_rng
+from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _context_index, _integer, make_rng
 
 
 class FitError(RuntimeError):
@@ -45,6 +45,7 @@ class LoggingFitConfig:
             raise ValueError("learning_rate/epochs must be positive, negatives >= 0")
         if math.isnan(self.l2):
             raise ValueError("l2 must be a number, not NaN")
+        _integer(self.seed)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LoggingFitConfig":
@@ -226,21 +227,6 @@ def accumulate_grams(dataset: LoggedDataset, model: LoggingModel) -> LoggingMode
     return LoggingModel(policy=model.policy, grams=grams, fit_diagnostics=dict(model.fit_diagnostics))
 
 
-def uncertainty(model: LoggingModel, x: np.ndarray, action: int) -> float:
-    """Ellipsoid half-width sqrt(g' M_a^{-1} g) with g = x/tau.
-
-    Solved through the Cholesky factor of the Gram matrix; no explicit
-    inverse is formed. Identity initialization keeps every solve well posed.
-    """
-    if not 0 <= action < model.policy.action_count:
-        raise ValueError("action out of range")
-    g = np.asarray(x, dtype=float) / model.policy.tau
-    if g.shape != (model.policy.dim,):
-        raise ValueError("context length does not match the model")
-    sol = cho_solve(model._cholesky()[action], g)
-    return float(np.sqrt(max(g @ sol, 0.0)))
-
-
 def _half_widths(factor, g: np.ndarray) -> np.ndarray:
     """sqrt(g_n' M^{-1} g_n) for every row g_n of ``g``, given the Cholesky ``factor`` of M."""
     sol = cho_solve(factor, g.T)
@@ -270,46 +256,6 @@ def uncertainty_matrix(model: LoggingModel, xs: np.ndarray) -> np.ndarray:
     for a, factor in enumerate(model._cholesky()):
         out[:, a] = _half_widths(factor, g)
     return out
-
-
-@dataclass(frozen=True)
-class UncertaintyRecord:
-    """Uncertainty plus the induced confidence interval on the logging probability."""
-
-    u: float
-    interval_low: float
-    interval_high: float
-
-    def __post_init__(self):
-        if self.u < 0:
-            raise ValueError("uncertainty must be nonnegative")
-        if not 0 < self.interval_low <= self.interval_high:
-            raise ValueError("interval must satisfy 0 < low <= high")
-
-
-def confidence_interval(beta_hat: float, u: float, gamma: float, eta: float) -> UncertaintyRecord:
-    """Interval [exp(-gamma*u) * beta_hat / eta, exp(gamma*u) * beta_hat / eta].
-
-    A score error bounded by gamma*u translates into this multiplicative
-    interval for the true logging probability, where eta is the ratio of the
-    true to the estimated softmax normalizer. eta is unknown during real
-    estimation and is treated as a hyper-parameter; in synthetic oracle
-    checks it can be computed exactly.
-    """
-    if not 0.0 < beta_hat <= 1.0:
-        raise ValueError("beta_hat must lie in (0, 1]")
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    width = np.exp(gamma * u)
-    return UncertaintyRecord(
-        u=u,
-        interval_low=float(beta_hat / (width * eta)),
-        interval_high=float(beta_hat * width / eta),
-    )
 
 
 def uncertainty_frequency_bins(

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, _row_keys, make_rng
+from uips.core import LoggedDataset, SoftmaxLinearPolicy, _integer, _row_keys, make_rng
 
 
 SPLITS = ("train", "validation", "test")
@@ -82,6 +82,7 @@ class EnvConfig:
             raise ValueError("more labels than actions")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        _integer(self.seed)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EnvConfig":

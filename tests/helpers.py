@@ -14,12 +14,13 @@ from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
     accumulate_grams,
-    confidence_interval,
     fit_logging_policy,
 )
 from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv
-from uips.weights import GU_UNSCALED_MAX, UipsHyperParams, WeightInput
+from uips.weights import GU_UNSCALED_MAX, UipsHyperParams
+
+from oracles import WeightInput, confidence_interval
 
 
 def sample_weight_instances(n, seed, gamma=1.0, eta=1.0):

@@ -13,6 +13,15 @@ import time
 import numpy as np
 
 from helpers import count_ips_reference, sample_weight_instances
+from oracles import (
+    WeightInput,
+    cap_region_threshold,
+    minmax_objective,
+    oracle_phi,
+    phi_star,
+    worst_case_beta,
+    worst_case_objective,
+)
 from uips.cli import main as cli_main
 from uips.cli import run_sweep
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
@@ -40,16 +49,7 @@ from uips.synthetic import (
     generate_log_per_context,
     true_policy_value,
 )
-from uips.weights import (
-    UipsHyperParams,
-    WeightInput,
-    cap_region_threshold,
-    minmax_objective,
-    oracle_phi,
-    phi_star,
-    worst_case_beta,
-    worst_case_objective,
-)
+from uips.weights import UipsHyperParams
 
 
 def report(number, name, passed, detail=""):

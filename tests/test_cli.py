@@ -417,6 +417,12 @@ class TestBadInputEntersAsConfigError:
         ("ope", None, "seed", -1),
         ("sweep", None, "seed", -1),
         ("sweep", None, "seed", 1.5),
+        ("generate", None, "n_logged", 300.9),
+        ("sweep", None, "n_logged", 300.0),
+        ("ope", "ope", "n_seeds", 1.5),
+        ("ope", "ope", "samples_per_context", 10.5),
+        ("sweep", "sweep", "k_eval", 2.5),
+        ("inspect-weights", "inspect", "n_bins", 2.5),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -429,6 +435,28 @@ class TestBadInputEntersAsConfigError:
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
         assert f"invalid {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, value", [
+        ("generate", "env", -1),
+        ("generate", "env", 1.5),
+        ("fit-logging", "logging_fit", -1),
+        ("fit-logging", "logging_fit", "0"),
+        ("train", "training", -1),
+        ("train", "training", 2.5),
+        ("ope", "logging_fit", -2),
+        ("ope", "env", 1.5),
+        ("sweep", "logging_fit", -1),
+    ])
+    def test_invalid_section_seed(self, tmp_path, capsys, command, section, value):
+        cfg = write_config(tmp_path, "bad-section-seed")
+        for earlier in {"fit-logging": ["generate"], "train": ["generate", "fit-logging"]}.get(command, []):
+            run_ok([earlier, "--config", str(cfg)])
+        config = json.loads(cfg.read_text())
+        config[section]["seed"] = value
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"seed {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["generate", "ope"])
     def test_negative_seed_flag(self, tmp_path, capsys, command):

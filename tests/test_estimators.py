@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import count_ips_reference
+from oracles import mse_upper_bound
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.estimators import (
     ConstantImputation,
@@ -9,7 +10,6 @@ from uips.estimators import (
     Weighting,
     estimate,
     exact_bias_variance,
-    mse_upper_bound,
     ope_mse_experiment,
     snips_from_weights,
     v_dm,
@@ -433,9 +433,9 @@ class TestPerPairBoundOrdering:
     def test_optimal_weight_bound_never_exceeds_unit_weight_bound(self):
         # for every (context, action) pair of a fitted env, the worst-case
         # per-pair objective at the optimal weight is at most the one at phi=1
-        from uips.logging_fit import confidence_interval
-        from uips.weights import (
+        from oracles import (
             WeightInput,
+            confidence_interval,
             minmax_objective,
             phi_star,
             worst_case_beta,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_train
+from oracles import log_prob_grad
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR
 from uips.estimators import ConstantImputation, TabularImputation, Weighting, propensity_tables
@@ -54,7 +55,7 @@ def loop_ips_gradient(policy, batch):
     for i in range(len(batch)):
         x, a = batch.xs[i], int(batch.actions[i])
         w = policy.prob(x, a) / batch.true_logging_probs[i]
-        total += w * batch.rewards[i] * policy.log_prob_grad(x, a)
+        total += w * batch.rewards[i] * log_prob_grad(policy, x, a)
     return total / len(batch)
 
 
@@ -155,7 +156,7 @@ class TestWeightedGradient:
         policy = random_policy(make_rng(8), 8, 6)
         beta_all = model.beta_matrix(ds.xs)
         checked = 0
-        from uips.weights import WeightInput, phi_star_branch
+        from oracles import WeightInput, phi_star_branch
 
         for i in range(len(ds)):
             if ds.rewards[i] == 0.0:
@@ -170,7 +171,7 @@ class TestWeightedGradient:
             one = ds.subset(np.array([i]))
             contribution = weighted_gradient(policy, one, model, Weighting(kind="uips", hp=hp),
                                              tables=tables.select(np.array([i])))
-            bound = 2.0 * hp.eta2 * (pi / beta) * ds.rewards[i] * np.linalg.norm(policy.log_prob_grad(x, a))
+            bound = 2.0 * hp.eta2 * (pi / beta) * ds.rewards[i] * np.linalg.norm(log_prob_grad(policy, x, a))
             assert np.linalg.norm(contribution) <= bound + 1e-12
         assert checked > 0
 

@@ -8,17 +8,16 @@ from uips.logging_fit import (
     FitError,
     LoggingFitConfig,
     LoggingModel,
-    UncertaintyRecord,
     accumulate_grams,
-    confidence_interval,
     fit_logging_policy,
     uncertainties,
-    uncertainty,
     uncertainty_frequency_bins,
+    uncertainty_matrix,
 )
 from uips.synthetic import EnvConfig, build_env, generate_log, generate_log_per_context
 
 from helpers import dense_fit_reference
+from oracles import UncertaintyRecord, confidence_interval, uncertainty
 
 
 def sample_from_policy(policy, pool, n, rng):
@@ -248,6 +247,29 @@ class TestUncertainty:
         batch = uncertainties(model, ds)
         for i in range(0, 40, 7):
             assert batch[i] == pytest.approx(uncertainty(model, ds.xs[i], int(ds.actions[i])), abs=1e-12)
+
+    def test_matrix_matches_scalar_reference(self):
+        rng = make_rng(34)
+        a_count, d, tau = 5, 3, 0.6
+        # the last action is never logged, so its Gram matrix stays the identity
+        ds = LoggedDataset(
+            xs=rng.standard_normal((30, d)), actions=rng.integers(0, a_count - 1, 30),
+            rewards=np.zeros(30), action_count=a_count,
+        )
+        model = accumulate_grams(
+            ds,
+            LoggingModel(
+                policy=SoftmaxLinearPolicy(theta=rng.standard_normal((a_count, d)), tau=tau),
+                grams=np.broadcast_to(np.eye(d), (a_count, d, d)).copy(),
+            ),
+        )
+        queries = rng.standard_normal((12, d))
+        matrix = uncertainty_matrix(model, queries)
+        assert matrix.shape == (12, a_count)
+        for i, x in enumerate(queries):
+            for a in range(a_count):
+                assert matrix[i, a] == pytest.approx(uncertainty(model, x, a), abs=1e-12)
+        np.testing.assert_allclose(matrix[:, -1], np.linalg.norm(queries / tau, axis=1), rtol=0, atol=1e-12)
 
 
 class TestConfidenceInterval:

@@ -7,22 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import phi_star_scalar_reference, sample_weight_instances
-from uips.core import BETA_FLOOR, make_rng
-from uips.estimators import PropensityTables, Weighting, propensity_weights
-from uips.logging_fit import UncertaintyRecord, confidence_interval
-from uips.weights import (
-    DEFAULT_SWEEP_GRID,
-    UipsHyperParams,
+from oracles import (
+    UncertaintyRecord,
     WeightInput,
     cap_region_threshold,
+    confidence_interval,
     minmax_objective,
     oracle_phi,
     phi_star,
     phi_star_branch,
-    phi_star_vector,
     worst_case_beta,
     worst_case_objective,
 )
+from uips.core import BETA_FLOOR, make_rng
+from uips.estimators import PropensityTables, Weighting, propensity_weights
+from uips.weights import DEFAULT_SWEEP_GRID, UipsHyperParams, phi_star_vector
 
 
 class TestPhiStar:
