@@ -416,10 +416,11 @@ def cmd_inspect_weights(resolved: dict) -> None:
     section = resolved.get("inspect", {})
     epsilon = _value(section, "epsilon", 0.2, _probability)
     split = section.get("split", "train")
-    _parse("split", env.split, split)
+    if split != "train":
+        raise ConfigError(f"invalid split {split!r}: the log is drawn from the train split")
     hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
     n_bins = _value(section, "n_bins", 5, _count)
-    policy = epsilon_greedy_policy(env, epsilon, split=split)
+    policy = epsilon_greedy_policy(env, epsilon, split="train")
 
     tables = propensity_tables(dataset, policy, model, ("uips",))
     # the phi* the uips estimator applies to these samples

@@ -39,9 +39,12 @@ def make_rng(seed: int) -> np.random.Generator:
 def _integer(value, least: int = 0, what: str = "seed") -> int:
     """``value`` as an integer >= ``least``; anything else is a ValueError naming ``what``.
 
-    The test is ``operator.index``, so a float is refused even when whole.
+    The test is ``operator.index``, so a float is refused even when whole;
+    so is a ``bool``, which JSON writes as ``true`` or ``false``.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} {value!r} is not an integer") from None

@@ -371,8 +371,7 @@ def exact_bias_variance(
     p_outcome = beta_star / len(xs)
     e_t = float((p_outcome * t).sum())
     e_t2 = float((p_outcome * t * t).sum())
-    true_value = float(np.mean(np.sum(pi * rewards, axis=1)))
-    bias = e_t - true_value
+    bias = e_t - float(true_policy_value(env, policy, split))
     variance = (e_t2 - e_t**2) / n_logged
     return bias, variance, bias**2 + variance
 

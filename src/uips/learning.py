@@ -43,10 +43,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # zero learning rate is allowed: it turns training into a no-op probe
-        if not self.learning_rate >= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("learning_rate must be nonnegative, epochs/batch_size positive")
-        if self.eval_every <= 0 or self.k_eval <= 0:
-            raise ValueError("eval_every and k_eval must be positive")
+        if not self.learning_rate >= 0:
+            raise ValueError("learning_rate must be nonnegative")
+        for name in ("epochs", "batch_size", "eval_every", "k_eval"):
+            _integer(getattr(self, name), least=1, what=name)
         _integer(self.seed)
 
 

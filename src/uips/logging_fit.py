@@ -41,8 +41,10 @@ class LoggingFitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0 or self.epochs <= 0 or self.negatives < 0:
-            raise ValueError("learning_rate/epochs must be positive, negatives >= 0")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+        _integer(self.epochs, least=1, what="epochs")
+        _integer(self.negatives, what="negatives")
         if math.isnan(self.l2):
             raise ValueError("l2 must be a number, not NaN")
         _integer(self.seed)

@@ -4,58 +4,30 @@ whose 0/1 reward table marks the relevant actions of each context."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
-
-
-def rank_actions(scores: np.ndarray) -> np.ndarray:
-    """Action ids sorted by descending score; ties break by ascending id."""
-    scores = np.asarray(scores, dtype=float)
-    return np.lexsort((np.arange(scores.size), -scores))
-
-
-def _top_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> tuple[set, Sequence[int]]:
-    """The relevant set and the first k ranked actions (all of them when fewer)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rel = set(relevant)
-    if not rel:
-        raise ValueError("relevant set must be non-empty")
-    return rel, ranked[: min(k, len(ranked))]
-
-
-def precision_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
-    rel, top = _top_k(ranked, relevant, k)
-    return sum(1 for a in top if a in rel) / len(top)
-
-
-def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
-    rel, top = _top_k(ranked, relevant, k)
-    return sum(1 for a in top if a in rel) / len(rel)
-
-
-def ndcg_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
-    """Binary-gain NDCG with discount 1/log2(rank + 1), rank starting at 1."""
-    rel, top = _top_k(ranked, relevant, k)
-    dcg = sum(1.0 / math.log2(i + 2) for i, a in enumerate(top) if a in rel)
-    ideal = sum(1.0 / math.log2(i + 2) for i in range(min(len(top), len(rel))))
-    return dcg / ideal
 
 
 def evaluate_policy(policy, split, k: int) -> tuple[float, float, float]:
     """Mean precision/recall/NDCG at k over the instances of ``split``.
 
-    Actions are ranked by the policy's probability for each context; the tie
-    order is deterministic (ascending action id), so results do not depend
-    on instance order or score scale.
+    Each context ranks the actions by the policy's probability, descending;
+    ties go to the lower action id, so results do not depend on instance
+    order or score scale. The top ``min(k, A)`` ranks count: P@k divides
+    their hits by that width, R@k by the number of relevant actions, and
+    NDCG@k is binary-gain DCG with discount 1/log2(rank + 1), rank from 1,
+    over the DCG of a perfect ranking. Sums run rank by rank and row by row
+    (``np.cumsum``), so every value is the one a scalar loop gives.
     """
-    p_sum = r_sum = n_sum = 0.0
-    for x, row in zip(split.xs, split.rewards):
-        ranked = rank_actions(policy.distribution(x))
-        relevant = np.flatnonzero(row).tolist()
-        p_sum += precision_at_k(ranked, relevant, k)
-        r_sum += recall_at_k(ranked, relevant, k)
-        n_sum += ndcg_at_k(ranked, relevant, k)
-    n = len(split)
-    return p_sum / n, r_sum / n, n_sum / n
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    top = np.argsort(-policy.distribution_matrix(split.xs), axis=1, kind="stable")[:, :k]
+    hits = np.take_along_axis(split.rewards, top, axis=1)
+    width = top.shape[1]
+    discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, width + 1)])
+    relevant = split.rewards.sum(axis=1)
+    n_hits = hits.sum(axis=1)
+    dcg = np.cumsum(hits * discount, axis=1)[:, -1]
+    ideal = np.cumsum(discount)[np.minimum(relevant, width).astype(int) - 1]
+    per_row = (n_hits / width, n_hits / relevant, dcg / ideal)
+    return tuple(float(np.cumsum(values)[-1] / len(split)) for values in per_row)

@@ -74,14 +74,16 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.dim, self.action_count, self.train_size, self.validation_size, self.test_size) <= 0:
-            raise ValueError("all sizes must be positive")
-        if not 1 <= self.min_labels <= self.max_labels:
+        for name in ("dim", "action_count", "train_size", "validation_size", "test_size", "min_labels", "max_labels"):
+            _integer(getattr(self, name), least=1, what=name)
+        if self.min_labels > self.max_labels:
             raise ValueError("need 1 <= min_labels <= max_labels")
         if self.max_labels > self.action_count:
             raise ValueError("more labels than actions")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not self.label_noise >= 0:
+            raise ValueError(f"label_noise {self.label_noise!r} is not a number >= 0")
         _integer(self.seed)
 
     @classmethod
@@ -365,11 +367,12 @@ def epsilon_greedy_policy(env: BanditEnv, epsilon: float, split: str = "test") -
     return TabularPolicy(contexts=data.xs, probs=probs)
 
 
-def true_policy_value(env: BanditEnv, policy, split: str = "test") -> float:
-    """Exact expected reward of ``policy`` on the split: no sampling involved."""
+def true_policy_value(env: BanditEnv, policy, split: str = "test") -> np.float64:
+    """Exact expected reward of ``policy`` on the split: no sampling involved.
+
+    Each row adds its relevant actions' probabilities in action order, then
+    the rows add in order (``np.cumsum``), the order of a scalar loop.
+    """
     data = env.split(split)
-    total = 0.0
-    for x, row in zip(data.xs, data.rewards):
-        p = policy.distribution(x)
-        total += sum(p[a] for a in np.flatnonzero(row).tolist())
-    return total / len(data)
+    per_row = np.cumsum(policy.distribution_matrix(data.xs) * data.rewards, axis=1)[:, -1]
+    return np.cumsum(per_row)[-1] / len(data)

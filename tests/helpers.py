@@ -16,11 +16,10 @@ from uips.logging_fit import (
     accumulate_grams,
     fit_logging_policy,
 )
-from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv
 from uips.weights import GU_UNSCALED_MAX, UipsHyperParams
 
-from oracles import WeightInput, confidence_interval
+from oracles import WeightInput, confidence_interval, evaluate_policy_loop
 
 
 def sample_weight_instances(n, seed, gamma=1.0, eta=1.0):
@@ -161,9 +160,10 @@ def reference_train(
     recomputes ``beta_hat`` for its batch (uncertainties and count
     propensities come from the full log, as in training) and writes the
     log-trick gradient as ``((onehot - pi) * coeff).T @ xs / (tau * B)``,
-    and every epoch record computes its own softmaxes, weights and the
-    true-gradient norm. The library ``train`` must reproduce its policy bit
-    for bit and its trace records exactly. Returns ``(policy, trace)``.
+    and every epoch record computes its own softmaxes, weights, true-gradient
+    norm and, one context at a time, validation ranking metrics. The library
+    ``train`` must reproduce its policy bit for bit and its trace records
+    exactly. Returns ``(policy, trace)``.
     """
     rng = make_rng(config.seed)
     if model is None and config.weighting.kind not in ("ce", "ips_true", "dice_s"):
@@ -218,7 +218,7 @@ def reference_train(
             record["value"] = float(coeff.mean())
         record["max_weight"] = float(w.max())
         if validation is not None and epoch % config.eval_every == 0:
-            p, r, ndcg = evaluate_policy(policy, validation, config.k_eval)
+            p, r, ndcg = evaluate_policy_loop(policy, validation, config.k_eval)
             record.update({"p_at_k": p, "r_at_k": r, "ndcg_at_k": ndcg})
         else:
             record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})

@@ -11,13 +11,16 @@ come to depend on the code it checks. It holds:
 - the scalar ellipsoid half-width, solved without the package's Cholesky
   path;
 - a bias-variance bound on the MSE of a phi-reweighted estimator;
-- the gradient of log pi(a|x) of a softmax-linear policy.
+- the gradient of log pi(a|x) of a softmax-linear policy;
+- the ranking metrics P@k, R@k and NDCG@k of one ranked context, and the
+  split means and the exact policy value computed one context at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -216,3 +219,61 @@ def log_prob_grad(policy, x: np.ndarray, action: int) -> np.ndarray:
     coeff = -policy.distribution(x)
     coeff[action] += 1.0
     return np.outer(coeff, x / policy.tau)
+
+
+def rank_actions(scores: np.ndarray) -> np.ndarray:
+    """Action ids sorted by descending score; ties break by ascending id."""
+    scores = np.asarray(scores, dtype=float)
+    return np.lexsort((np.arange(scores.size), -scores))
+
+
+def _top_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> tuple[set, Sequence[int]]:
+    """The relevant set and the first k ranked actions (all of them when fewer)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rel = set(relevant)
+    if not rel:
+        raise ValueError("relevant set must be non-empty")
+    return rel, ranked[: min(k, len(ranked))]
+
+
+def precision_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
+    rel, top = _top_k(ranked, relevant, k)
+    return sum(1 for a in top if a in rel) / len(top)
+
+
+def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
+    rel, top = _top_k(ranked, relevant, k)
+    return sum(1 for a in top if a in rel) / len(rel)
+
+
+def ndcg_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
+    """Binary-gain NDCG with discount 1/log2(rank + 1), rank starting at 1."""
+    rel, top = _top_k(ranked, relevant, k)
+    dcg = sum(1.0 / math.log2(i + 2) for i, a in enumerate(top) if a in rel)
+    ideal = sum(1.0 / math.log2(i + 2) for i in range(min(len(top), len(rel))))
+    return dcg / ideal
+
+
+def evaluate_policy_loop(policy, split, k: int) -> tuple[float, float, float]:
+    """Mean P@k, R@k and NDCG@k over ``split``, ranking one context at a time
+    by ``policy.distribution``."""
+    p_sum = r_sum = n_sum = 0.0
+    for x, row in zip(split.xs, split.rewards):
+        ranked = rank_actions(policy.distribution(x))
+        relevant = np.flatnonzero(row).tolist()
+        p_sum += precision_at_k(ranked, relevant, k)
+        r_sum += recall_at_k(ranked, relevant, k)
+        n_sum += ndcg_at_k(ranked, relevant, k)
+    n = len(split)
+    return p_sum / n, r_sum / n, n_sum / n
+
+
+def true_policy_value_loop(env, policy, split: str = "test") -> float:
+    """Expected reward of ``policy`` on the split, summed one context at a time."""
+    data = env.split(split)
+    total = 0.0
+    for x, row in zip(data.xs, data.rewards):
+        p = policy.distribution(x)
+        total += sum(p[a] for a in np.flatnonzero(row).tolist())
+    return total / len(data)

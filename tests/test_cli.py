@@ -423,6 +423,10 @@ class TestBadInputEntersAsConfigError:
         ("ope", "ope", "samples_per_context", 10.5),
         ("sweep", "sweep", "k_eval", 2.5),
         ("inspect-weights", "inspect", "n_bins", 2.5),
+        ("generate", None, "n_logged", True),
+        ("ope", "ope", "n_seeds", True),
+        ("inspect-weights", "inspect", "split", "validation"),
+        ("inspect-weights", "inspect", "split", "test"),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -446,6 +450,7 @@ class TestBadInputEntersAsConfigError:
         ("ope", "logging_fit", -2),
         ("ope", "env", 1.5),
         ("sweep", "logging_fit", -1),
+        ("fit-logging", "logging_fit", True),
     ])
     def test_invalid_section_seed(self, tmp_path, capsys, command, section, value):
         cfg = write_config(tmp_path, "bad-section-seed")
@@ -457,6 +462,27 @@ class TestBadInputEntersAsConfigError:
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
         assert f"seed {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("generate", "env", "dim", 6.5),
+        ("generate", "env", "action_count", True),
+        ("generate", "env", "max_labels", 2.5),
+        ("generate", "env", "label_noise", -1.0),
+        ("generate", "env", "label_noise", NAN),
+        ("fit-logging", "logging_fit", "epochs", 2.5),
+        ("fit-logging", "logging_fit", "negatives", True),
+    ])
+    def test_invalid_section_field(self, tmp_path, capsys, command, section, key, value):
+        cfg = write_config(tmp_path, "bad-section-field")
+        if command == "fit-logging":
+            run_ok(["generate", "--config", str(cfg)])
+        config = json.loads(cfg.read_text())
+        config[section][key] = value
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid {section}" in err and f"{key} {value!r}" in err
 
     @pytest.mark.parametrize("command", ["generate", "ope"])
     def test_negative_seed_flag(self, tmp_path, capsys, command):
@@ -493,6 +519,11 @@ class TestBadInputEntersAsConfigError:
         ("train", "logging_fit", {"epochs": 20}),
         ("sweep", "refit_logging_per_epoch", True),
         ("sweep", "logging_fit", {"epochs": 20}),
+        ("train", "batch_size", 50.5),
+        ("train", "k_eval", 2.5),
+        ("train", "eval_every", 1.5),
+        ("train", "k_eval", True),
+        ("sweep", "epochs", 2.5),
     ])
     def test_bad_training_section(self, tmp_path, capsys, command, key, value):
         cfg = write_config(tmp_path, "bogus")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uips.core import make_rng
-from uips.metrics import evaluate_policy, ndcg_at_k, precision_at_k, rank_actions, recall_at_k
+from uips.core import SoftmaxLinearPolicy, make_rng
+from uips.metrics import evaluate_policy
 from uips.synthetic import Split, TabularPolicy
+
+from oracles import evaluate_policy_loop, ndcg_at_k, precision_at_k, rank_actions, recall_at_k
 
 
 class TestRankActions:
@@ -105,3 +107,38 @@ class TestEvaluatePolicy:
         assert evaluate_policy(policy, split, 3) == pytest.approx(
             evaluate_policy(policy, shuffled, 3), abs=1e-12
         )
+
+
+class TestMatrixPathEqualsTheScalarOracle:
+    """``evaluate_policy`` ranks every row at once; the oracle ranks one context at a time."""
+
+    def _case(self, rng):
+        m, action_count, dim = (int(v) for v in rng.integers(1, [30, 12, 6]))
+        rewards = (rng.random((m, action_count)) < 0.3).astype(float)
+        rewards[np.arange(m), rng.integers(0, action_count, size=m)] = 1.0
+        split = Split(rng.standard_normal((m, dim)), rewards)
+        # repeated theta rows give exactly tied probabilities
+        theta = rng.standard_normal((action_count, dim))[rng.integers(0, action_count, size=action_count)]
+        softmax = SoftmaxLinearPolicy(theta=theta, tau=float(rng.uniform(0.2, 2.0)))
+        # probabilities on a coarse grid tie within rows too
+        probs = np.round(rng.random((m, action_count)) * 4.0) + 1.0
+        tabular = TabularPolicy(contexts=split.xs, probs=probs / probs.sum(axis=1, keepdims=True))
+        return split, (softmax, tabular)
+
+    def test_exactly_equal_on_random_cases_with_ties(self):
+        rng = make_rng(8)
+        for _ in range(150):
+            split, policies = self._case(rng)
+            action_count = split.rewards.shape[1]
+            for policy in policies:
+                for k in {1, int(rng.integers(1, action_count + 1)), action_count, action_count + 3}:
+                    assert evaluate_policy(policy, split, k) == evaluate_policy_loop(policy, split, k)
+
+    def test_returns_python_floats(self):
+        split, (policy, _) = self._case(make_rng(9))
+        assert all(type(v) is float for v in evaluate_policy(policy, split, 2))
+
+    def test_k_below_one_rejected(self):
+        split, (policy, _) = self._case(make_rng(10))
+        with pytest.raises(ValueError):
+            evaluate_policy(policy, split, 0)

@@ -17,6 +17,7 @@ from uips.synthetic import (
 )
 
 from helpers import one_vs_all_reference
+from oracles import true_policy_value_loop
 
 SMALL = EnvConfig(dim=8, action_count=10, train_size=40, validation_size=10, test_size=20, seed=5)
 
@@ -47,6 +48,14 @@ class TestBuildEnv:
     def test_infeasible_config_rejected(self):
         with pytest.raises(ValueError):
             EnvConfig(action_count=3, max_labels=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 6.5), ("action_count", True), ("test_size", 0), ("min_labels", 0), ("max_labels", 2.5),
+        ("label_noise", -1.0), ("label_noise", float("nan")),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EnvConfig(**{field: value})
 
     def test_splits_have_requested_sizes(self):
         env = build_env(SMALL)
@@ -199,6 +208,17 @@ class TestTruePolicyValue:
         )
         policy = TabularPolicy(contexts=xs, probs=np.full((12, 10), 0.1))
         assert true_policy_value(env, policy) == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_equals_the_scalar_loop_for_epsilon_greedy_targets(self, split):
+        for seed in range(6):
+            env = build_env(EnvConfig(dim=5, action_count=int(7 + 9 * seed), train_size=60, validation_size=5,
+                                      test_size=45, max_labels=4, seed=seed))
+            for epsilon in (0.0, 0.05, 0.3, 1.0):
+                policy = epsilon_greedy_policy(env, epsilon, split=split)
+                exact = true_policy_value(env, policy, split=split)
+                assert type(exact) is np.float64
+                assert exact == true_policy_value_loop(env, policy, split=split)
 
     def test_greedy_policy_scores_one(self):
         env = build_env(SMALL)
