@@ -1,11 +1,14 @@
 """Command-line entry point wiring JSON configs to experiments.
 
-Every subcommand is a pure function of (config file, seed): outputs carry
-no timestamps, JSON is written with sorted keys, and CSV files start with
-a comment line holding the hash of the resolved config, so identical
+Subcommands: generate, fit-logging, train, sweep, ope, inspect-weights.
+generate builds the environment and writes it to env.json with the logged
+data; every other subcommand reads env.json from the output directory, and
+exits 2 when it is missing or was generated from another env section.
+Outputs are a pure function of (config file, seed) and those files: they
+carry no timestamps, JSON is written with sorted keys, and CSV files start
+with a comment line holding the hash of the resolved config, so identical
 inputs give byte-identical outputs.
 
-Subcommands: generate, fit-logging, train, sweep, ope, inspect-weights.
 Flags --config/--seed/--out work on all of them; --seed overrides every
 section seed in the config, --out overrides the output directory, which
 otherwise comes from the config or the UIPS_OUT_DIR environment variable.
@@ -157,9 +160,19 @@ def _load(path: Path, load, producer: str):
     return _parse(str(path), load, path)
 
 
-def _load_log(out: Path) -> tuple[BanditEnv, LoggedDataset]:
-    """The ``env.json`` and ``logged.jsonl`` that the generate subcommand wrote to ``out``."""
-    env = _load(out / "env.json", BanditEnv.load, "generate")
+def _load_env(resolved: dict, out: Path) -> BanditEnv:
+    """The ``env.json`` that the generate subcommand wrote to ``out`` from the resolved ``env`` section."""
+    config = _value(resolved, "env", {}, EnvConfig.from_dict)
+    path = out / "env.json"
+    env = _load(path, BanditEnv.load, "generate")
+    if env.config != config:
+        raise ConfigError(f"{path} was not generated from this env section; run the generate subcommand again")
+    return env
+
+
+def _load_log(resolved: dict, out: Path) -> tuple[BanditEnv, LoggedDataset]:
+    """``_load_env`` and the ``logged.jsonl`` that the generate subcommand wrote to ``out``."""
+    env = _load_env(resolved, out)
     path = out / "logged.jsonl"
     dataset = _load(path, lambda p: LoggedDataset.from_jsonl(p, env.action_count), "generate")
     if dataset.dim != env.dim:
@@ -194,7 +207,7 @@ def cmd_generate(resolved: dict) -> None:
 
 def cmd_fit_logging(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env, dataset = _load_log(out)
+    env, dataset = _load_log(resolved, out)
     fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
     model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_config))
     model.save(out / "logging_model.json")
@@ -202,7 +215,7 @@ def cmd_fit_logging(resolved: dict) -> None:
 
 def cmd_train(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env, dataset = _load_log(out)
+    env, dataset = _load_log(resolved, out)
     model = _load_model(out)
     section = dict(resolved.get("training", {}))
     section.pop("n_logged", None)  # the log is logged.jsonl, written by generate
@@ -329,7 +342,6 @@ def _describe(weighting: Weighting, lr: float) -> str:
 
 def cmd_sweep(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env = build_env(_value(resolved, "env", {}, EnvConfig.from_dict))
     section = resolved.get("sweep", {})
     methods = section.get("methods")
     if not methods or not isinstance(methods, dict):
@@ -337,15 +349,12 @@ def cmd_sweep(resolved: dict) -> None:
     train_section = dict(resolved.get("training", {}))
     for key in ("weighting", "seed", "k_eval"):
         train_section.pop(key, None)
-    seed = _value(resolved, "seed", resolved.get("env", {}).get("seed", 0), _integer)
+    seed = _value(resolved, "seed", _value(resolved, "env", {}, EnvConfig.from_dict).seed, _integer)
+    fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
+    k_eval = _value(section, "k_eval", 5, _count)
+    n_logged = _value(resolved, "n_logged", 5000, _count)
     rows = run_sweep(
-        env,
-        methods,
-        train_section,
-        _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict),
-        seed=seed,
-        k_eval=_value(section, "k_eval", 5, _count),
-        n_logged=_value(resolved, "n_logged", 5000, _count),
+        _load_env(resolved, out), methods, train_section, fit_config, seed=seed, k_eval=k_eval, n_logged=n_logged
     )
     columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
     rows_out = [tuple(r[k] for k in columns) for r in rows]
@@ -381,21 +390,23 @@ def cmd_ope(resolved: dict) -> None:
     out = _out_dir(resolved)
     section = resolved.get("ope", {})
     epsilon = _value(section, "epsilon", 0.2, _probability)
-    env = build_env(_value(resolved, "env", {}, EnvConfig.from_dict))
-    policy = epsilon_greedy_policy(env, epsilon)
     seeds = section.get("seeds")
     if seeds is None:
         base = _value(resolved, "seed", 0, _integer)
         seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
     else:
         seeds = _parse("seeds", lambda s: [_integer(v) for v in _list(s)], seeds)
+    estimators = _default_ope_estimators(section)
+    samples_per_context = _value(section, "samples_per_context", 100, _count)
+    fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
+    env = _load_env(resolved, out)
     result = ope_mse_experiment(
         env,
-        policy,
-        _default_ope_estimators(section),
+        epsilon_greedy_policy(env, epsilon),
+        estimators,
         seeds=seeds,
-        samples_per_context=_value(section, "samples_per_context", 100, _count),
-        fit_config=_value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict),
+        samples_per_context=samples_per_context,
+        fit_config=fit_config,
     )
     write_csv(
         out / "ope_results.csv",
@@ -411,7 +422,7 @@ def cmd_ope(resolved: dict) -> None:
 
 def cmd_inspect_weights(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env, dataset = _load_log(out)
+    env, dataset = _load_log(resolved, out)
     model = _load_model(out)
     section = resolved.get("inspect", {})
     epsilon = _value(section, "epsilon", 0.2, _probability)

@@ -191,10 +191,21 @@ class TestPipeline:
         }
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(config))
+        run_ok(["generate", "--config", str(path)])
         run_ok(["ope", "--config", str(path)])
         summary = json.loads((tmp_path / "custom" / "ope_summary.json").read_text())
         assert set(summary["mse"]) == {"capped", "snips", "uips"}
         assert summary["seeds"] == [7, 9]
+
+    def test_sweep_and_ope_read_the_generated_env(self, tmp_path, monkeypatch):
+        cfg, _ = self._generate(tmp_path, "reads-env")
+
+        def no_build(config):
+            raise AssertionError("only the generate subcommand builds the environment")
+
+        monkeypatch.setattr("uips.cli.build_env", no_build)
+        for command in ("sweep", "ope"):
+            run_ok([command, "--config", str(cfg)])
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "seeded")
@@ -335,10 +346,40 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["generate", "--config", str(bad)]) == 2
 
-    def test_missing_inputs_are_config_errors(self, tmp_path):
+    def test_missing_inputs_are_config_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "noinputs")
         assert main(["fit-logging", "--config", str(cfg)]) == 2
         assert main(["train", "--config", str(cfg)]) == 2
+        for command in ("sweep", "ope"):
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "env.json; run the generate subcommand first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["env-section", "seed-flag", "no-config"])
+    @pytest.mark.parametrize("command", ["fit-logging", "train", "sweep", "ope", "inspect-weights"])
+    def test_stale_env_json_is_a_config_error(self, tmp_path, capsys, command, change):
+        # env.json must come from the env section this run resolves, --seed included
+        cfg = write_config(tmp_path, "stale")
+        run_ok(["generate", "--config", str(cfg)])
+        run_ok(["fit-logging", "--config", str(cfg)])
+        path = tmp_path / "stale" / "env.json"
+        flags = []
+        if change == "env-section":
+            config = json.loads(cfg.read_text())
+            config["env"].update(tau=0.1, seed=5)
+            cfg.write_text(json.dumps(config))
+        elif change == "seed-flag":
+            flags = ["--seed", "5"]
+        else:
+            path.write_text(json.dumps({**json.loads(path.read_text()), "config": None}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} was not generated from this env section" in err
+        assert "run the generate subcommand again" in err
+        run_ok(["generate", "--config", str(cfg), *flags])
+        run_ok(["fit-logging", "--config", str(cfg), *flags])
+        run_ok([command, "--config", str(cfg), *flags])
 
     def test_invalid_section_is_a_config_error(self, tmp_path):
         config = json.loads(json.dumps(TINY_CONFIG))
@@ -427,6 +468,8 @@ class TestBadInputEntersAsConfigError:
         ("ope", "ope", "n_seeds", True),
         ("inspect-weights", "inspect", "split", "validation"),
         ("inspect-weights", "inspect", "split", "test"),
+        ("sweep", None, "env", 5),
+        ("ope", None, "env", []),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -527,8 +570,8 @@ class TestBadInputEntersAsConfigError:
     ])
     def test_bad_training_section(self, tmp_path, capsys, command, key, value):
         cfg = write_config(tmp_path, "bogus")
+        run_ok(["generate", "--config", str(cfg)])
         if command == "train":
-            run_ok(["generate", "--config", str(cfg)])
             run_ok(["fit-logging", "--config", str(cfg)])
         config = json.loads(cfg.read_text())
         config["training"][key] = value
@@ -539,6 +582,7 @@ class TestBadInputEntersAsConfigError:
 
     def test_negative_learning_rate_in_a_sweep_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "negative")
+        run_ok(["generate", "--config", str(cfg)])
         config = json.loads(cfg.read_text())
         config["sweep"]["methods"]["bips_cap"]["learning_rate"] = [-0.5]
         cfg.write_text(json.dumps(config))
@@ -557,6 +601,7 @@ class TestBadInputEntersAsConfigError:
             "unread-key", "key-of-another-method", "key-of-a-method-without-grid"])
     def test_sweep_methods_that_are_not_objects(self, tmp_path, capsys, methods, message):
         cfg = write_config(tmp_path, "notobject")
+        run_ok(["generate", "--config", str(cfg)])
         config = json.loads(cfg.read_text())
         config["sweep"]["methods"] = methods
         cfg.write_text(json.dumps(config))
@@ -579,7 +624,7 @@ class TestBadInputEntersAsConfigError:
             "hp-eta2", "weighting-cap", "weighting-lam", "ope-hp-lam", "sweep-grid-lam"])
     def test_nan_hyper_parameter(self, tmp_path, capsys, command, path, value, message):
         cfg = write_config(tmp_path, "nan")
-        if command in ("train", "fit-logging"):
+        if command in ("train", "fit-logging", "sweep"):
             run_ok(["generate", "--config", str(cfg)])
         if command == "train":
             run_ok(["fit-logging", "--config", str(cfg)])

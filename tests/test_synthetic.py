@@ -77,6 +77,9 @@ class TestBuildEnv:
         for name in ("train", "validation", "test"):
             np.testing.assert_array_equal(back.split(name).xs, env.split(name).xs)
             np.testing.assert_array_equal(back.split(name).rewards, env.split(name).rewards)
+        np.testing.assert_array_equal(back.logging_policy.theta, env.logging_policy.theta)
+        assert back.logging_policy.tau == env.logging_policy.tau
+        assert back.config == env.config
 
     @pytest.mark.parametrize("xs, rewards, message", [
         (np.eye(2), [[0.0, 1.0], [0.0, 0.0]], "at least one relevant action"),
