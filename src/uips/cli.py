@@ -160,9 +160,8 @@ def _load(path: Path, load, producer: str):
     return _parse(str(path), load, path)
 
 
-def _load_env(resolved: dict, out: Path) -> BanditEnv:
-    """The ``env.json`` that the generate subcommand wrote to ``out`` from the resolved ``env`` section."""
-    config = _value(resolved, "env", {}, EnvConfig.from_dict)
+def _load_env(config: EnvConfig, out: Path) -> BanditEnv:
+    """The ``env.json`` that the generate subcommand wrote to ``out`` from the parsed ``env`` section."""
     path = out / "env.json"
     env = _load(path, BanditEnv.load, "generate")
     if env.config != config:
@@ -172,7 +171,7 @@ def _load_env(resolved: dict, out: Path) -> BanditEnv:
 
 def _load_log(resolved: dict, out: Path) -> tuple[BanditEnv, LoggedDataset]:
     """``_load_env`` and the ``logged.jsonl`` that the generate subcommand wrote to ``out``."""
-    env = _load_env(resolved, out)
+    env = _load_env(_value(resolved, "env", {}, EnvConfig.from_dict), out)
     path = out / "logged.jsonl"
     dataset = _load(path, lambda p: LoggedDataset.from_jsonl(p, env.action_count), "generate")
     if dataset.dim != env.dim:
@@ -349,12 +348,13 @@ def cmd_sweep(resolved: dict) -> None:
     train_section = dict(resolved.get("training", {}))
     for key in ("weighting", "seed", "k_eval"):
         train_section.pop(key, None)
-    seed = _value(resolved, "seed", _value(resolved, "env", {}, EnvConfig.from_dict).seed, _integer)
+    env_cfg = _value(resolved, "env", {}, EnvConfig.from_dict)
+    seed = _value(resolved, "seed", env_cfg.seed, _integer)
     fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
     k_eval = _value(section, "k_eval", 5, _count)
     n_logged = _value(resolved, "n_logged", 5000, _count)
     rows = run_sweep(
-        _load_env(resolved, out), methods, train_section, fit_config, seed=seed, k_eval=k_eval, n_logged=n_logged
+        _load_env(env_cfg, out), methods, train_section, fit_config, seed=seed, k_eval=k_eval, n_logged=n_logged
     )
     columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
     rows_out = [tuple(r[k] for k in columns) for r in rows]
@@ -399,7 +399,7 @@ def cmd_ope(resolved: dict) -> None:
     estimators = _default_ope_estimators(section)
     samples_per_context = _value(section, "samples_per_context", 100, _count)
     fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
-    env = _load_env(resolved, out)
+    env = _load_env(_value(resolved, "env", {}, EnvConfig.from_dict), out)
     result = ope_mse_experiment(
         env,
         epsilon_greedy_policy(env, epsilon),
