@@ -25,10 +25,11 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 from uips import __version__
 from uips.core import LoggedDataset, _integer, make_rng
-from uips.estimators import UIPS_KINDS, WEIGHT_KINDS, Weighting, ope_mse_experiment, propensity_tables
+from uips.estimators import PARAMETERS, UIPS_KINDS, WEIGHT_KINDS, Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, train, train_policy
 from uips.logging_fit import (
     LoggingFitConfig,
@@ -48,6 +49,16 @@ class ConfigError(Exception):
 
 DEFAULT_UIPS_HP = {"lam": 10.0, "gamma": 5.0, "eta1": 1.0, "eta2": 100.0}
 
+#: The keys each config section may hold, and then those of the top level. None leaves
+#: the check to the dataclass the section builds, which refuses a key it has no field for.
+SECTION_KEYS = {
+    "env": None, "logging_fit": None, "training": None,
+    "sweep": ("methods", "k_eval"),
+    "ope": ("epsilon", "seeds", "n_seeds", "estimators", "uips_hp", "shrinkage_lam", "samples_per_context"),
+    "inspect": ("epsilon", "split", "n_bins", "uips_hp"),
+}
+CONFIG_KEYS = ("output_dir", "n_logged", "seed", *SECTION_KEYS)
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -57,7 +68,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple], config_hash: str) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: list[tuple], config_hash: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(",".join(header) + "\n")
@@ -84,8 +95,26 @@ def load_config(path: str) -> dict:
     return config
 
 
+def _known_keys(obj: dict, keys, where: str) -> None:
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"invalid {unknown[0]}: {where} has no such key; it reads {', '.join(keys)}")
+
+
+def _check_config(config: dict) -> None:
+    """Refuse a key that no subcommand reads and a section that is not a JSON object."""
+    _known_keys(config, CONFIG_KEYS, "the config")
+    for name, keys in SECTION_KEYS.items():
+        section = config.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"invalid {name}: expected a JSON object, not {type(section).__name__}")
+        if keys is not None:
+            _known_keys(section, keys, f"the {name} section")
+
+
 def resolve_config(config: dict, seed_override, out_override) -> dict:
     """Apply CLI overrides; flags beat config keys."""
+    _check_config(config)
     resolved = json.loads(json.dumps(config))  # deep copy
     if seed_override is not None:
         _parse("--seed", _integer, seed_override)
@@ -214,33 +243,20 @@ def cmd_fit_logging(resolved: dict) -> None:
 
 def cmd_train(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env, dataset = _load_log(resolved, out)
-    model = _load_model(out)
     section = dict(resolved.get("training", {}))
     section.pop("n_logged", None)  # the log is logged.jsonl, written by generate
     weighting = _weighting(section.pop("weighting", {"kind": "bips"}))
     config = _parse("training section", lambda s: TrainConfig(weighting=weighting, **s), section)
+    env, dataset = _load_log(resolved, out)
+    model = _load_model(out)
     policy, trace = train(dataset, model, config, env=env)
     policy.save(out / "policy.json")
-    write_csv(
-        out / "trace.csv",
-        ["epoch", "value", "p_at_k", "r_at_k", "ndcg_at_k", "grad_norm", "max_weight"],
-        trace.to_csv_rows(),
-        config_hash(resolved),
-    )
+    write_csv(out / "trace.csv", trace.COLUMNS, trace.to_csv_rows(), config_hash(resolved))
     p, r, ndcg = evaluate_policy(policy, env.test, config.k_eval)
     _write_report(
         out / "train_report.json", resolved, seed=config.seed, weighting=weighting.kind,
         test_p_at_k=p, test_r_at_k=r, test_ndcg_at_k=ndcg,
     )
-
-
-#: The hyper-parameter lists a sweep grid may hold per method, besides ``learning_rate``;
-#: a method not listed reads none.
-GRID_KEYS = {
-    "uips": ("lam", "gamma", "eta1", "eta2"), "uips_p": ("gamma",), "uips_o": ("gamma",),
-    "shrinkage": ("lam",), "bips_cap": ("cap",), "dice_s": ("cap",),
-}
 
 
 def expand_grid(kind: str, grid: dict) -> list[Weighting]:
@@ -249,7 +265,7 @@ def expand_grid(kind: str, grid: dict) -> list[Weighting]:
         raise ConfigError(f"unknown sweep method {kind!r}")
     if not isinstance(grid, dict):
         raise TypeError(f"a grid is a JSON object, not {type(grid).__name__}")
-    keys = GRID_KEYS.get(kind, ())
+    keys = PARAMETERS.get(kind, ())
     unread = sorted(set(grid) - {"learning_rate", *keys})
     if unread:
         raise ValueError(f"{kind} reads no {', '.join(unread)}")
@@ -408,12 +424,7 @@ def cmd_ope(resolved: dict) -> None:
         samples_per_context=samples_per_context,
         fit_config=fit_config,
     )
-    write_csv(
-        out / "ope_results.csv",
-        ["estimator", "seed", "estimate", "squared_error"],
-        result.to_csv_rows(),
-        config_hash(resolved),
-    )
+    write_csv(out / "ope_results.csv", result.COLUMNS, result.to_csv_rows(), config_hash(resolved))
     _write_report(
         out / "ope_summary.json", resolved, seeds=seeds,
         true_value=result.true_value, epsilon=epsilon, mse=result.summary,

@@ -53,6 +53,21 @@ def _integer(value, least: int = 0, what: str = "seed") -> int:
     return number
 
 
+def _json_line(obj) -> str:
+    """``obj`` as one line of JSON with sorted keys: the format of every artifact file."""
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        fh.write(_json_line(obj))
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _row_keys(xs: np.ndarray) -> np.ndarray:
     """Each row of the 2-D ``xs`` as one byte string: two rows are the same context when
     their keys are equal. Keys sort several times faster than ``np.unique(xs, axis=0)``."""
@@ -137,17 +152,11 @@ class LoggedDataset:
 
     def to_jsonl(self, path) -> None:
         """One JSON object per line with keys x, a, r and optional beta_star."""
+        columns = {"x": self.xs.tolist(), "a": self.actions.tolist(), "r": self.rewards.tolist()}
+        if self.true_logging_probs is not None:
+            columns["beta_star"] = self.true_logging_probs.tolist()
         with open(path, "w") as fh:
-            probs = self.true_logging_probs
-            for i in range(len(self)):
-                record = {
-                    "x": [float(v) for v in self.xs[i]],
-                    "a": int(self.actions[i]),
-                    "r": float(self.rewards[i]),
-                }
-                if probs is not None:
-                    record["beta_star"] = float(probs[i])
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.writelines(_json_line(dict(zip(columns, row))) for row in zip(*columns.values()))
 
     @classmethod
     def from_jsonl(cls, path, action_count: int) -> "LoggedDataset":
@@ -263,25 +272,20 @@ class SoftmaxLinearPolicy:
             raise ValueError(f"action {action} out of range [0, {self.action_count})")
         return float(self.distribution(x)[action])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"theta": [[float(v) for v in row] for row in self.theta], "tau": float(self.tau)},
-            sort_keys=True,
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+    def _fields(self, prefix: str = "") -> dict:
+        """The JSON form of this policy, its theta and tau, with keys under ``prefix``."""
+        return {prefix + "theta": self.theta.tolist(), prefix + "tau": float(self.tau)}
 
     @classmethod
-    def from_json(cls, text: str) -> "SoftmaxLinearPolicy":
-        obj = json.loads(text)
-        return cls(theta=np.asarray(obj["theta"], dtype=float), tau=float(obj["tau"]))
+    def _from_fields(cls, obj: dict, prefix: str = "") -> "SoftmaxLinearPolicy":
+        return cls(theta=np.asarray(obj[prefix + "theta"], dtype=float), tau=float(obj[prefix + "tau"]))
+
+    def save(self, path) -> None:
+        _write_json(path, self._fields())
 
     @classmethod
     def load(cls, path) -> "SoftmaxLinearPolicy":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        return cls._from_fields(_read_json(path))
 
     @classmethod
     def uniform(cls, action_count: int, dim: int, tau: float = 1.0) -> "SoftmaxLinearPolicy":

@@ -55,16 +55,22 @@ MODEL_FREE_KINDS = ("ce", "ips_true", "dice_s")
 ROW_KINDS = ("minvar", "stablevar")
 #: Kinds that read the logging model's uncertainties.
 UIPS_KINDS = ("uips", "uips_p", "uips_o")
+#: The hyper-parameters each kind reads, the uips family's from ``hp`` and the others'
+#: from the :class:`Weighting` field of that name; a kind not listed reads none.
+PARAMETERS = {
+    "uips": ("lam", "gamma", "eta1", "eta2"), "uips_p": ("gamma",), "uips_o": ("gamma",),
+    "shrinkage": ("lam",), "bips_cap": ("cap",), "dice_s": ("cap",),
+}
 
 
 @dataclass(frozen=True)
 class Weighting:
     """A propensity weighting rule plus its parameters.
 
-    ``cap`` applies to bips_cap and dice_s, ``lam`` to shrinkage, and ``hp``
-    to the uips family (uips_p / uips_o only use gamma). The extra kind
-    ``ce`` is a training-only baseline: plain reward-weighted likelihood
-    with no propensity correction.
+    A kind sets the fields it reads (:data:`PARAMETERS`) and no other:
+    ``cap`` for bips_cap and dice_s, ``lam`` for shrinkage, ``hp`` for the
+    uips family. The extra kind ``ce`` is a training-only baseline: plain
+    reward-weighted likelihood with no propensity correction.
     """
 
     kind: str
@@ -75,19 +81,21 @@ class Weighting:
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS and self.kind != "ce":
             raise ValueError(f"unknown weighting kind {self.kind!r}")
+        reads = ("hp",) if self.kind in UIPS_KINDS else PARAMETERS.get(self.kind, ())
+        for name in ("cap", "lam", "hp"):
+            if (getattr(self, name) is None) == (name in reads):
+                raise ValueError(f"{self.kind} {'needs' if name in reads else 'reads no'} {name}")
         # written so that NaN fails each check; an infinite cap means no cap
-        if self.kind in ("bips_cap", "dice_s") and not (self.cap is not None and self.cap > 0):
+        if not (self.cap is None or self.cap > 0):
             raise ValueError(f"{self.kind} needs a positive cap")
-        if self.kind == "shrinkage" and not (self.lam is not None and self.lam >= 0):
-            raise ValueError("shrinkage needs a nonnegative lam")
-        if self.kind in UIPS_KINDS and self.hp is None:
-            raise ValueError(f"{self.kind} needs hyper-parameters")
+        if not (self.lam is None or self.lam >= 0):
+            raise ValueError(f"{self.kind} needs a nonnegative lam")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Weighting":
         obj = dict(obj)
         hp = obj.pop("hp", None)
-        return cls(hp=UipsHyperParams.from_dict(hp) if hp else None, **obj)
+        return cls(hp=None if hp is None else UipsHyperParams.from_dict(hp), **obj)
 
 
 @dataclass
@@ -384,10 +392,11 @@ class OpeResult:
     rows: list[dict]
     summary: dict
 
+    #: The header of :meth:`to_csv_rows`.
+    COLUMNS = ("estimator", "seed", "estimate", "squared_error")
+
     def to_csv_rows(self) -> list[tuple]:
-        return [
-            (r["estimator"], r["seed"], r["estimate"], r["squared_error"]) for r in self.rows
-        ]
+        return [tuple(r[c] for c in self.COLUMNS) for r in self.rows]
 
 
 def ope_mse_experiment(

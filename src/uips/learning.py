@@ -56,9 +56,11 @@ class TrainTrace:
 
     records: list[dict] = field(default_factory=list)
 
+    #: The header of :meth:`to_csv_rows`.
+    COLUMNS = ("epoch", "value", "p_at_k", "r_at_k", "ndcg_at_k", "grad_norm", "max_weight")
+
     def to_csv_rows(self) -> list[tuple]:
-        cols = ("epoch", "value", "p_at_k", "r_at_k", "ndcg_at_k", "grad_norm", "max_weight")
-        return [tuple(r.get(c) for c in cols) for r in self.records]
+        return [tuple(r.get(c) for c in self.COLUMNS) for r in self.records]
 
 
 def _weights(weighting: Weighting, tables: PropensityTables) -> np.ndarray:

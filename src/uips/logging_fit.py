@@ -12,14 +12,15 @@ and therefore carry high uncertainty.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _context_index, _integer, make_rng
+from uips.core import (
+    TINY, LoggedDataset, SoftmaxLinearPolicy, _context_index, _integer, _read_json, _write_json, make_rng,
+)
 
 
 class FitError(RuntimeError):
@@ -81,34 +82,20 @@ class LoggingModel:
             self._chol = [cho_factor(m, lower=True) for m in self.grams]
         return self._chol
 
-    def to_json(self) -> str:
-        obj = {
-            "theta": [[float(v) for v in row] for row in self.policy.theta],
-            "tau": float(self.policy.tau),
-            "grams": [[[float(v) for v in row] for row in m] for m in self.grams],
-            "fit_diagnostics": self.fit_diagnostics,
-        }
-        return json.dumps(obj, sort_keys=True)
-
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def from_json(cls, text: str) -> "LoggingModel":
-        obj = json.loads(text)
-        return cls(
-            policy=SoftmaxLinearPolicy(
-                theta=np.asarray(obj["theta"], dtype=float), tau=float(obj["tau"])
-            ),
-            grams=np.asarray(obj["grams"], dtype=float),
-            fit_diagnostics=obj.get("fit_diagnostics", {}),
+        _write_json(
+            path,
+            {**self.policy._fields(), "grams": self.grams.tolist(), "fit_diagnostics": self.fit_diagnostics},
         )
 
     @classmethod
     def load(cls, path) -> "LoggingModel":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        obj = _read_json(path)
+        return cls(
+            policy=SoftmaxLinearPolicy._from_fields(obj),
+            grams=np.asarray(obj["grams"], dtype=float),
+            fit_diagnostics=obj.get("fit_diagnostics", {}),
+        )
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:

@@ -12,13 +12,12 @@ extreme-classification benchmarks appear already with tens of actions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, _integer, _row_keys, make_rng
+from uips.core import LoggedDataset, SoftmaxLinearPolicy, _integer, _read_json, _row_keys, _write_json, make_rng
 
 
 SPLITS = ("train", "validation", "test")
@@ -108,30 +107,24 @@ class BanditEnv:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
-    def to_json(self) -> str:
+    def save(self, path) -> None:
         def pack(split):
             return [
                 {"x": x.tolist(), "relevant": np.flatnonzero(row).tolist()}
                 for x, row in zip(split.xs, split.rewards)
             ]
 
-        obj = {
+        _write_json(path, {
             "action_count": self.action_count,
             "dim": self.dim,
             "config": asdict(self.config) if self.config is not None else None,
-            "logging_theta": [[float(v) for v in row] for row in self.logging_policy.theta],
-            "logging_tau": float(self.logging_policy.tau),
+            **self.logging_policy._fields("logging_"),
             **{name: pack(self.split(name)) for name in SPLITS},
-        }
-        return json.dumps(obj, sort_keys=True)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+        })
 
     @classmethod
-    def from_json(cls, text: str) -> "BanditEnv":
-        obj = json.loads(text)
+    def load(cls, path) -> "BanditEnv":
+        obj = _read_json(path)
         action_count, dim = int(obj["action_count"]), int(obj["dim"])
 
         def unpack(name):
@@ -147,19 +140,11 @@ class BanditEnv:
 
         return cls(
             **{name: unpack(name) for name in SPLITS},
-            logging_policy=SoftmaxLinearPolicy(
-                theta=np.asarray(obj["logging_theta"], dtype=float),
-                tau=float(obj["logging_tau"]),
-            ),
+            logging_policy=SoftmaxLinearPolicy._from_fields(obj, "logging_"),
             action_count=action_count,
             dim=dim,
             config=EnvConfig.from_dict(obj["config"]) if obj.get("config") else None,
         )
-
-    @classmethod
-    def load(cls, path) -> "BanditEnv":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
 
 def _draw_contexts(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

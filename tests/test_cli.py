@@ -470,6 +470,18 @@ class TestBadInputEntersAsConfigError:
         ("inspect-weights", "inspect", "split", "test"),
         ("sweep", None, "env", 5),
         ("ope", None, "env", []),
+        ("ope", None, "ope", 5),
+        ("sweep", None, "sweep", 5),
+        ("inspect-weights", None, "inspect", 5),
+        ("train", None, "training", 5),
+        ("sweep", None, "training", 5),
+        ("generate", None, "n_loged", 50),
+        ("ope", "ope", "n_seed", 3),
+        ("inspect-weights", "inspect", "nbins", 3),
+        ("sweep", "sweep", "keval", 3),
+        ("train", "training", "weighting", {"kind": "bips", "lam": 10}),
+        ("ope", "ope", "estimators", [{"kind": "bips", "cap": 3}]),
+        ("ope", "ope", "estimators", [{"kind": "bips", "hp": {}}]),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")

@@ -362,3 +362,19 @@ def test_model_json_round_trip(tmp_path):
     np.testing.assert_array_equal(back.policy.theta, model.policy.theta)
     np.testing.assert_array_equal(back.grams, model.grams)
     assert back.fit_diagnostics == model.fit_diagnostics
+
+
+@pytest.mark.parametrize("kind", ["policy", "logging-model", "env"])
+def test_save_load_save_gives_identical_bytes(tmp_path, kind):
+    env = build_env(EnvConfig(dim=5, action_count=7, train_size=20, validation_size=5, test_size=5, tau=2, seed=6))
+    if kind == "env":
+        artifact = env
+    else:
+        ds = generate_log(env, 150, make_rng(6))
+        artifact = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(epochs=10)))
+        if kind == "policy":
+            artifact = artifact.policy
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    artifact.save(first)
+    type(artifact).load(first).save(second)
+    assert second.read_bytes() == first.read_bytes()

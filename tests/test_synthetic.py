@@ -23,10 +23,10 @@ SMALL = EnvConfig(dim=8, action_count=10, train_size=40, validation_size=10, tes
 
 
 class TestBuildEnv:
-    def test_same_seed_gives_bit_identical_env(self):
-        a = build_env(EnvConfig(seed=3))
-        b = build_env(EnvConfig(seed=3))
-        assert a.to_json() == b.to_json()
+    def test_same_seed_gives_bit_identical_env(self, tmp_path):
+        build_env(EnvConfig(seed=3)).save(tmp_path / "a.json")
+        build_env(EnvConfig(seed=3)).save(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_huge_temperature_gives_uniform_logging(self):
         env = build_env(EnvConfig(dim=8, action_count=12, train_size=30, validation_size=10, test_size=20, tau=1e9, seed=4))
@@ -65,15 +65,17 @@ class TestBuildEnv:
         env = build_env(SMALL)
         path = tmp_path / "env.json"
         env.save(path)
-        back = BanditEnv.load(path)
-        assert back.to_json() == env.to_json()
+        BanditEnv.load(path).save(tmp_path / "back.json")
+        assert (tmp_path / "back.json").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("config", [EnvConfig(seed=2), EnvConfig(action_count=200, train_size=400, seed=1)],
                              ids=["desk", "200-actions"])
-    def test_from_json_reproduces_every_split_array(self, config):
+    def test_load_reproduces_every_split_array(self, tmp_path, config):
         env = build_env(config)
-        back = BanditEnv.from_json(env.to_json())
-        assert back.to_json() == env.to_json()
+        env.save(tmp_path / "env.json")
+        back = BanditEnv.load(tmp_path / "env.json")
+        back.save(tmp_path / "back.json")
+        assert (tmp_path / "back.json").read_bytes() == (tmp_path / "env.json").read_bytes()
         for name in ("train", "validation", "test"):
             np.testing.assert_array_equal(back.split(name).xs, env.split(name).xs)
             np.testing.assert_array_equal(back.split(name).rewards, env.split(name).rewards)
@@ -91,13 +93,15 @@ class TestBuildEnv:
         with pytest.raises(ValueError, match=message):
             Split(xs, np.array(rewards))
 
-    def test_from_json_rejects_a_relevant_action_outside_the_action_range(self):
-        env = build_env(SMALL)
+    def test_load_rejects_a_relevant_action_outside_the_action_range(self, tmp_path):
+        path = tmp_path / "env.json"
+        build_env(SMALL).save(path)
         for relevant in ([SMALL.action_count], [-1]):
-            obj = json.loads(env.to_json())
+            obj = json.loads(path.read_text())
             obj["test"][3]["relevant"] = relevant
+            (tmp_path / "bad.json").write_text(json.dumps(obj))
             with pytest.raises(ValueError, match=r"test instance 3: relevant action outside \[0, 10\)"):
-                BanditEnv.from_json(json.dumps(obj))
+                BanditEnv.load(tmp_path / "bad.json")
 
 
 class TestGenerateLog:
