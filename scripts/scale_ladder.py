@@ -3,12 +3,14 @@
 Each rung (action_count, n_logged) runs in a fresh child process with BLAS
 pinned to one thread: build the environment, draw the log, fit the logging
 policy, accumulate the Gram matrices and build the propensity tables that
-uips, minvar and dice_s read. The child reports every stage's wall time and
-its own peak RSS; one JSON line per rung goes to stdout.
+uips, minvar and dice_s read. The child reports every stage's wall time
+(<stage>_s), its RSS high-water mark when the stage ends (<stage>_rss_mb, so
+a memory regression names its stage) and its overall peak RSS; one JSON line
+per rung goes to stdout.
 
-The fit and the minvar tables hold several float64 buffers of
-n_logged * action_count cells at once, so a rung above --max-cells cells is
-reported as skipped instead of run.
+The log drawing, the fit's loss derivative and the minvar tables each hold
+one float64 buffer of n_logged * action_count cells, so a rung above
+--max-cells cells is reported as skipped instead of run.
 
 Usage: python scripts/scale_ladder.py [--actions 50 500 2000] [--rows 5000 50000]
                                       [--epochs 10] [--max-cells 30000000]
@@ -31,14 +33,21 @@ BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 TABLE_KINDS = ("uips", "minvar", "dice_s")
 
 
+def peak_rss_mb() -> float:
+    """The RSS high-water mark of this process so far, in MB."""
+    # ru_maxrss is in kilobytes on Linux
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def run_rung(action_count: int, n_logged: int, epochs: int, seed: int) -> dict:
-    """Run one rung in this process; returns its stage times and peak RSS."""
-    times = {}
+    """Run one rung in this process; returns its stage times and RSS high-water marks."""
+    times, rss = {}, {}
 
     def timed(stage, fn):
         start = time.perf_counter()
         result = fn()
         times[f"{stage}_s"] = round(time.perf_counter() - start, 4)
+        rss[f"{stage}_rss_mb"] = peak_rss_mb()
         return result
 
     env = timed("build_env", lambda: build_env(EnvConfig(action_count=action_count, tau=0.5, seed=seed)))
@@ -53,8 +62,8 @@ def run_rung(action_count: int, n_logged: int, epochs: int, seed: int) -> dict:
         "epochs": epochs,
         **times,
         "total_s": round(sum(times.values()), 4),
-        # ru_maxrss is in kilobytes on Linux
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        **rss,
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 

@@ -81,6 +81,24 @@ def _context_index(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs[first], context.reshape(-1)
 
 
+def _product_contexts(xs: np.ndarray, action_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``ux`` whose product with an (action_count, dim) matrix stands in for that of
+    ``xs``, and per row of ``xs`` the index of its row in ``ux``.
+
+    ``ux`` holds the distinct rows, and row ``context[i]`` of its product equals row i of
+    the product with ``xs`` bit for bit wherever BLAS computes a row independently of the
+    others. numpy sends a product with one row or one column to gemv, which rounds
+    differently, so a single distinct context is padded to two rows and a single action
+    keeps every row.
+    """
+    if action_count == 1:
+        return xs, np.arange(len(xs))
+    ux, context = _context_index(xs)
+    if len(ux) == 1 and len(xs) > 1:
+        ux = np.concatenate([ux, ux])
+    return ux, context
+
+
 def _first_invalid_row(xs, actions, rewards, action_count, true_logging_probs) -> Optional[tuple]:
     """The first row of a logged dataset that breaks an invariant, and why; or None."""
     p = true_logging_probs
@@ -163,7 +181,8 @@ class LoggedDataset:
         """Read :meth:`to_jsonl` output; blank lines are skipped.
 
         A record that is not JSON, lacks a key, has a context of another
-        length or holds an invalid value raises ``ValueError`` naming the
+        length, carries ``beta_star`` where the first record does not (or the
+        reverse) or holds an invalid value raises ``ValueError`` naming the
         file and the record's 1-based line.
         """
         xs, actions, rewards, probs, lines = [], [], [], [], []
@@ -189,7 +208,11 @@ class LoggedDataset:
                 lines.append(lineno)
         if not xs:
             raise ValueError(f"{path}: no records")
-        has_prob = all(p is not None for p in probs)
+        has_prob = probs[0] is not None
+        for lineno, prob in zip(lines, probs):
+            if (prob is not None) != has_prob:
+                state = "has no" if has_prob else "has a"
+                raise ValueError(f"{path}:{lineno}: record {state} beta_star, unlike line {lines[0]}")
         columns = dict(
             xs=np.stack(xs),
             actions=np.asarray(actions, dtype=int),

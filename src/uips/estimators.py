@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _context_index, make_rng
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _context_index, _product_contexts, make_rng
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -93,8 +93,14 @@ class Weighting:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Weighting":
+        """The weighting of a JSON object; an ``hp`` field its kind does not read is a ValueError."""
         obj = dict(obj)
         hp = obj.pop("hp", None)
+        kind = obj.get("kind")
+        if hp is not None and kind in UIPS_KINDS:
+            unread = sorted(set(hp) - set(PARAMETERS[kind]))
+            if unread:
+                raise ValueError(f"{kind} reads no {', '.join(unread)}")
         return cls(hp=None if hp is None else UipsHyperParams.from_dict(hp), **obj)
 
 
@@ -210,6 +216,13 @@ def propensity_tables(
     ``policy`` is the target policy, or None to leave the target for
     :meth:`PropensityTables.with_target`. ``model`` is read only when some
     kind needs a logging model.
+
+    The logging model's softmax runs once per distinct context (the rows of
+    :func:`uips.core._product_contexts`); ``beta_sel`` gathers one cell per
+    sample, and only minvar and stablevar gather the (n, action_count)
+    ``beta_rows``. Both equal the rows of ``model.beta_matrix(dataset.xs)``
+    bit for bit while ``dim`` is below 32; from there the bundled OpenBLAS
+    picks its kernel by the product's size, and they differ by rounding.
     """
     kinds = set(kinds)
     n = np.arange(len(dataset))
@@ -218,10 +231,11 @@ def propensity_tables(
     if model_kinds:
         if model is None:
             raise ValueError(f"{', '.join(sorted(model_kinds))} weighting needs a logging model")
-        beta = model.beta_matrix(dataset.xs)
-        beta_sel = np.maximum(beta[n, dataset.actions], BETA_FLOOR)
+        ux, context = _product_contexts(dataset.xs, dataset.action_count)
+        beta = model.beta_matrix(ux)
+        beta_sel = np.maximum(beta[context, dataset.actions], BETA_FLOOR)
         if kinds & set(ROW_KINDS):
-            beta_rows = beta
+            beta_rows = beta[context]
         if kinds & set(UIPS_KINDS):
             us = uncertainties(model, dataset)
     if "dice_s" in kinds:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from uips.core import (
-    TINY, LoggedDataset, SoftmaxLinearPolicy, _context_index, _integer, _read_json, _write_json, make_rng,
+    TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _product_contexts, _read_json, _write_json, make_rng,
 )
 
 
@@ -116,17 +116,19 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     (distinct, action_count) product, and gathers through a context index
     the cells that carry gradient: the n positives and the n * negatives
     sampled cells. Every other cell of the (n, action_count) loss derivative
-    is exactly zero. The gradient stays one dense product with the contexts
-    of all n rows, which fixes its summation order, and the loss is
-    evaluated once, for the last epoch. ``theta``, the diagnostics and the
-    RNG stream are bit-identical to a fit that evaluates every cell of every
-    row every epoch (``tests/helpers.dense_fit_reference``) wherever BLAS
-    computes a row of a matrix product independently of the other rows.
-    numpy sends a product with one row or one column to gemv, which rounds
-    differently, so a single distinct context is padded to two rows and a
-    single action keeps all n rows. The bundled OpenBLAS also picks a small-matrix
-    kernel by the product's size once ``dim`` reaches 32; there ``theta``
-    differs from the dense loop by rounding only.
+    ``dloss`` is exactly zero. The gradient stays one dense product of
+    ``dloss`` with the contexts of all n rows, which fixes its summation
+    order; ``dloss`` is the fit's one (n, action_count) buffer. The loss is
+    evaluated once, for the last epoch, after ``dloss`` is freed, from a
+    (distinct, action_count) table of the negatives' counts. ``theta``,
+    ``epochs``, ``frac_logged_above_median_score`` and the RNG stream are
+    bit-identical to a fit that evaluates every cell of every row every
+    epoch (``tests/helpers.dense_fit_reference``) wherever BLAS computes a
+    row of a product independently of the other rows (the rows that
+    :func:`uips.core._product_contexts` picks keep it so); ``final_loss``
+    adds its cells in another order and differs by rounding. From ``dim``
+    32 the bundled OpenBLAS picks a small-matrix kernel by the product's
+    size; there ``theta`` too differs from the dense loop by rounding only.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a logging policy on an empty dataset")
@@ -136,21 +138,14 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     theta = np.zeros((a_count, d))
     xs = dataset.xs
     acts = dataset.actions
-    if a_count == 1:
-        # a one-column product goes to gemv, whose rows depend on their position
-        ux, context = xs, np.arange(n)
-    else:
-        ux, context = _context_index(xs)
-        if len(ux) == 1 and n > 1:
-            # a one-row product goes to gemv; two rows go to gemm, as the n rows do
-            ux = np.concatenate([ux, ux])
+    ux, context = _product_contexts(xs, a_count)
 
     pos_flat = np.arange(n) * a_count + acts
     pos_cell = context * a_count + acts
     row_start = np.arange(n)[:, None] * a_count
     context_start = context[:, None] * a_count
     k = min(config.negatives, a_count - 1)
-    flat = np.empty(0, dtype=np.intp)
+    neg_cells = np.empty(0, dtype=np.intp)
     scores = np.empty((len(ux), a_count))
     cell_scores = scores.reshape(-1)
     dloss = np.empty(n * a_count)
@@ -163,8 +158,9 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             negs = rng.integers(0, a_count - 1, size=(n, k))
             negs += negs >= acts[:, None]
             flat = (negs + row_start).ravel()
+            neg_cells = (negs + context_start).ravel()
             np.add.at(dloss, flat, 1.0)
-            dloss[flat] *= _sigmoid(cell_scores[(negs + context_start).ravel()])
+            dloss[flat] *= _sigmoid(cell_scores[neg_cells])
         dloss[pos_flat] = _sigmoid(cell_scores[pos_cell]) - 1.0
         grad = dloss.reshape(n, a_count).T @ xs / n + config.l2 * theta
         theta_last = theta
@@ -172,13 +168,14 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             theta = theta - config.learning_rate * grad
         if not np.all(np.isfinite(theta)):
             raise FitError("logging fit diverged to non-finite parameters")
+    del dloss
 
     # the loss of the last epoch, at its pre-step parameters and negatives
     p = _sigmoid(ux @ theta_last.T)
-    neg_counts = np.bincount(flat, minlength=n * a_count).reshape(n, a_count).astype(float)
+    neg_counts = np.bincount(neg_cells, minlength=p.size).reshape(p.shape)
     loss = float(
         np.mean(-np.log(np.maximum(p[context, acts], TINY)))
-        + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, TINY))[context]) / n
+        + np.sum(-neg_counts * np.log(np.maximum(1.0 - p, TINY))) / n
     )
     if not np.isfinite(loss):
         raise FitError(f"logging fit loss is not finite: {loss}")

@@ -239,14 +239,17 @@ def build_env(config: EnvConfig) -> BanditEnv:
 
 def _draw_log(env: BanditEnv, split: str, rng: np.random.Generator, pick_instances) -> LoggedDataset:
     """Log the split's instances ``pick_instances(len(split))``, picked before the
-    actions are drawn from the logging policy by one vectorized inverse-CDF draw."""
+    actions are drawn from the logging policy by one vectorized inverse-CDF draw.
+
+    The cumulative sums run once over the split's rows and are gathered per
+    draw, a row's cumulative sum being independent of the other rows; the
+    gathered (n, action_count) copy is freed before the dataset is built."""
     data = env.split(split)
     probs_all = env.logging_policy.distribution_matrix(data.xs)
 
     idx = pick_instances(len(data))
-    cdf = np.cumsum(probs_all[idx], axis=1)
     u = rng.random(len(idx))
-    actions = np.minimum((u[:, None] > cdf).sum(axis=1), env.action_count - 1)
+    actions = np.minimum((u[:, None] > np.cumsum(probs_all, axis=1)[idx]).sum(axis=1), env.action_count - 1)
     return LoggedDataset(
         xs=data.xs[idx],
         actions=actions,

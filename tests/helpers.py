@@ -148,6 +148,28 @@ def dense_fit_reference(dataset, config):
     return theta, diagnostics
 
 
+def dense_log_reference(env, rng, split, n_samples=None, samples_per_context=None):
+    """Actions and true logging probabilities of ``generate_log`` (``n_samples``) or
+    ``generate_log_per_context`` (``samples_per_context``), drawn from the same RNG stream.
+
+    Independent of ``uips.synthetic``: it gathers the logging probabilities of
+    every drawn row into one (n, action_count) matrix, takes its row-wise
+    cumulative sum, and picks per draw the first action whose cumulative
+    probability reaches the uniform draw, or the last action where rounding
+    leaves every one below it. Returns ``(actions, true_logging_probs)``.
+    """
+    xs = env.split(split).xs
+    if n_samples is not None:
+        idx = rng.integers(0, len(xs), size=n_samples)
+    else:
+        idx = np.repeat(np.arange(len(xs)), samples_per_context)
+    probs = env.logging_policy.distribution_matrix(xs)[idx]
+    cdf = np.cumsum(probs, axis=1)
+    reached = cdf >= rng.random(len(idx))[:, None]
+    actions = np.where(reached.any(axis=1), reached.argmax(axis=1), env.action_count - 1)
+    return actions, probs[np.arange(len(idx)), actions]
+
+
 def reference_train(
     dataset: LoggedDataset,
     model: Optional[LoggingModel],

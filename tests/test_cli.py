@@ -482,6 +482,8 @@ class TestBadInputEntersAsConfigError:
         ("train", "training", "weighting", {"kind": "bips", "lam": 10}),
         ("ope", "ope", "estimators", [{"kind": "bips", "cap": 3}]),
         ("ope", "ope", "estimators", [{"kind": "bips", "hp": {}}]),
+        ("train", "training", "weighting", {"kind": "uips_p", "hp": {"gamma": 2, "lam": 5}}),
+        ("ope", "ope", "estimators", [{"kind": "uips_p", "hp": {"gamma": 2, "lam": 5}}]),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -554,7 +556,13 @@ class TestBadInputEntersAsConfigError:
          lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "test"}),
          "env.json: 'test'"),
         ("train", "logging_model.json", lambda text: text[:100], "invalid"),
-    ], ids=["relevant-out-of-range", "missing-split", "truncated-model"])
+        ("fit-logging", "logged.jsonl",
+         lambda text: "".join(
+             json.dumps({k: v for k, v in json.loads(line).items() if k != "beta_star" or i != 2}) + "\n"
+             for i, line in enumerate(text.splitlines())
+         ),
+         "logged.jsonl:3: record has no beta_star, unlike line 1"),
+    ], ids=["relevant-out-of-range", "missing-split", "truncated-model", "beta-star-on-some-records"])
     def test_malformed_input_file_is_a_config_error_naming_it(self, tmp_path, capsys, command, file, damage, message):
         cfg = write_config(tmp_path, "damaged")
         run_ok(["generate", "--config", str(cfg)])

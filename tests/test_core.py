@@ -183,6 +183,17 @@ class TestLoggedData:
         record = json.loads(path.read_text().splitlines()[0])
         assert set(record) == {"x", "a", "r", "beta_star"}
 
+    @pytest.mark.parametrize("first, later, state", [(0.5, None, "has no"), (None, 0.5, "has a")])
+    def test_jsonl_with_beta_star_on_some_records_names_the_line(self, tmp_path, first, later, state):
+        def record(prob):
+            row = {"x": [1.0], "a": 0, "r": 1.0}
+            return json.dumps(row if prob is None else {**row, "beta_star": prob})
+
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join([record(first), record(first), "", record(later), record(first)]) + "\n")
+        with pytest.raises(ValueError, match=rf"log\.jsonl:4: record {state} beta_star, unlike line 1"):
+            LoggedDataset.from_jsonl(path, action_count=2)
+
     def test_policy_json_round_trip(self, tmp_path):
         policy = random_policy(make_rng(9), action_count=3, dim=2, tau=0.4)
         path = tmp_path / "policy.json"

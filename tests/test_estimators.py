@@ -3,7 +3,7 @@ import pytest
 
 from helpers import count_ips_reference
 from oracles import mse_upper_bound
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.core import BETA_FLOOR, LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.estimators import (
     ConstantImputation,
     TabularImputation,
@@ -11,6 +11,7 @@ from uips.estimators import (
     estimate,
     exact_bias_variance,
     ope_mse_experiment,
+    propensity_tables,
     snips_from_weights,
     v_dm,
     v_dr,
@@ -360,6 +361,28 @@ class TestDiceS:
             policy = TabularPolicy(contexts=contexts, probs=rng.dirichlet(np.ones(a_count), size=n_ctx))
             cap = float(rng.choice([2.0, 10.0, np.inf]))
             assert value(ds, policy, None, "dice_s", cap=cap) == count_ips_reference(ds, policy, cap)
+
+
+class TestPropensityTables:
+    """The logging softmax on distinct contexts equals the dense matrix over every row."""
+
+    @pytest.mark.parametrize("n, n_contexts, action_count, tau", [
+        (200, 15, 8, 1.0), (300, 300, 10, 0.7), (120, 1, 10, 1.0), (150, 20, 1, 1.0),
+    ], ids=["repeated-contexts", "all-distinct", "one-context", "one-action"])
+    def test_beta_tables_equal_the_dense_gather(self, n, n_contexts, action_count, tau):
+        rng = make_rng(16)
+        dim = 12
+        pool = rng.standard_normal((n_contexts, dim))
+        ds = LoggedDataset(
+            xs=pool[rng.integers(0, n_contexts, n)], actions=rng.integers(0, action_count, n),
+            rewards=np.zeros(n), action_count=action_count,
+        )
+        model = identity_model(action_count, dim, theta=3.0 * rng.standard_normal((action_count, dim)), tau=tau)
+        dense = model.beta_matrix(ds.xs)
+        tables = propensity_tables(ds, None, model, ("bips", "minvar"))
+        np.testing.assert_array_equal(tables.beta_sel, np.maximum(dense[np.arange(n), ds.actions], BETA_FLOOR))
+        np.testing.assert_array_equal(tables.beta_rows, dense)
+        assert propensity_tables(ds, None, model, ("uips", "bips")).beta_rows is None
 
 
 class TestExactBiasVariance:

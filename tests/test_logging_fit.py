@@ -125,7 +125,12 @@ class TestFitMatchesDenseReference:
         theta, diagnostics = dense_fit_reference(ds, config)
         model = fit_logging_policy(ds, config)
         np.testing.assert_array_equal(model.policy.theta, theta)
-        assert model.fit_diagnostics == diagnostics
+        got = model.fit_diagnostics
+        assert set(got) == set(diagnostics)
+        assert got["epochs"] == diagnostics["epochs"]
+        assert got["frac_logged_above_median_score"] == diagnostics["frac_logged_above_median_score"]
+        # the loss adds its cells over distinct contexts, in another order than the dense sum
+        assert got["final_loss"] == pytest.approx(diagnostics["final_loss"], rel=1e-12)
 
     def test_wide_contexts_differ_only_by_rounding(self):
         # from dim 32 the bundled OpenBLAS picks a small-matrix kernel by the

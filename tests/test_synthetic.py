@@ -16,7 +16,7 @@ from uips.synthetic import (
     true_policy_value,
 )
 
-from helpers import one_vs_all_reference
+from helpers import dense_log_reference, one_vs_all_reference
 from oracles import true_policy_value_loop
 
 SMALL = EnvConfig(dim=8, action_count=10, train_size=40, validation_size=10, test_size=20, seed=5)
@@ -155,6 +155,24 @@ class TestGenerateLog:
         env = build_env(SMALL)
         with pytest.raises(ValueError):
             generate_log(env, 0, make_rng(0))
+
+    @pytest.mark.parametrize("config", [
+        SMALL,
+        EnvConfig(dim=8, action_count=10, train_size=1, validation_size=5, test_size=1, seed=6),
+        EnvConfig(dim=5, action_count=1, max_labels=1, train_size=7, validation_size=3, test_size=4, seed=7),
+        EnvConfig(dim=16, action_count=200, train_size=30, validation_size=5, test_size=25, tau=0.1, seed=8),
+    ], ids=["small", "one-context", "one-action", "200-actions-skewed"])
+    @pytest.mark.parametrize("per_context", [False, True], ids=["generate_log", "generate_log_per_context"])
+    def test_matches_the_dense_cumsum_reference(self, config, per_context):
+        env = build_env(config)
+        if per_context:
+            ds = generate_log_per_context(env, 9, make_rng(11), split="test")
+            actions, probs = dense_log_reference(env, make_rng(11), "test", samples_per_context=9)
+        else:
+            ds = generate_log(env, 700, make_rng(12))
+            actions, probs = dense_log_reference(env, make_rng(12), "train", n_samples=700)
+        np.testing.assert_array_equal(ds.actions, actions)
+        np.testing.assert_array_equal(ds.true_logging_probs, probs)
 
 
 class TestEpsilonGreedy:
