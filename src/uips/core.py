@@ -87,16 +87,17 @@ def _product_contexts(xs: np.ndarray, action_count: int) -> tuple[np.ndarray, np
 
     ``ux`` holds the distinct rows, and row ``context[i]`` of its product equals row i of
     the product with ``xs`` bit for bit wherever BLAS computes a row independently of the
-    others. numpy sends a product with one row or one column to gemv, which rounds
-    differently, so a single distinct context is padded to two rows and a single action
-    keeps every row.
+    others. numpy sends a product with one row to gemv, which rounds differently from
+    gemm, so a single distinct context of several rows is padded to two rows.
     """
-    if action_count == 1:
-        return xs, np.arange(len(xs))
     ux, context = _context_index(xs)
-    if len(ux) == 1 and len(xs) > 1:
-        ux = np.concatenate([ux, ux])
-    return ux, context
+    return _padded(ux, len(xs)), context
+
+
+def _padded(ux: np.ndarray, n: int) -> np.ndarray:
+    """``ux`` with its one row repeated when it stands in for ``n`` > 1 rows: the pad rule
+    of :func:`_product_contexts`."""
+    return np.concatenate([ux, ux]) if len(ux) == 1 and n > 1 else ux
 
 
 def _first_invalid_row(xs, actions, rewards, action_count, true_logging_probs) -> Optional[tuple]:
@@ -265,27 +266,32 @@ class SoftmaxLinearPolicy:
             raise ValueError(f"context has length {x.shape}, expected ({self.dim},)")
         return x
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Pre-softmax scores x . theta_a / tau for every action."""
-        return self.theta @ self._check_context(x) / self.tau
-
     def distribution(self, x: np.ndarray) -> np.ndarray:
-        """Probability vector over actions; sums to 1 within 1e-12."""
-        s = self.scores(x)
+        """Probability vector over actions; sums to 1 within 1e-12.
+
+        The maximum is subtracted before the division by ``tau``, as in
+        :meth:`distribution_matrix`.
+        """
+        s = self.theta @ self._check_context(x)
         s = s - s.max()
-        e = np.exp(s)
+        with np.errstate(over="ignore"):
+            e = np.exp(s / self.tau)
         return e / e.sum()
 
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Row-wise distributions for a batch of contexts, shape (n, actions).
 
-        Every step after the scores product runs in place on its one buffer;
-        the division by a temperature of 1 is exact, so it is skipped.
+        Every step after the scores product runs in place on its one buffer.
+        The row maximum is subtracted before the division by ``tau``, so a
+        tiny ``tau`` sends the trailing scores to -inf, whose exponential is
+        0, and never makes inf - inf. The division by a temperature of 1 is
+        exact, so it is skipped.
         """
         s = xs @ self.theta.T
-        if self.tau != 1.0:
-            s /= self.tau
         s -= s.max(axis=1, keepdims=True)
+        if self.tau != 1.0:
+            with np.errstate(over="ignore"):
+                s /= self.tau
         np.exp(s, out=s)
         s /= s.sum(axis=1, keepdims=True)
         return s
@@ -309,8 +315,3 @@ class SoftmaxLinearPolicy:
     @classmethod
     def load(cls, path) -> "SoftmaxLinearPolicy":
         return cls._from_fields(_read_json(path))
-
-    @classmethod
-    def uniform(cls, action_count: int, dim: int, tau: float = 1.0) -> "SoftmaxLinearPolicy":
-        return cls(theta=np.zeros((action_count, dim)), tau=tau)
-

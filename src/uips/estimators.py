@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _context_index, _product_contexts, make_rng
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _context_index, _padded, _product_contexts, make_rng
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -121,9 +121,6 @@ class ConstantImputation:
             raise ValueError("imputed rewards must lie in [0, 1]")
         self.value = float(value)
 
-    def predict(self, x, action) -> float:
-        return self.value
-
     def predict_matrix(self, xs: np.ndarray, action_count: int) -> np.ndarray:
         return np.full((xs.shape[0], action_count), self.value)
 
@@ -143,9 +140,6 @@ class TabularImputation:
         data = env.split(split)
         return cls(data.xs, data.rewards)
 
-    def predict(self, x, action) -> float:
-        return self.lookup.prob(x, action)
-
     def predict_matrix(self, xs: np.ndarray, action_count: int) -> np.ndarray:
         return self.lookup.distribution_matrix(xs)
 
@@ -155,17 +149,21 @@ class PropensityTables:
     """What the weighting rules read, for n selected (context, action) cells.
 
     Cell i is action ``actions[i]`` of row ``rows[i]`` of the row tables
-    ``pi_rows`` (target policy) and ``beta_rows`` (logging model): sample i
-    of a logged dataset, or one pair of an enumerated split. ``beta_sel`` is
-    the logging model's probability of each cell floored at ``BETA_FLOOR``.
-    A table no requested rule reads is None: ``beta_rows`` is kept for
-    minvar and stablevar, ``us`` (uncertainties) for the uips family and
-    ``counts`` (count propensities) for dice_s. :meth:`with_target` sets the
-    target part, ``pi_rows`` and its selected column ``pi_sel``.
+    ``pi_rows`` (target policy) and ``beta_rows`` (logging model). For a
+    logged dataset a row is one distinct context: ``contexts`` holds them,
+    padded as :func:`uips.core._product_contexts` pads, and ``rows`` is the
+    samples' context index. An enumerated split has one row per context and
+    no ``contexts``. ``beta_sel`` is the logging model's probability of each
+    cell floored at ``BETA_FLOOR``. A table no requested rule reads is None:
+    ``beta_rows`` is kept for minvar and stablevar, ``us`` (uncertainties)
+    for the uips family and ``counts`` (count propensities) for dice_s.
+    :meth:`with_target` sets the target part, ``pi_rows`` and its selected
+    column ``pi_sel``.
     """
 
     rows: np.ndarray
     actions: np.ndarray
+    contexts: Optional[np.ndarray] = None
     true_probs: Optional[np.ndarray] = None
     beta_sel: Optional[np.ndarray] = None
     beta_rows: Optional[np.ndarray] = None
@@ -178,22 +176,26 @@ class PropensityTables:
         """These tables for the target policy whose rows are ``pi_rows``."""
         return replace(self, pi_rows=pi_rows, pi_sel=pi_rows[self.rows, self.actions])
 
-    def select(self, idx: np.ndarray, pi_rows: Optional[np.ndarray] = None) -> "PropensityTables":
-        """The tables of the samples ``idx`` of a dataset.
+    def select(self, idx: np.ndarray) -> "PropensityTables":
+        """The tables, without a target, of the samples ``idx`` of a dataset.
 
-        ``pi_rows`` are the target policy's rows over those samples, or None
-        for tables without a target.
+        Their rows are the distinct contexts of those samples, in the order
+        of these tables' rows. The contexts are marked in a boolean mask and
+        numbered by its running sum, which costs O(m) for m rows here and
+        sorts nothing.
         """
+        context = self.rows[idx]
+        mark = np.zeros(len(self.contexts), dtype=bool)
+        mark[context] = True
+        ids = _padded(np.flatnonzero(mark), len(idx))
 
-        def take(table):
-            return None if table is None else table[idx]
+        def take(table, at=idx):
+            return None if table is None else table[at]
 
-        rows, actions = np.arange(len(idx)), self.actions[idx]
         return PropensityTables(
-            rows=rows, actions=actions, true_probs=take(self.true_probs),
-            beta_sel=take(self.beta_sel), beta_rows=take(self.beta_rows), us=take(self.us),
-            counts=take(self.counts), pi_rows=pi_rows,
-            pi_sel=None if pi_rows is None else pi_rows[rows, actions],
+            rows=(np.cumsum(mark) - 1)[context], actions=self.actions[idx], contexts=self.contexts[ids],
+            true_probs=take(self.true_probs), beta_sel=take(self.beta_sel),
+            beta_rows=take(self.beta_rows, ids), us=take(self.us), counts=take(self.counts),
         )
 
 
@@ -217,34 +219,35 @@ def propensity_tables(
     :meth:`PropensityTables.with_target`. ``model`` is read only when some
     kind needs a logging model.
 
-    The logging model's softmax runs once per distinct context (the rows of
-    :func:`uips.core._product_contexts`); ``beta_sel`` gathers one cell per
-    sample, and only minvar and stablevar gather the (n, action_count)
-    ``beta_rows``. Both equal the rows of ``model.beta_matrix(dataset.xs)``
-    bit for bit while ``dim`` is below 32; from there the bundled OpenBLAS
-    picks its kernel by the product's size, and they differ by rounding.
+    The row tables hold the distinct contexts of the dataset (the rows of
+    :func:`uips.core._product_contexts`): the logging model's and the
+    target's softmaxes run once per distinct context, and ``beta_sel``
+    gathers one cell per sample. No table has a row per sample and action.
+    The rows equal those of ``model.beta_matrix(dataset.xs)`` and
+    ``policy.distribution_matrix(dataset.xs)`` bit for bit while ``dim`` is
+    below 32; from there the bundled OpenBLAS picks its kernel by the
+    product's size, and they differ by rounding.
     """
     kinds = set(kinds)
-    n = np.arange(len(dataset))
+    ux, context = _product_contexts(dataset.xs, dataset.action_count)
     beta_sel = beta_rows = us = counts = None
     model_kinds = kinds - set(MODEL_FREE_KINDS)
     if model_kinds:
         if model is None:
             raise ValueError(f"{', '.join(sorted(model_kinds))} weighting needs a logging model")
-        ux, context = _product_contexts(dataset.xs, dataset.action_count)
         beta = model.beta_matrix(ux)
         beta_sel = np.maximum(beta[context, dataset.actions], BETA_FLOOR)
         if kinds & set(ROW_KINDS):
-            beta_rows = beta[context]
+            beta_rows = beta
         if kinds & set(UIPS_KINDS):
             us = uncertainties(model, dataset)
     if "dice_s" in kinds:
         counts = count_propensities(dataset)
     tables = PropensityTables(
-        rows=n, actions=dataset.actions, true_probs=dataset.true_logging_probs,
+        rows=context, actions=dataset.actions, contexts=ux, true_probs=dataset.true_logging_probs,
         beta_sel=beta_sel, beta_rows=beta_rows, us=us, counts=counts,
     )
-    return tables if policy is None else tables.with_target(policy.distribution_matrix(dataset.xs))
+    return tables if policy is None else tables.with_target(policy.distribution_matrix(ux))
 
 
 def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.ndarray:
@@ -327,28 +330,6 @@ def estimate(
     return EstimateReport(
         value=_value(weighting, w, dataset.rewards), per_sample_weights=w, diagnostics=diagnostics
     )
-
-
-def v_dm(dataset: LoggedDataset, policy, imputation) -> float:
-    """Direct method: mean over contexts of sum_a pi(a|x) * imputed reward."""
-    pi = policy.distribution_matrix(dataset.xs)
-    eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
-    return float(np.mean(np.sum(pi * eta, axis=1)))
-
-
-def v_dr(
-    dataset: LoggedDataset,
-    policy,
-    model: Optional[LoggingModel],
-    imputation,
-    weighting: Weighting,
-) -> float:
-    """Direct method plus a ``weighting``-weighted residual correction."""
-    tables = propensity_tables(dataset, policy, model, (weighting.kind,))
-    eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
-    dm = np.mean(np.sum(tables.pi_rows * eta, axis=1))
-    residual = dataset.rewards - eta[tables.rows, tables.actions]
-    return float(dm + np.mean(propensity_weights(weighting, tables) * residual))
 
 
 def exact_bias_variance(

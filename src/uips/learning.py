@@ -82,40 +82,32 @@ def _mean_value(weighting: Weighting, w: np.ndarray, rewards: np.ndarray) -> flo
     return float(coeff.mean())
 
 
-def _log_trick_gradient(
-    policy: SoftmaxLinearPolicy, xs: np.ndarray, actions: np.ndarray, pi_all: np.ndarray,
-    coeff: np.ndarray,
-) -> np.ndarray:
-    """(1/B) sum_n coeff_n grad log pi(a_n|x_n) over the B rows ``xs``.
+def _log_trick_gradient(tables: PropensityTables, coeff: np.ndarray, tau: float) -> np.ndarray:
+    """(1/B) sum_n coeff_n grad log pi(a_n|x_n) over the B cells of ``tables``.
 
-    ``pi_all`` holds the policy's rows over ``xs``; it is overwritten with
-    the coefficients (1{a == a_n} - pi(a|x_n)) * coeff_n. Off the logged
-    actions that is pi * -coeff_n, which equals -pi * coeff_n exactly.
+    ``tables`` carry a target. grad log pi(a|x) is (onehot(a) - pi(.|x)) x /
+    tau, so the sum runs over the m row contexts: the (m, A) coefficient
+    table G holds -pi times the sum of ``coeff`` over each context's samples
+    plus the sum of ``coeff`` on each logged cell, and the gradient is
+    G.T @ contexts / (tau B). On rows that repeat contexts this adds the
+    same terms as the dense ((onehot - pi) * coeff).T @ xs in another order.
     """
-    rows = np.arange(len(actions))
-    pi_logged = pi_all[rows, actions]
-    c = np.multiply(pi_all, -coeff[:, None], out=pi_all)
-    c[rows, actions] = (1.0 - pi_logged) * coeff
-    return c.T @ xs / (policy.tau * len(actions))
+    m, action_count = tables.pi_rows.shape
+    g = tables.pi_rows * -np.bincount(tables.rows, coeff, minlength=m)[:, None]
+    # B scattered adds; a bincount over all m * A cells costs several times more at 200 actions
+    np.add.at(g.reshape(-1), tables.rows * action_count + tables.actions, coeff)
+    return g.T @ tables.contexts / (tau * len(coeff))
 
 
 def _step_gradient(
-    policy: SoftmaxLinearPolicy,
-    xs: np.ndarray,
-    rewards: np.ndarray,
-    weighting: Weighting,
-    tables: PropensityTables,
-    idx: np.ndarray,
+    policy: SoftmaxLinearPolicy, rewards: np.ndarray, weighting: Weighting, tables: PropensityTables
 ) -> np.ndarray:
-    """One step's gradient over the samples ``idx`` of ``tables``.
-
-    ``tables`` are the propensity tables, without a target, of the dataset
-    whose rows ``idx`` hold the contexts ``xs`` and rewards ``rewards``.
-    """
-    pi_all = policy.distribution_matrix(xs)
-    batch_tables = tables.select(idx, pi_all)
-    w = _weights(weighting, batch_tables)
-    return _log_trick_gradient(policy, xs, batch_tables.actions, pi_all, w * rewards)
+    """One step's gradient over the samples of ``tables``, which have no target, with
+    rewards ``rewards``: one softmax over the row contexts, the weights, and the
+    coefficient table of :func:`_log_trick_gradient`."""
+    tables = tables.with_target(policy.distribution_matrix(tables.contexts))
+    w = _weights(weighting, tables)
+    return _log_trick_gradient(tables, w * rewards, policy.tau)
 
 
 def weighted_gradient(
@@ -137,7 +129,7 @@ def weighted_gradient(
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
-    return _step_gradient(policy, batch.xs, batch.rewards, weighting, tables, np.arange(len(batch)))
+    return _step_gradient(policy, batch.rewards, weighting, tables)
 
 
 def dr_gradient(
@@ -152,38 +144,40 @@ def dr_gradient(
 
     The direct-method term sums pi(a|x) * imputed reward over every action
     of each context; the correction term weights the imputation residual of
-    the logged action with the selected propensity weighting.
+    the logged action with the selected propensity weighting. Both run on
+    the batch's distinct contexts, the rows of its propensity tables.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    pi_all = policy.distribution_matrix(batch.xs)
-    eta_all = imputation.predict_matrix(batch.xs, batch.action_count)
-    # sum_a pi_a eta_a grad log pi_a collapses to coefficients pi_a' (eta_a' - v)
-    v = np.sum(pi_all * eta_all, axis=1, keepdims=True)
-    c_dm = pi_all * (eta_all - v)
-
     tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
-    w = _weights(weighting, tables.with_target(pi_all))
-    residual = batch.rewards - eta_all[np.arange(len(batch)), batch.actions]
-    correction = _log_trick_gradient(policy, batch.xs, batch.actions, pi_all, w * residual)
-    return c_dm.T @ batch.xs / (policy.tau * len(batch)) + correction
+    tables = tables.with_target(policy.distribution_matrix(tables.contexts))
+    pi_u = tables.pi_rows
+    eta_u = imputation.predict_matrix(tables.contexts, batch.action_count)
+    # sum_a pi_a eta_a grad log pi_a collapses to coefficients pi_a' (eta_a' - v),
+    # once per sample of the context
+    v = np.sum(pi_u * eta_u, axis=1, keepdims=True)
+    c_dm = pi_u * (eta_u - v) * np.bincount(tables.rows, minlength=len(pi_u))[:, None]
+
+    w = _weights(weighting, tables)
+    residual = batch.rewards - eta_u[tables.rows, tables.actions]
+    correction = _log_trick_gradient(tables, w * residual, policy.tau)
+    return c_dm.T @ tables.contexts / (policy.tau * len(batch)) + correction
 
 
 def true_gradient_norm(
-    policy: SoftmaxLinearPolicy, pool: LoggedDataset, pi_all: Optional[np.ndarray] = None
+    policy: SoftmaxLinearPolicy, pool: LoggedDataset, tables: Optional[PropensityTables] = None
 ) -> float:
     """Frobenius norm of the exact-propensity REINFORCE gradient over the pool.
 
-    ``pi_all``, the policy's rows for the pool, is computed unless passed
-    in; a passed array is left unchanged.
+    ``tables``, the pool's propensity tables with ``policy`` as the target,
+    are computed unless passed in; passed tables are left unchanged.
     """
     if pool.true_logging_probs is None:
         raise ValueError("pool carries no true logging probabilities")
-    pi_all = policy.distribution_matrix(pool.xs) if pi_all is None else pi_all.copy()
     ips_true = Weighting(kind="ips_true")
-    w = _weights(ips_true, propensity_tables(pool, None, None, (ips_true.kind,)).with_target(pi_all))
-    grad = _log_trick_gradient(policy, pool.xs, pool.actions, pi_all, w * pool.rewards)
-    return float(np.linalg.norm(grad))
+    tables = tables or propensity_tables(pool, policy, None, (ips_true.kind,))
+    w = _weights(ips_true, tables)
+    return float(np.linalg.norm(_log_trick_gradient(tables, w * pool.rewards, policy.tau)))
 
 
 def train_epochs(
@@ -196,9 +190,15 @@ def train_epochs(
     propensity tables of ``dataset`` without a target, holding at least
     what the configured weighting reads.
 
-    Each step works on the batch's index array: it gathers the batch's
-    contexts, rewards and table columns, computes one softmax over the
-    batch and turns that buffer into the gradient's coefficients in place.
+    Each step works on the batch's distinct contexts: :meth:`PropensityTables.select`
+    gathers the batch's table columns and numbers its contexts through the
+    dataset's context index, one softmax runs over those m_b <= B contexts,
+    and the gradient is the (m_b, A) coefficient table of
+    :func:`_log_trick_gradient` times the contexts. The selected
+    probabilities ``pi_sel``, and so the weights, equal those of a softmax
+    over the batch's rows bit for bit while ``dim`` is below 32; the
+    gradient adds the rows' terms per context first and differs from the
+    row-by-row sum by rounding.
 
     The policy depends only on the steps. Whatever a caller computes from
     the yielded policies, such as a trace, is diagnostic and cannot change it.
@@ -206,13 +206,13 @@ def train_epochs(
     rng = make_rng(config.seed)
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-    xs, rewards, n = dataset.xs, dataset.rewards, len(dataset)
+    rewards, n = dataset.rewards, len(dataset)
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            grad = _step_gradient(policy, xs.take(idx, axis=0), rewards[idx], config.weighting, tables, idx)
+            grad = _step_gradient(policy, rewards[idx], config.weighting, tables.select(idx))
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + config.learning_rate * grad
             if not np.all(np.isfinite(theta)):
@@ -248,7 +248,9 @@ def train(
     metrics to the trace.
 
     The trace is diagnostic only: the policy does not depend on it, and is
-    the one :func:`train_policy` returns on the same tables.
+    the one :func:`train_policy` returns on the same tables. Each epoch's
+    record reads the m distinct contexts of the log: one (m, A) softmax
+    serves the value, the largest weight and the true-gradient norm.
     """
     if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
         model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
@@ -257,8 +259,8 @@ def train(
     trace = TrainTrace()
     for epoch, policy in enumerate(train_epochs(dataset, tables, config), start=1):
         record = {"epoch": epoch}
-        pi_all = policy.distribution_matrix(dataset.xs)
-        w = _weights(config.weighting, tables.with_target(pi_all))
+        target = tables.with_target(policy.distribution_matrix(tables.contexts))
+        w = _weights(config.weighting, target)
         record["value"] = _mean_value(config.weighting, w, dataset.rewards)
         record["max_weight"] = float(w.max())
         if validation is not None and epoch % config.eval_every == 0:
@@ -267,7 +269,7 @@ def train(
         else:
             record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})
         record["grad_norm"] = (
-            true_gradient_norm(policy, dataset, pi_all)
+            true_gradient_norm(policy, dataset, target)
             if dataset.true_logging_probs is not None else None
         )
         trace.records.append(record)

@@ -5,6 +5,7 @@ from dataclasses import replace
 from typing import Optional
 
 import numpy as np
+import pytest
 
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR, TINY
@@ -170,6 +171,35 @@ def dense_log_reference(env, rng, split, n_samples=None, samples_per_context=Non
     return actions, probs[np.arange(len(idx)), actions]
 
 
+#: How far ``learning.train`` may stray from :func:`reference_train`: its steps and trace
+#: add each context's rows before the contexts, the reference row by row. Measured
+#: deviations stay below 2e-14 of an element of theta and 7e-16 of a trace value.
+TRAIN_RTOL = 1e-12
+
+
+def assert_train_matches_reference(policy, trace, ref_policy, ref_trace=None):
+    """``policy`` and ``trace`` of ``learning.train`` equal the reference's within
+    :data:`TRAIN_RTOL`; a trace cell that is None must be None in both."""
+    np.testing.assert_allclose(policy.theta, ref_policy.theta, rtol=TRAIN_RTOL, atol=0)
+    if ref_trace is None:
+        return
+    assert [r.keys() for r in trace.records] == [r.keys() for r in ref_trace.records]
+    for record, ref in zip(trace.records, ref_trace.records):
+        for key, value in record.items():
+            if ref[key] is None:
+                assert value is None, key
+            else:
+                assert value == pytest.approx(ref[key], rel=TRAIN_RTOL, abs=0), key
+
+
+def per_sample_tables(tables):
+    """``tables`` with one row per sample: the row tables gathered through ``rows``."""
+    return replace(
+        tables, rows=np.arange(len(tables.actions)), contexts=None,
+        beta_rows=None if tables.beta_rows is None else tables.beta_rows[tables.rows],
+    )
+
+
 def reference_train(
     dataset: LoggedDataset,
     model: Optional[LoggingModel],
@@ -184,16 +214,20 @@ def reference_train(
     log-trick gradient as ``((onehot - pi) * coeff).T @ xs / (tau * B)``,
     and every epoch record computes its own softmaxes, weights, true-gradient
     norm and, one context at a time, validation ranking metrics. The library
-    ``train`` must reproduce its policy bit for bit and its trace records
-    exactly. Returns ``(policy, trace)``.
+    ``train`` must reproduce its policy and its trace records within
+    :data:`TRAIN_RTOL`, since it sums the gradient per distinct context; its
+    weights and ranking inputs are the same bits. Returns ``(policy, trace)``.
     """
     rng = make_rng(config.seed)
     if model is None and config.weighting.kind not in ("ce", "ips_true", "dice_s"):
         model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
 
     kinds = (config.weighting.kind,)
-    full = propensity_tables(dataset, None, model, kinds)
-    truth = propensity_tables(dataset, None, None, ("ips_true",)) if dataset.true_logging_probs is not None else None
+    full = per_sample_tables(propensity_tables(dataset, None, model, kinds))
+    truth = (
+        per_sample_tables(propensity_tables(dataset, None, None, ("ips_true",)))
+        if dataset.true_logging_probs is not None else None
+    )
     onehot = np.eye(dataset.action_count)
 
     def gradient(policy, batch, tables, weighting):
@@ -216,7 +250,7 @@ def reference_train(
             batch_idx = order[start : start + config.batch_size]
             batch = dataset.subset(batch_idx)
             tables = replace(
-                propensity_tables(batch, None, model, kinds),
+                per_sample_tables(propensity_tables(batch, None, model, kinds)),
                 us=None if full.us is None else full.us[batch_idx],
                 counts=None if full.counts is None else full.counts[batch_idx],
             )

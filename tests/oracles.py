@@ -13,7 +13,9 @@ come to depend on the code it checks. It holds:
 - a bias-variance bound on the MSE of a phi-reweighted estimator;
 - the gradient of log pi(a|x) of a softmax-linear policy;
 - the ranking metrics P@k, R@k and NDCG@k of one ranked context, and the
-  split means and the exact policy value computed one context at a time.
+  split means and the exact policy value computed one context at a time;
+- the direct-method and doubly robust value estimates, and one cell of an
+  imputation's reward table.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from uips.core import BETA_FLOOR
+from uips.estimators import ConstantImputation, propensity_tables, propensity_weights
 from uips.weights import UipsHyperParams, phi_star_vector
 
 
@@ -277,3 +280,26 @@ def true_policy_value_loop(env, policy, split: str = "test") -> float:
         p = policy.distribution(x)
         total += sum(p[a] for a in np.flatnonzero(row).tolist())
     return total / len(data)
+
+
+def v_dm(dataset, policy, imputation) -> float:
+    """Direct method: mean over contexts of sum_a pi(a|x) * imputed reward."""
+    pi = policy.distribution_matrix(dataset.xs)
+    eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
+    return float(np.mean(np.sum(pi * eta, axis=1)))
+
+
+def v_dr(dataset, policy, model, imputation, weighting) -> float:
+    """Direct method plus a ``weighting``-weighted residual correction."""
+    tables = propensity_tables(dataset, policy, model, (weighting.kind,))
+    eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
+    dm = np.mean(np.sum(tables.pi_rows[tables.rows] * eta, axis=1))
+    residual = dataset.rewards - eta[np.arange(len(dataset)), tables.actions]
+    return float(dm + np.mean(propensity_weights(weighting, tables) * residual))
+
+
+def imputed_reward(imputation, x, action: int) -> float:
+    """The reward ``imputation`` predicts for ``action`` in the context ``x``."""
+    if isinstance(imputation, ConstantImputation):
+        return imputation.value
+    return imputation.lookup.prob(x, action)

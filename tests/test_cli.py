@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_train
+from helpers import assert_train_matches_reference, reference_train
 from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
 from uips.estimators import propensity_tables
@@ -334,7 +334,7 @@ class TestSweepSharesTables:
         model = accumulate_grams(dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=4)))
         for _, _, config, policy in calls:
             ref_policy, _ = reference_train(dataset, model, config)
-            np.testing.assert_array_equal(policy.theta, ref_policy.theta)
+            assert_train_matches_reference(policy, None, ref_policy)
 
 
 class TestExitCodes:
@@ -345,6 +345,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["generate", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("tau", [1e-308, 5e-324])
+    def test_tiny_env_tau_is_never_a_runtime_failure(self, tmp_path, tau):
+        config = json.loads(write_config(tmp_path, "tiny-tau").read_text())
+        config["env"]["tau"] = tau
+        path = tmp_path / "tiny-tau.json"
+        path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(path)]) in (0, 2)
 
     def test_missing_inputs_are_config_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "noinputs")

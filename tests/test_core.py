@@ -33,6 +33,21 @@ class TestPolicyProb:
         p = policy.distribution(rng.standard_normal(4))
         assert np.all(np.abs(p - 1.0 / 6.0) < 1e-6)
 
+    @pytest.mark.parametrize("tau", [1e-308, 5e-324])
+    def test_tiny_temperature_gives_finite_normalized_rows(self, tau):
+        # the scores are divided by tau only after the row maximum is subtracted,
+        # so the trailing actions go to -inf and get probability 0, never NaN
+        rng = make_rng(1)
+        policy = SoftmaxLinearPolicy(theta=rng.standard_normal((6, 4)), tau=tau)
+        xs = rng.standard_normal((5, 4))
+        rows = policy.distribution_matrix(xs)
+        assert np.all(np.isfinite(rows))
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        for x, row in zip(xs, rows):
+            p = policy.distribution(x)
+            assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) < 1e-12
+            np.testing.assert_array_equal(p, row)
+
     def test_dimension_mismatch_raises(self):
         policy = SoftmaxLinearPolicy(theta=np.zeros((3, 2)))
         with pytest.raises(ValueError):
@@ -87,7 +102,8 @@ class TestPolicyDistribution:
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
         # exp underflows to 0 once a score trails the maximum by about 745
-        gap = policy.scores(x).max() - policy.scores(x)
+        scores = policy.theta @ x / policy.tau
+        gap = scores.max() - scores
         assert np.all(p[gap <= 700] > 0)
 
     @settings(max_examples=40, deadline=None)

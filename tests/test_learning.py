@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import reference_train
-from oracles import log_prob_grad
+from helpers import assert_train_matches_reference, reference_train
+from oracles import imputed_reward, log_prob_grad
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR
-from uips.estimators import ConstantImputation, TabularImputation, Weighting, propensity_tables
+from uips.estimators import ConstantImputation, PropensityTables, TabularImputation, Weighting, propensity_tables
 from uips.learning import (
     TrainConfig,
+    _log_trick_gradient,
     dr_gradient,
     train,
     train_policy,
@@ -195,7 +196,7 @@ class TestDrGradient:
         got = dr_gradient(policy, batch, model, eta, Weighting(kind="bips"))
         # direct term alone: coefficients pi_a (eta_a - sum_b pi_b eta_b)
         pi_all = policy.distribution_matrix(batch.xs)
-        eta_all = np.stack([[eta.predict(batch.xs[i], a) for a in range(8)] for i in range(len(batch))])
+        eta_all = np.stack([[imputed_reward(eta, batch.xs[i], a) for a in range(8)] for i in range(len(batch))])
         v = np.sum(pi_all * eta_all, axis=1, keepdims=True)
         dm = ((pi_all * (eta_all - v)).T @ batch.xs) / len(batch)
         np.testing.assert_allclose(got, dm, atol=1e-12)
@@ -223,13 +224,13 @@ class TestDrGradient:
 
                 w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, weighting.hp)[0]
             frozen = w_ref / pi_ref
-            eta_sel = np.array([eta.predict(batch.xs[i], int(batch.actions[i])) for i in n])
+            eta_sel = np.array([imputed_reward(eta, batch.xs[i], int(batch.actions[i])) for i in n])
 
             def objective(theta):
                 pol = SoftmaxLinearPolicy(theta=theta, tau=1.0)
                 pi_all = pol.distribution_matrix(batch.xs)
                 eta_all = np.stack(
-                    [[eta.predict(batch.xs[i], a) for a in range(8)] for i in range(len(batch))]
+                    [[imputed_reward(eta, batch.xs[i], a) for a in range(8)] for i in range(len(batch))]
                 )
                 dm = float(np.mean(np.sum(pi_all * eta_all, axis=1)))
                 corr = float(np.mean(pi_all[n, batch.actions] * frozen * (batch.rewards - eta_sel)))
@@ -320,11 +321,35 @@ class TestTrain:
             dataset = generate_log(env, 5000, make_rng(seed))
             model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
             policy, _ = train(dataset, model, config)
-            _, _, before = evaluate_policy(SoftmaxLinearPolicy.uniform(env.action_count, env.dim),
+            _, _, before = evaluate_policy(SoftmaxLinearPolicy(theta=np.zeros((env.action_count, env.dim))),
                                            env.validation, 5)
             _, _, after = evaluate_policy(policy, env.validation, 5)
             gains.append(after - before)
         assert float(np.median(gains)) >= 0.05
+
+
+class TestContextGradient:
+    # integer contexts and multiples of 1/8 make every sum exact, so adding each
+    # context's rows first cannot round differently from the row-by-row product
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    def test_coefficient_table_equals_the_dense_product_on_dyadic_inputs(self, tau):
+        rng = make_rng(31)
+        n, m, a_count, dim = 96, 9, 5, 4
+        # column 0 numbers the contexts, so a selected row finds its target row
+        contexts = np.column_stack([np.arange(m), rng.integers(-3, 4, (m, dim - 1))]).astype(float)
+        pi = rng.integers(0, 9, (m, a_count)) / 8
+        rows, actions = rng.integers(0, m, n), rng.integers(0, a_count, n)
+        coeff = rng.integers(-16, 17, n) / 8
+        onehot = np.eye(a_count)
+        tables = PropensityTables(rows=rows, actions=actions, contexts=contexts)
+        # the whole log, a batch, a batch of one context (padded to two rows) and one row
+        for idx in (np.arange(n), np.arange(5, 69), np.flatnonzero(rows == rows[0]), np.array([7])):
+            batch = tables.select(idx)
+            batch = batch.with_target(pi[batch.contexts[:, 0].astype(int)])
+            xs = contexts[rows[idx]]
+            dense = ((onehot[actions[idx]] - pi[rows[idx]]) * coeff[idx, None]).T @ xs / (tau * len(idx))
+            np.testing.assert_array_equal(_log_trick_gradient(batch, coeff[idx], tau), dense)
+            np.testing.assert_array_equal(batch.contexts[batch.rows], xs)
 
 
 class TestSharedStepLoop:
@@ -337,8 +362,7 @@ class TestSharedStepLoop:
                              seed=5, eval_every=2)
         policy, trace = train(ds, model, config, env=env)
         ref_policy, ref_trace = reference_train(ds, model, config, env=env)
-        np.testing.assert_array_equal(policy.theta, ref_policy.theta)
-        assert trace.records == ref_trace.records
+        assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
         tables = propensity_tables(ds, None, model, (weighting.kind,))
         np.testing.assert_array_equal(train_policy(ds, tables, config).theta, policy.theta)
 
@@ -349,8 +373,7 @@ class TestSharedStepLoop:
                              weighting=Weighting(kind="uips", hp=UIPS_HP))
         policy, trace = train(ds, None, config)
         ref_policy, ref_trace = reference_train(ds, None, config)
-        np.testing.assert_array_equal(policy.theta, ref_policy.theta)
-        assert trace.records == ref_trace.records
+        assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
         model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(seed=config.seed)))
         tables = propensity_tables(ds, None, model, ("uips",))
         np.testing.assert_array_equal(train_policy(ds, tables, config).theta, policy.theta)
@@ -365,7 +388,7 @@ class TestSharedStepLoop:
             batch = ds.subset(idx)
             expected = model.beta_matrix(batch.xs)
             if kind == "minvar":
-                np.testing.assert_array_equal(tables.beta_rows[idx], expected)
+                np.testing.assert_array_equal(tables.beta_rows[tables.rows[idx]], expected)
             else:
                 assert tables.beta_rows is None
                 np.testing.assert_array_equal(
@@ -415,10 +438,10 @@ class TestTrueGradientNorm:
     def test_passed_policy_rows_are_left_unchanged(self):
         env, ds, model = make_setup(seed=26)
         policy = random_policy(make_rng(27), 8, 6)
-        pi_all = policy.distribution_matrix(ds.xs)
-        kept = pi_all.copy()
-        assert true_gradient_norm(policy, ds, pi_all) == true_gradient_norm(policy, ds)
-        np.testing.assert_array_equal(pi_all, kept)
+        tables = propensity_tables(ds, policy, None, ("ips_true",))
+        kept = tables.pi_rows.copy()
+        assert true_gradient_norm(policy, ds, tables) == true_gradient_norm(policy, ds)
+        np.testing.assert_array_equal(tables.pi_rows, kept)
 
     def test_requires_true_propensities(self):
         ds = LoggedDataset(xs=np.ones((2, 3)), actions=[0, 1], rewards=[1.0, 0.0], action_count=2)

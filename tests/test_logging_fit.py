@@ -319,7 +319,7 @@ class TestConfidenceInterval:
             ),
         )
         for x in pool[:10]:
-            f_true = true_policy.scores(x)
+            f_true = true_policy.theta @ x / true_policy.tau
             us = np.array([uncertainty(model, x, a) for a in range(a_count)])
             delta = gamma * us * rng.uniform(-1.0, 1.0, a_count)
             f_hat = f_true + delta
