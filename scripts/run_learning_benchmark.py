@@ -1,8 +1,9 @@
 """Policy-learning benchmark: grid sweep per method, mean test metrics over seeds.
 
 Each seed regenerates the logged dataset, refits the logging model, trains
-one policy per grid point per method, selects by validation NDCG, and
-reports the selected point's test metrics.
+every grid point of every method together in one stacked step loop (one
+policy per point), selects per method by validation NDCG, and reports the
+selected point's test metrics.
 
 Usage: python scripts/run_learning_benchmark.py [--seeds 10] [--tau 0.5]
 """

@@ -8,10 +8,10 @@ uips, minvar and dice_s read. The child reports every stage's wall time
 a memory regression names its stage) and its overall peak RSS; one JSON line
 per rung goes to stdout.
 
-The log drawing and the fit's loss derivative each hold one float64 buffer
-of n_logged * action_count cells (the propensity tables hold one row per
-distinct context), so a rung above --max-cells cells is reported as
-skipped instead of run.
+The fit's loss derivative holds one float64 buffer of n_logged *
+action_count cells (the log drawing compares blocks of draws and the
+propensity tables hold one row per distinct context), so a rung above
+--max-cells cells is reported as skipped instead of run.
 
 Usage: python scripts/scale_ladder.py [--actions 50 500 2000] [--rows 5000 50000]
                                       [--epochs 10] [--max-cells 30000000]

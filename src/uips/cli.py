@@ -30,7 +30,7 @@ from typing import Sequence
 from uips import __version__
 from uips.core import LoggedDataset, _integer, make_rng
 from uips.estimators import PARAMETERS, UIPS_KINDS, WEIGHT_KINDS, Weighting, ope_mse_experiment, propensity_tables
-from uips.learning import TrainConfig, train, train_policy
+from uips.learning import TrainConfig, _describe, train, train_policies
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -286,54 +286,59 @@ def run_sweep(
     k_eval: int = 5,
     n_logged: int = 5000,
 ) -> list[dict]:
-    """Grid sweep: train per grid point, select per method by validation NDCG.
+    """Grid sweep: train every grid point, select per method by validation NDCG.
 
     Returns one leaderboard row per method with the selected point's test
-    metrics. A one-point grid is exactly a single training run. Every grid
-    point trains on one logged dataset, one logging model and one set of
-    propensity tables, built once for every weighting kind of the grid.
-    ``train_section`` holds ``TrainConfig`` fields; a ``n_logged`` key there
-    is ignored, because the log has the ``n_logged`` rows of the argument.
+    metrics. Every (method, weighting, learning rate) point of every method
+    trains on one logged dataset, one logging model and one set of
+    propensity tables, built once for every weighting kind of the grid, in
+    one run of the stacked step loop of :func:`train_policies`: the points
+    share their minibatches, and each gets the policy it would get trained
+    alone. A method selects the point of the highest validation NDCG, the
+    smaller learning rate on a tie, and the first in grid order after that.
+    A one-point grid is exactly a single training run. ``train_section``
+    holds ``TrainConfig`` fields; a ``n_logged`` key there is ignored,
+    because the log has the ``n_logged`` rows of the argument.
     """
     base = _parse(
         "training section",
         lambda s: TrainConfig(seed=seed, k_eval=k_eval, **s),
         {k: v for k, v in train_section.items() if k != "n_logged"},
     )
-    grids = {}
+    points = []
     for method, grid in methods.items():
-        grids[method] = _parse(f"{method} grid", lambda g: expand_grid(method, g), grid or {})
-        if not grids[method]:
+        candidates = _parse(f"{method} grid", lambda g: expand_grid(method, g), grid or {})
+        if not candidates:
             raise ConfigError(f"empty grid for method {method!r}")
-    dataset = generate_log(env, n_logged, make_rng(seed))
-    model = accumulate_grams(
-        dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed))
-    )
-    kinds = {weighting.kind for candidates in grids.values() for weighting in candidates}
-    tables = propensity_tables(dataset, None, model, kinds)
-    rows = []
-    for method, candidates in grids.items():
         lrs = _parse(
-            f"{method} learning_rate", _list, (methods[method] or {}).get("learning_rate", [base.learning_rate])
+            f"{method} learning_rate", _list, (grid or {}).get("learning_rate", [base.learning_rate])
         )
-        best = None
         for weighting in candidates:
             for lr in lrs:
                 config = _parse(
                     "training section", lambda rate: replace(base, weighting=weighting, learning_rate=rate), lr
                 )
-                policy = train_policy(dataset, tables, config)
-                _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
-                key = (val_ndcg, -lr)
-                if best is None or key > best[0]:
-                    best = (key, weighting, lr, policy)
-        _, weighting, lr, policy = best
+                points.append((method, config))
+    dataset = generate_log(env, n_logged, make_rng(seed))
+    model = accumulate_grams(
+        dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed))
+    )
+    configs = [config for _, config in points]
+    tables = propensity_tables(dataset, None, model, {config.weighting.kind for config in configs})
+    best = {}
+    for (method, config), policy in zip(points, train_policies(dataset, tables, configs)):
+        _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
+        key = (val_ndcg, -config.learning_rate)
+        if method not in best or key > best[method][0]:
+            best[method] = (key, config, policy)
+    rows = []
+    for method, ((val_ndcg, _), config, policy) in best.items():
         p, r, ndcg = evaluate_policy(policy, env.test, k_eval)
         rows.append(
             {
                 "method": method,
-                "selected_params": _describe(weighting, lr),
-                "val_ndcg_at_k": best[0][0],
+                "selected_params": _describe(config.weighting, config.learning_rate),
+                "val_ndcg_at_k": val_ndcg,
                 "test_p_at_k": p,
                 "test_r_at_k": r,
                 "test_ndcg_at_k": ndcg,
@@ -341,18 +346,6 @@ def run_sweep(
             }
         )
     return rows
-
-
-def _describe(weighting: Weighting, lr: float) -> str:
-    parts = [f"lr={lr}"]
-    if weighting.cap is not None:
-        parts.append(f"cap={weighting.cap}")
-    if weighting.lam is not None:
-        parts.append(f"lam={weighting.lam}")
-    if weighting.hp is not None:
-        hp = weighting.hp
-        parts.append(f"lam={hp.lam};gamma={hp.gamma};eta1={hp.eta1};eta2={hp.eta2}")
-    return "|".join(parts)
 
 
 def cmd_sweep(resolved: dict) -> None:

@@ -227,6 +227,23 @@ class LoggedDataset:
         return cls(**columns)
 
 
+def _softmax(s: np.ndarray, tau: float) -> np.ndarray:
+    """The softmax of the scores ``s`` / ``tau`` along the last axis, in place on ``s``.
+
+    The maximum is subtracted before the division by ``tau``, so a tiny ``tau`` sends
+    the trailing scores to -inf, whose exponential is 0, and never makes inf - inf. The
+    division by a temperature of 1 is exact, so it is skipped. A stack of score tables
+    gives each table the bits it would get alone.
+    """
+    s -= s.max(axis=-1, keepdims=True)
+    if tau != 1.0:
+        with np.errstate(over="ignore"):
+            s /= tau
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
 @dataclass(frozen=True)
 class SoftmaxLinearPolicy:
     """Stochastic policy with pi(a|x) proportional to exp(x . theta_a / tau).
@@ -281,20 +298,10 @@ class SoftmaxLinearPolicy:
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Row-wise distributions for a batch of contexts, shape (n, actions).
 
-        Every step after the scores product runs in place on its one buffer.
-        The row maximum is subtracted before the division by ``tau``, so a
-        tiny ``tau`` sends the trailing scores to -inf, whose exponential is
-        0, and never makes inf - inf. The division by a temperature of 1 is
-        exact, so it is skipped.
+        Every step after the scores product runs in place on its one buffer,
+        in :func:`_softmax`.
         """
-        s = xs @ self.theta.T
-        s -= s.max(axis=1, keepdims=True)
-        if self.tau != 1.0:
-            with np.errstate(over="ignore"):
-                s /= self.tau
-        np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-        return s
+        return _softmax(xs @ self.theta.T, self.tau)
 
     def prob(self, x: np.ndarray, action: int) -> float:
         if not 0 <= action < self.action_count:

@@ -7,16 +7,22 @@ front, the weight of each sample is recomputed from the current policy at
 every step, and the weight is treated as a constant (stop-gradient) inside
 the step, so the per-step gradient is the log-trick gradient of the
 weighted sample mean.
+
+One step loop, :func:`train_epochs`, trains a stack of configs that share
+their seed, epochs and batch size, such as the grid points of a sweep:
+each step draws one minibatch, runs one softmax and one gradient product
+for the whole stack, and gives each policy the bits it would get trained
+alone. A single training run is a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, make_rng
+from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _softmax, make_rng
 from uips.estimators import (
     MODEL_FREE_KINDS,
     PropensityTables,
@@ -27,6 +33,10 @@ from uips.estimators import (
 from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy
 from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv
+
+#: The most (policy, sample, action) cells one stacked training step holds: 2**21
+#: cells are 16 MB per float64 buffer. Larger stacks of configs run as several.
+_STACK_CELLS = 2**21
 
 
 @dataclass(frozen=True)
@@ -82,32 +92,53 @@ def _mean_value(weighting: Weighting, w: np.ndarray, rewards: np.ndarray) -> flo
     return float(coeff.mean())
 
 
-def _log_trick_gradient(tables: PropensityTables, coeff: np.ndarray, tau: float) -> np.ndarray:
-    """(1/B) sum_n coeff_n grad log pi(a_n|x_n) over the B cells of ``tables``.
+def _log_trick_gradient(
+    tables: PropensityTables, coeff: np.ndarray, pi: np.ndarray, tau: float
+) -> np.ndarray:
+    """(1/B) sum_n coeff[g, n] grad log pi_g(a_n|x_n) over the B cells of ``tables``,
+    for each policy g of a stack of G, shaped (G, action_count, dim).
 
-    ``tables`` carry a target. grad log pi(a|x) is (onehot(a) - pi(.|x)) x /
-    tau, so the sum runs over the m row contexts: the (m, A) coefficient
-    table G holds -pi times the sum of ``coeff`` over each context's samples
-    plus the sum of ``coeff`` on each logged cell, and the gradient is
-    G.T @ contexts / (tau B). On rows that repeat contexts this adds the
-    same terms as the dense ((onehot - pi) * coeff).T @ xs in another order.
+    ``coeff`` is (G, B). ``pi`` (G, m, A) holds the policies' probabilities
+    on the m row contexts of ``tables``; it must be C-contiguous, and it is
+    overwritten with the coefficient tables. grad log pi(a|x) is
+    (onehot(a) - pi(.|x)) x / tau, so the sum runs over the row contexts:
+    policy g's (m, A) table holds -pi_g times the sum of ``coeff[g]`` over
+    each context's samples plus the sum of ``coeff[g]`` on each logged cell,
+    and its gradient is that table's transpose times the contexts, over
+    (tau B). One bincount and one np.add.at fill every table, policy g's
+    cells offset by g m rows, so each table adds its terms in the order it
+    would alone. On rows that repeat contexts this adds the same terms as
+    the dense ((onehot - pi) * coeff).T @ xs in another order.
     """
-    m, action_count = tables.pi_rows.shape
-    g = tables.pi_rows * -np.bincount(tables.rows, coeff, minlength=m)[:, None]
-    # B scattered adds; a bincount over all m * A cells costs several times more at 200 actions
-    np.add.at(g.reshape(-1), tables.rows * action_count + tables.actions, coeff)
-    return g.T @ tables.contexts / (tau * len(coeff))
+    stack, m, action_count = pi.shape
+    cells = tables.rows + m * np.arange(stack)[:, None]
+    sums = np.bincount(cells.ravel(), coeff.ravel(), minlength=stack * m)
+    np.multiply(pi, -sums.reshape(stack, m, 1), out=pi)
+    # G B scattered adds; a bincount over all G m A cells costs several times more at 200 actions
+    np.add.at(pi.reshape(-1), (cells * action_count + tables.actions).ravel(), coeff.ravel())
+    return np.matmul(pi.transpose(0, 2, 1), tables.contexts) / (tau * coeff.shape[1])
 
 
 def _step_gradient(
-    policy: SoftmaxLinearPolicy, rewards: np.ndarray, weighting: Weighting, tables: PropensityTables
+    theta: np.ndarray,
+    tables: PropensityTables,
+    rewards: np.ndarray,
+    weightings: Sequence[Weighting],
+    tau: float = 1.0,
 ) -> np.ndarray:
-    """One step's gradient over the samples of ``tables``, which have no target, with
-    rewards ``rewards``: one softmax over the row contexts, the weights, and the
-    coefficient table of :func:`_log_trick_gradient`."""
-    tables = tables.with_target(policy.distribution_matrix(tables.contexts))
-    w = _weights(weighting, tables)
-    return _log_trick_gradient(tables, w * rewards, policy.tau)
+    """One step's gradients for the stack of G policies ``theta`` (G, A, dim), the
+    g-th under ``weightings[g]``, over the samples of ``tables``, which have no
+    target, with rewards ``rewards``.
+
+    One softmax runs over the row contexts for the whole stack, then each
+    point's weight rule, then one stacked :func:`_log_trick_gradient`, which
+    takes over the softmax buffer: no probability is read after the weights.
+    """
+    pi = _softmax(np.matmul(tables.contexts, theta.transpose(0, 2, 1)), tau)
+    coeff = np.empty((len(weightings), len(rewards)))
+    for g, weighting in enumerate(weightings):
+        coeff[g] = _weights(weighting, tables.with_target(pi[g])) * rewards
+    return _log_trick_gradient(tables, coeff, pi, tau)
 
 
 def weighted_gradient(
@@ -124,12 +155,13 @@ def weighted_gradient(
     not differentiated through. ``tables`` are the batch's propensity
     tables without a target; they are computed from the batch unless
     passed, so count propensities for dice_s are then the batch's own.
-    This is one step of :func:`train_epochs` on the whole batch.
+    This is one step of :func:`train_epochs` on the whole batch, for a
+    stack of one policy.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
-    return _step_gradient(policy, batch.rewards, weighting, tables)
+    return _step_gradient(policy.theta[None], tables, batch.rewards, [weighting], policy.tau)[0]
 
 
 def dr_gradient(
@@ -160,7 +192,8 @@ def dr_gradient(
 
     w = _weights(weighting, tables)
     residual = batch.rewards - eta_u[tables.rows, tables.actions]
-    correction = _log_trick_gradient(tables, w * residual, policy.tau)
+    # pi_u is not read again: the correction's coefficient table takes it over
+    correction = _log_trick_gradient(tables, (w * residual)[None], pi_u[None], policy.tau)[0]
     return c_dm.T @ tables.contexts / (policy.tau * len(batch)) + correction
 
 
@@ -177,59 +210,98 @@ def true_gradient_norm(
     ips_true = Weighting(kind="ips_true")
     tables = tables or propensity_tables(pool, policy, None, (ips_true.kind,))
     w = _weights(ips_true, tables)
-    return float(np.linalg.norm(_log_trick_gradient(tables, w * pool.rewards, policy.tau)))
+    coeff = (w * pool.rewards)[None]
+    return float(np.linalg.norm(_log_trick_gradient(tables, coeff, tables.pi_rows[None].copy(), policy.tau)))
+
+
+def _describe(weighting: Weighting, learning_rate: float) -> str:
+    """A grid point's hyper-parameters, as the sweep leaderboard names them."""
+    parts = [f"lr={learning_rate}"]
+    if weighting.cap is not None:
+        parts.append(f"cap={weighting.cap}")
+    if weighting.lam is not None:
+        parts.append(f"lam={weighting.lam}")
+    if weighting.hp is not None:
+        hp = weighting.hp
+        parts.append(f"lam={hp.lam};gamma={hp.gamma};eta1={hp.eta1};eta2={hp.eta2}")
+    return "|".join(parts)
 
 
 def train_epochs(
-    dataset: LoggedDataset, tables: PropensityTables, config: TrainConfig
-) -> Iterator[SoftmaxLinearPolicy]:
-    """Minibatch REINFORCE ascent under the configured weighting, one epoch per yield.
+    dataset: LoggedDataset, tables: PropensityTables, configs: Sequence[TrainConfig]
+) -> Iterator[list[SoftmaxLinearPolicy]]:
+    """Minibatch REINFORCE ascent for a stack of configs, one epoch per yield.
 
-    This is the one step loop; :func:`train` and :func:`train_policy` both
-    run it, and it yields the policy after each epoch. ``tables`` are the
-    propensity tables of ``dataset`` without a target, holding at least
-    what the configured weighting reads.
+    This is the one step loop; :func:`train` runs it on one config and
+    :func:`train_policies` on many, and it yields the policy of every
+    config after each epoch, in the order of ``configs``. The configs must
+    share ``seed``, ``epochs`` and ``batch_size``, so that every policy
+    sees the same minibatches; they may differ in weighting and learning
+    rate. ``tables`` are the propensity tables of ``dataset`` without a
+    target, holding at least what every configured weighting reads.
 
-    Each step works on the batch's distinct contexts: :meth:`PropensityTables.select`
-    gathers the batch's table columns and numbers its contexts through the
-    dataset's context index, one softmax runs over those m_b <= B contexts,
-    and the gradient is the (m_b, A) coefficient table of
-    :func:`_log_trick_gradient` times the contexts. The selected
-    probabilities ``pi_sel``, and so the weights, equal those of a softmax
-    over the batch's rows bit for bit while ``dim`` is below 32; the
-    gradient adds the rows' terms per context first and differs from the
-    row-by-row sum by rounding.
+    Each step draws its batch once for the whole stack and works on the
+    batch's distinct contexts: :meth:`PropensityTables.select` gathers the
+    batch's table columns and numbers its contexts through the dataset's
+    context index, one softmax runs over those m_b <= B contexts for a
+    stack of policies at once, each policy computes its own weights, and
+    one stacked :func:`_log_trick_gradient` gives every gradient. A stack
+    holds at most ``_STACK_CELLS`` (policy, sample, action) cells; more
+    configs run as several stacks on the same batches. Each policy gets
+    the bits it would get trained alone. The selected probabilities
+    ``pi_sel``, and so the weights, equal those of a softmax over the
+    batch's rows bit for bit while ``dim`` is below 32; the gradient adds
+    the rows' terms per context first and differs from the row-by-row sum
+    by rounding.
 
-    The policy depends only on the steps. Whatever a caller computes from
-    the yielded policies, such as a trace, is diagnostic and cannot change it.
+    If any policy's parameters stop being finite, the loop raises
+    RuntimeError naming the epoch and that policy's weighting and learning
+    rate.
+
+    The policies depend only on the steps. Whatever a caller computes from
+    the yielded policies, such as a trace, is diagnostic and cannot change them.
     """
-    rng = make_rng(config.seed)
-    theta = np.zeros((dataset.action_count, dataset.dim))
-    policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-    rewards, n = dataset.rewards, len(dataset)
+    configs = list(configs)
+    if not configs:
+        raise ValueError("no training configs")
+    first = configs[0]
+    if any((c.seed, c.epochs, c.batch_size) != (first.seed, first.epochs, first.batch_size) for c in configs):
+        raise ValueError("stacked training configs must share seed, epochs and batch_size")
+    rng = make_rng(first.seed)
+    rewards, n, batch_size = dataset.rewards, len(dataset), first.batch_size
+    size = max(1, _STACK_CELLS // (min(batch_size, n) * dataset.action_count))
+    stacks = [configs[start : start + size] for start in range(0, len(configs), size)]
+    thetas = [np.zeros((len(stack), dataset.action_count, dataset.dim)) for stack in stacks]
+    rates = [np.array([c.learning_rate for c in stack], dtype=float)[:, None, None] for stack in stacks]
+    weightings = [[c.weighting for c in stack] for stack in stacks]
 
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, first.epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            grad = _step_gradient(policy, rewards[idx], config.weighting, tables.select(idx))
-            with np.errstate(over="ignore", invalid="ignore"):
-                theta = theta + config.learning_rate * grad
-            if not np.all(np.isfinite(theta)):
-                raise RuntimeError(
-                    f"training diverged to non-finite parameters at epoch {epoch}"
-                )
-            policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-        yield policy
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            batch, batch_rewards = tables.select(idx), rewards[idx]
+            for k, stack in enumerate(stacks):
+                grad = _step_gradient(thetas[k], batch, batch_rewards, weightings[k])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    thetas[k] = thetas[k] + rates[k] * grad
+                finite = np.isfinite(thetas[k]).all(axis=(1, 2))
+                if not finite.all():
+                    bad = stack[int(finite.argmin())]
+                    raise RuntimeError(
+                        f"training diverged to non-finite parameters at epoch {epoch}, "
+                        f"{bad.weighting.kind} at {_describe(bad.weighting, bad.learning_rate)}"
+                    )
+        yield [SoftmaxLinearPolicy(theta=theta, tau=1.0) for stacked in thetas for theta in stacked]
 
 
-def train_policy(
-    dataset: LoggedDataset, tables: PropensityTables, config: TrainConfig
-) -> SoftmaxLinearPolicy:
-    """The policy of the last epoch of :func:`train_epochs`, without a trace."""
-    for policy in train_epochs(dataset, tables, config):
+def train_policies(
+    dataset: LoggedDataset, tables: PropensityTables, configs: Sequence[TrainConfig]
+) -> list[SoftmaxLinearPolicy]:
+    """The last-epoch policy of every config of :func:`train_epochs`, in order,
+    without a trace."""
+    for policies in train_epochs(dataset, tables, configs):
         pass
-    return policy
+    return policies
 
 
 def train(
@@ -248,16 +320,17 @@ def train(
     metrics to the trace.
 
     The trace is diagnostic only: the policy does not depend on it, and is
-    the one :func:`train_policy` returns on the same tables. Each epoch's
-    record reads the m distinct contexts of the log: one (m, A) softmax
-    serves the value, the largest weight and the true-gradient norm.
+    the one :func:`train_policies` returns for ``[config]`` on the same
+    tables. Each epoch's record reads the m distinct contexts of the log:
+    one (m, A) softmax serves the value, the largest weight and the
+    true-gradient norm.
     """
     if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
         model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
     tables = propensity_tables(dataset, None, model, (config.weighting.kind,))
     validation = env.validation if env is not None else None
     trace = TrainTrace()
-    for epoch, policy in enumerate(train_epochs(dataset, tables, config), start=1):
+    for epoch, (policy,) in enumerate(train_epochs(dataset, tables, [config]), start=1):
         record = {"epoch": epoch}
         target = tables.with_target(policy.distribution_matrix(tables.contexts))
         w = _weights(config.weighting, target)

@@ -237,19 +237,32 @@ def build_env(config: EnvConfig) -> BanditEnv:
     )
 
 
+#: The most (draw, action) cells one block of :func:`_draw_log` compares: 2**20
+#: cells are 8 MB of cumulative probabilities.
+_DRAW_CELLS = 2**20
+
+
 def _draw_log(env: BanditEnv, split: str, rng: np.random.Generator, pick_instances) -> LoggedDataset:
     """Log the split's instances ``pick_instances(len(split))``, picked before the
-    actions are drawn from the logging policy by one vectorized inverse-CDF draw.
+    actions are drawn from the logging policy by inverse-CDF draws.
 
-    The cumulative sums run once over the split's rows and are gathered per
-    draw, a row's cumulative sum being independent of the other rows; the
-    gathered (n, action_count) copy is freed before the dataset is built."""
+    The cumulative sums run once over the split's rows, a row's cumulative
+    sum being independent of the other rows. A draw's action counts the
+    actions whose cumulative probability is below its uniform draw; the
+    counts run over blocks of draws of at most ``_DRAW_CELLS`` (draw,
+    action) cells, so no (n, action_count) array is built."""
     data = env.split(split)
     probs_all = env.logging_policy.distribution_matrix(data.xs)
+    cdf = np.cumsum(probs_all, axis=1)
 
     idx = pick_instances(len(data))
     u = rng.random(len(idx))
-    actions = np.minimum((u[:, None] > np.cumsum(probs_all, axis=1)[idx]).sum(axis=1), env.action_count - 1)
+    actions = np.empty(len(idx), dtype=int)
+    block = max(1, _DRAW_CELLS // env.action_count)
+    for start in range(0, len(idx), block):
+        rows = slice(start, start + block)
+        actions[rows] = (u[rows, None] > cdf[idx[rows]]).sum(axis=1)
+    np.minimum(actions, env.action_count - 1, out=actions)
     return LoggedDataset(
         xs=data.xs[idx],
         actions=actions,

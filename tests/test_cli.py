@@ -9,7 +9,7 @@ from helpers import assert_train_matches_reference, reference_train
 from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
 from uips.estimators import propensity_tables
-from uips.learning import train_policy
+from uips.learning import train_policies
 from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy, uncertainties
 from uips.synthetic import BanditEnv, EnvConfig, build_env, epsilon_greedy_policy
 from uips.weights import UipsHyperParams, phi_star_vector
@@ -313,26 +313,23 @@ class TestSweepSharesTables:
         }
         calls = []
 
-        def recording_train_policy(dataset, tables, config):
-            policy = train_policy(dataset, tables, config)
-            calls.append((dataset, tables, config, policy))
-            return policy
+        def recording_train_policies(dataset, tables, configs):
+            policies = train_policies(dataset, tables, configs)
+            calls.append((dataset, tables, configs, policies))
+            return policies
 
-        monkeypatch.setattr("uips.cli.train_policy", recording_train_policy)
+        monkeypatch.setattr("uips.cli.train_policies", recording_train_policies)
         train_section = {"learning_rate": 0.5, "epochs": 3, "batch_size": 70}
         fit_cfg = LoggingFitConfig(**TINY_CONFIG["logging_fit"])
         run_sweep(env, methods, train_section, fit_cfg, seed=4, k_eval=3, n_logged=300)
 
-        assert sorted(c[2].weighting.kind for c in calls) == sorted(
-            ["uips", "uips", "minvar", "dice_s", "bips_cap", "bips_cap"]
-        )
-        shared = calls[0][1]
-        assert shared is not None and all(c[1] is shared for c in calls)
-        dataset = calls[0][0]
-        assert all(c[0] is dataset for c in calls)
+        # every grid point of every method trains in one stack on one set of tables
+        [(dataset, shared, configs, policies)] = calls
+        assert [c.weighting.kind for c in configs] == ["uips", "uips", "minvar", "dice_s", "bips_cap", "bips_cap"]
+        assert shared is not None
         # the logging model run_sweep fits on its log for seed 4
         model = accumulate_grams(dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=4)))
-        for _, _, config, policy in calls:
+        for config, policy in zip(configs, policies, strict=True):
             ref_policy, _ = reference_train(dataset, model, config)
             assert_train_matches_reference(policy, None, ref_policy)
 

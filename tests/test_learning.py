@@ -1,17 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import assert_train_matches_reference, reference_train
 from oracles import imputed_reward, log_prob_grad
+from uips.cli import run_sweep
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR
-from uips.estimators import ConstantImputation, PropensityTables, TabularImputation, Weighting, propensity_tables
+from uips.estimators import (
+    WEIGHT_KINDS,
+    ConstantImputation,
+    PropensityTables,
+    TabularImputation,
+    Weighting,
+    propensity_tables,
+)
 from uips.learning import (
     TrainConfig,
     _log_trick_gradient,
     dr_gradient,
     train,
-    train_policy,
+    train_policies,
     true_gradient_norm,
     weighted_gradient,
 )
@@ -290,6 +300,17 @@ class TestTrain:
                              weighting=Weighting(kind="bips"), seed=0)
         with pytest.raises(RuntimeError, match="epoch"):
             train(ds, model, config)
+        # in a stack of three, only the middle point diverges, and the message names it
+        tables = propensity_tables(ds, None, model, ("bips", "bips_cap"))
+        stack = [
+            replace(config, learning_rate=0.5),
+            replace(config, weighting=Weighting(kind="bips_cap", cap=1e9)),
+            replace(config, learning_rate=0.5, weighting=Weighting(kind="bips_cap", cap=2.0)),
+        ]
+        with pytest.raises(RuntimeError, match=r"at epoch 1, bips_cap at lr=1e\+308\|cap=1000000000\.0$"):
+            train_policies(ds, tables, stack)
+        finite = train_policies(ds, tables, stack[::2])
+        assert all(np.all(np.isfinite(policy.theta)) for policy in finite)
 
     @pytest.mark.parametrize("weighting", [
         Weighting(kind="ce"),
@@ -348,7 +369,8 @@ class TestContextGradient:
             batch = batch.with_target(pi[batch.contexts[:, 0].astype(int)])
             xs = contexts[rows[idx]]
             dense = ((onehot[actions[idx]] - pi[rows[idx]]) * coeff[idx, None]).T @ xs / (tau * len(idx))
-            np.testing.assert_array_equal(_log_trick_gradient(batch, coeff[idx], tau), dense)
+            got = _log_trick_gradient(batch, coeff[idx][None], batch.pi_rows[None].copy(), tau)
+            np.testing.assert_array_equal(got[0], dense)
             np.testing.assert_array_equal(batch.contexts[batch.rows], xs)
 
 
@@ -364,7 +386,7 @@ class TestSharedStepLoop:
         ref_policy, ref_trace = reference_train(ds, model, config, env=env)
         assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
         tables = propensity_tables(ds, None, model, (weighting.kind,))
-        np.testing.assert_array_equal(train_policy(ds, tables, config).theta, policy.theta)
+        np.testing.assert_array_equal(train_policies(ds, tables, [config])[0].theta, policy.theta)
 
     def test_default_logging_fit_matches_the_reference(self):
         env = build_env(SMALL)
@@ -376,7 +398,7 @@ class TestSharedStepLoop:
         assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
         model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(seed=config.seed)))
         tables = propensity_tables(ds, None, model, ("uips",))
-        np.testing.assert_array_equal(train_policy(ds, tables, config).theta, policy.theta)
+        np.testing.assert_array_equal(train_policies(ds, tables, [config])[0].theta, policy.theta)
 
     @pytest.mark.parametrize("kind", ["bips", "minvar"])
     def test_hoisted_logging_rows_equal_the_per_batch_rows(self, kind):
@@ -404,7 +426,7 @@ class TestSharedStepLoop:
                              weighting=Weighting(kind="uips", hp=UIPS_HP), seed=5)
         ref_policy, _ = reference_train(ds, model, config, env=env)
         tables = propensity_tables(ds, None, model, ("uips",))
-        np.testing.assert_allclose(train_policy(ds, tables, config).theta, ref_policy.theta,
+        np.testing.assert_allclose(train_policies(ds, tables, [config])[0].theta, ref_policy.theta,
                                    rtol=0, atol=1e-12)
 
     def test_snips_survives_zero_target_mass_on_the_logged_actions(self):
@@ -418,6 +440,54 @@ class TestSharedStepLoop:
                              grams=np.broadcast_to(np.eye(6), (8, 6, 6)).copy())
         grad = weighted_gradient(policy, ds, model, Weighting(kind="snips"))
         np.testing.assert_array_equal(grad, 0.0)
+
+
+class TestStackedStepLoop:
+    # every weighting kind at two learning rates; 301 rows in batches of 70
+    # leave a ragged last batch of 21
+    def stack(self):
+        env, ds, model = make_setup(seed=32, n=301)
+        base = TrainConfig(epochs=3, batch_size=70, seed=7)
+        configs = [replace(base, weighting=w, learning_rate=lr) for w in EVERY_WEIGHTING for lr in (0.5, 2.0)]
+        return ds, propensity_tables(ds, None, model, WEIGHT_KINDS), configs
+
+    def test_each_point_equals_its_one_config_run(self):
+        ds, tables, configs = self.stack()
+        assert {c.weighting.kind for c in configs} == {*WEIGHT_KINDS, "ce"}
+        for config, policy in zip(configs, train_policies(ds, tables, configs), strict=True):
+            np.testing.assert_array_equal(policy.theta, train_policies(ds, tables, [config])[0].theta)
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_a_smaller_cell_budget_gives_the_same_policies(self, monkeypatch, points):
+        ds, tables, configs = self.stack()
+        expected = train_policies(ds, tables, configs)
+        monkeypatch.setattr("uips.learning._STACK_CELLS", points * 70 * ds.action_count)
+        for policy, want in zip(train_policies(ds, tables, configs), expected, strict=True):
+            np.testing.assert_array_equal(policy.theta, want.theta)
+
+    @pytest.mark.parametrize("field, value", [("seed", 8), ("epochs", 2), ("batch_size", 60)])
+    def test_configs_must_share_seed_epochs_and_batch_size(self, field, value):
+        ds, tables, configs = self.stack()
+        with pytest.raises(ValueError, match="share seed, epochs and batch_size"):
+            train_policies(ds, tables, [configs[0], replace(configs[1], **{field: value})])
+
+    def test_multi_method_sweep_equals_one_sweep_per_method(self):
+        env = build_env(SMALL)
+        methods = {
+            "uips": {"lam": [10], "gamma": [0.5, 2], "eta1": [1], "eta2": [100], "learning_rate": [0.5, 1.0]},
+            "minvar": {},
+            "bips_cap": {"cap": [2, 10]},
+            "ce": {"learning_rate": [0.25, 0.5]},
+        }
+        train_section = {"learning_rate": 0.5, "epochs": 2, "batch_size": 70}
+        fit_cfg = LoggingFitConfig(epochs=30, learning_rate=2.0)
+        together = run_sweep(env, methods, train_section, fit_cfg, seed=2, k_eval=3, n_logged=240)
+        alone = [
+            row
+            for method, grid in methods.items()
+            for row in run_sweep(env, {method: grid}, train_section, fit_cfg, seed=2, k_eval=3, n_logged=240)
+        ]
+        assert together == alone
 
 
 class TestTrueGradientNorm:

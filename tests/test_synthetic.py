@@ -174,6 +174,19 @@ class TestGenerateLog:
         np.testing.assert_array_equal(ds.actions, actions)
         np.testing.assert_array_equal(ds.true_logging_probs, probs)
 
+    @pytest.mark.parametrize("cells", [1, 50, 10 * 700])
+    def test_blocks_of_draws_match_the_dense_cumsum_reference(self, monkeypatch, cells):
+        # 50 cells make blocks of 5 draws at 10 actions and of 1 draw at 200;
+        # 10 * 700 cells hold all 700 draws at 10 actions in one block
+        monkeypatch.setattr("uips.synthetic._DRAW_CELLS", cells)
+        for config in (SMALL, EnvConfig(dim=16, action_count=200, train_size=30, validation_size=5,
+                                        test_size=25, tau=0.1, seed=8)):
+            env = build_env(config)
+            ds = generate_log(env, 700, make_rng(13))
+            actions, probs = dense_log_reference(env, make_rng(13), "train", n_samples=700)
+            np.testing.assert_array_equal(ds.actions, actions)
+            np.testing.assert_array_equal(ds.true_logging_probs, probs)
+
 
 class TestEpsilonGreedy:
     def _tiny_env(self):
