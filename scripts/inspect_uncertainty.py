@@ -1,6 +1,6 @@
 """Frequency-binned uncertainty summary for a skewed synthetic env.
 
-Generates a log, fits the logging model, accumulates the per-action Gram
+Generates a log, fits the logging model with its per-action Gram
 matrices, and prints mean estimation uncertainty and mean estimated logging
 probability per action-frequency bin (plot-ready CSV on stdout).
 
@@ -15,7 +15,6 @@ import numpy as np
 from uips.core import make_rng
 from uips.logging_fit import (
     LoggingFitConfig,
-    accumulate_grams,
     fit_logging_policy,
     uncertainties,
     uncertainty_frequency_bins,
@@ -33,9 +32,7 @@ def main(argv=None):
 
     env = build_env(EnvConfig(tau=args.tau, seed=args.seed))
     dataset = generate_log(env, args.n, make_rng(args.seed))
-    model = accumulate_grams(
-        dataset, fit_logging_policy(dataset, LoggingFitConfig(epochs=150, learning_rate=2.0, seed=args.seed))
-    )
+    model = fit_logging_policy(dataset, LoggingFitConfig(epochs=150, learning_rate=2.0, seed=args.seed))
     beta = model.beta_matrix(dataset.xs)[np.arange(len(dataset)), dataset.actions]
 
     bins = uncertainty_frequency_bins(dataset, uncertainties(model, dataset), n_bins=args.bins)

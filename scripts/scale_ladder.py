@@ -2,11 +2,11 @@
 
 Each rung (action_count, n_logged) runs in a fresh child process with BLAS
 pinned to one thread: build the environment, draw the log, fit the logging
-policy, accumulate the Gram matrices and build the propensity tables that
-uips, minvar and dice_s read. The child reports every stage's wall time
-(<stage>_s), its RSS high-water mark when the stage ends (<stage>_rss_mb, so
-a memory regression names its stage) and its overall peak RSS; one JSON line
-per rung goes to stdout.
+policy and build the propensity tables that uips, minvar and dice_s read.
+The ``fit`` stage includes the fit's Gram step. The child reports every
+stage's wall time (<stage>_s), its RSS high-water mark when the stage ends
+(<stage>_rss_mb, so a memory regression names its stage) and its overall
+peak RSS; one JSON line per rung goes to stdout.
 
 The fit's loss derivative holds one float64 buffer of n_logged *
 action_count cells (the log drawing compares blocks of draws and the
@@ -27,7 +27,7 @@ import time
 
 from uips.core import make_rng
 from uips.estimators import propensity_tables
-from uips.logging_fit import LoggingFitConfig, accumulate_grams, fit_logging_policy
+from uips.logging_fit import LoggingFitConfig, fit_logging_policy
 from uips.synthetic import EnvConfig, build_env, generate_log
 
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -55,7 +55,6 @@ def run_rung(action_count: int, n_logged: int, epochs: int, seed: int) -> dict:
     dataset = timed("generate_log", lambda: generate_log(env, n_logged, make_rng(seed)))
     fit_config = LoggingFitConfig(epochs=epochs, learning_rate=2.0, seed=seed)
     model = timed("fit", lambda: fit_logging_policy(dataset, fit_config))
-    model = timed("accumulate_grams", lambda: accumulate_grams(dataset, model))
     timed("tables", lambda: propensity_tables(dataset, None, model, TABLE_KINDS))
     return {
         "action_count": action_count,

@@ -34,7 +34,6 @@ from uips.learning import TrainConfig, _describe, train, train_policies
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
-    accumulate_grams,
     fit_logging_policy,
     uncertainty_frequency_bins,
 )
@@ -237,7 +236,7 @@ def cmd_fit_logging(resolved: dict) -> None:
     out = _out_dir(resolved)
     env, dataset = _load_log(resolved, out)
     fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
-    model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_config))
+    model = fit_logging_policy(dataset, fit_config)
     model.save(out / "logging_model.json")
 
 
@@ -320,9 +319,7 @@ def run_sweep(
                 )
                 points.append((method, config))
     dataset = generate_log(env, n_logged, make_rng(seed))
-    model = accumulate_grams(
-        dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed))
-    )
+    model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
     configs = [config for _, config in points]
     tables = propensity_tables(dataset, None, model, {config.weighting.kind for config in configs})
     best = {}

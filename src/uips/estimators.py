@@ -8,8 +8,8 @@ reads a :class:`PropensityTables`, which :func:`propensity_tables` fills
 once per (dataset, target policy, logging model). On environments small
 enough to enumerate every (context, action) outcome of one logged draw, the
 exact bias, variance and mean squared error of these estimators are
-computed in closed form rather than by Monte Carlo: there the tables hold
-every cell of the (context, action) grid.
+computed in closed form rather than by Monte Carlo, from the same tables
+built over a log that holds every cell of the (context, action) grid.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _context_index, _padd
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
-    accumulate_grams,
     fit_logging_policy,
     uncertainties,
-    uncertainty_matrix,
 )
 from uips.synthetic import (
     BanditEnv,
@@ -149,16 +147,15 @@ class PropensityTables:
     """What the weighting rules read, for n selected (context, action) cells.
 
     Cell i is action ``actions[i]`` of row ``rows[i]`` of the row tables
-    ``pi_rows`` (target policy) and ``beta_rows`` (logging model). For a
-    logged dataset a row is one distinct context: ``contexts`` holds them,
-    padded as :func:`uips.core._product_contexts` pads, and ``rows`` is the
-    samples' context index. An enumerated split has one row per context and
-    no ``contexts``. ``beta_sel`` is the logging model's probability of each
-    cell floored at ``BETA_FLOOR``. A table no requested rule reads is None:
-    ``beta_rows`` is kept for minvar and stablevar, ``us`` (uncertainties)
-    for the uips family and ``counts`` (count propensities) for dice_s.
-    :meth:`with_target` sets the target part, ``pi_rows`` and its selected
-    column ``pi_sel``.
+    ``pi_rows`` (target policy) and ``beta_rows`` (logging model). A row is
+    one distinct context of the log: ``contexts`` holds them, padded as
+    :func:`uips.core._product_contexts` pads, and ``rows`` is the samples'
+    context index. ``beta_sel`` is the logging model's probability of each
+    cell floored at ``BETA_FLOOR``; ``beta_rows`` is not floored. A table no
+    requested rule reads is None: ``beta_rows`` is kept for minvar and
+    stablevar, ``us`` (uncertainties) for the uips family and ``counts``
+    (count propensities) for dice_s. :meth:`with_target` sets the target
+    part, ``pi_rows`` and its selected column ``pi_sel``.
     """
 
     rows: np.ndarray
@@ -336,12 +333,9 @@ def exact_bias_variance(
     env: BanditEnv,
     policy,
     model: Optional[LoggingModel],
-    estimator_kind: str,
+    weighting: Weighting,
     n_logged: int,
     split: str = "train",
-    lam: Optional[float] = None,
-    hp: Optional[UipsHyperParams] = None,
-    cap: Optional[float] = None,
     max_outcomes: int = 10_000,
 ) -> tuple[float, float, float]:
     """Exact bias/variance/MSE of a per-sample-mean estimator.
@@ -350,28 +344,30 @@ def exact_bias_variance(
     from the split, action from the true logging policy), computes the
     estimator's per-draw term t(x, a) for every outcome, and uses
     independence across the ``n_logged`` draws: the estimator's expectation
-    is E[t] and its variance is Var(t)/n_logged. The terms come from
-    :func:`propensity_weights` with every (context, action) cell selected.
+    is E[t] and its variance is Var(t)/n_logged. The terms are the weights
+    :func:`estimate` would give a log that holds every (context, action)
+    cell of the split once, in context-major order: the same
+    :func:`propensity_tables` and :func:`propensity_weights`. Only ips_true
+    reads the true logging probabilities, and a cell where one is 0 is a
+    ValueError there.
     """
     data = env.split(split)
     xs, rewards = data.xs, data.rewards
-    if len(xs) * env.action_count > max_outcomes:
+    if rewards.size > max_outcomes:
         raise ValueError("environment too large to enumerate")
-    if estimator_kind in ("snips", "dice_s"):
-        raise ValueError(f"{estimator_kind} is not a per-sample mean; no exact enumeration")
-    weighting = Weighting(kind=estimator_kind, cap=cap, lam=lam, hp=hp)
+    if weighting.kind in ("snips", "dice_s"):
+        raise ValueError(f"{weighting.kind} is not a per-sample mean; no exact enumeration")
     beta_star = env.logging_policy.distribution_matrix(xs)
-    pi = policy.distribution_matrix(xs)
-    beta_hat = None if model is None else np.maximum(model.beta_matrix(xs), BETA_FLOOR)
-    rows, actions = np.divmod(np.arange(pi.size), pi.shape[1])
-    tables = PropensityTables(
-        rows=rows, actions=actions, true_probs=beta_star.ravel(),
-        beta_sel=None if beta_hat is None else beta_hat.ravel(), beta_rows=beta_hat,
-        us=uncertainty_matrix(model, xs).ravel() if estimator_kind in UIPS_KINDS else None,
+    n_contexts, a_count = rewards.shape
+    cells = LoggedDataset(
+        xs=np.repeat(xs, a_count, axis=0), actions=np.tile(np.arange(a_count), n_contexts),
+        rewards=rewards.ravel(), action_count=a_count,
+        true_logging_probs=beta_star.ravel() if weighting.kind == "ips_true" else None,
     )
-    t = propensity_weights(weighting, tables.with_target(pi)).reshape(pi.shape) * rewards
+    tables = propensity_tables(cells, policy, model, (weighting.kind,))
+    t = propensity_weights(weighting, tables).reshape(rewards.shape) * rewards
 
-    p_outcome = beta_star / len(xs)
+    p_outcome = beta_star / n_contexts
     e_t = float((p_outcome * t).sum())
     e_t2 = float((p_outcome * t * t).sum())
     bias = e_t - float(true_policy_value(env, policy, split))
@@ -417,7 +413,7 @@ def ope_mse_experiment(
     for seed in seeds:
         rng = make_rng(seed)
         dataset = generate_log_per_context(env, samples_per_context, rng, split=split)
-        model = accumulate_grams(dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed)))
+        model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
         tables = propensity_tables(dataset, target_policy, model, kinds)
         for name, weighting in estimators:
             est = _value(weighting, propensity_weights(weighting, tables), dataset.rewards)

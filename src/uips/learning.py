@@ -30,7 +30,7 @@ from uips.estimators import (
     propensity_tables,
     propensity_weights,
 )
-from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy
+from uips.logging_fit import LoggingFitConfig, LoggingModel, fit_logging_policy
 from uips.metrics import evaluate_policy
 from uips.synthetic import BanditEnv
 
@@ -326,7 +326,7 @@ def train(
     true-gradient norm.
     """
     if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
-        model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
+        model = fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed))
     tables = propensity_tables(dataset, None, model, (config.weighting.kind,))
     validation = env.validation if env is not None else None
     trace = TrainTrace()

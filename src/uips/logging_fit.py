@@ -109,8 +109,9 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     Positives are the logged pairs; per positive, ``config.negatives``
     non-chosen actions are resampled each epoch. Scores use tau = 1 (any
     temperature of the true logging policy is absorbed into the learned
-    parameters). Gram matrices are initialized to identity; call
-    :func:`accumulate_grams` to add the data mass.
+    parameters). The returned model is finished: as its last step the fit
+    passes identity Gram matrices through :func:`accumulate_grams` on the
+    same log, so they hold the data mass the uncertainties read.
 
     Each epoch computes the scores on the distinct contexts only, a
     (distinct, action_count) product, and gathers through a context index
@@ -162,9 +163,9 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             np.add.at(dloss, flat, 1.0)
             dloss[flat] *= _sigmoid(cell_scores[neg_cells])
         dloss[pos_flat] = _sigmoid(cell_scores[pos_cell]) - 1.0
-        grad = dloss.reshape(n, a_count).T @ xs / n + config.l2 * theta
         theta_last = theta
         with np.errstate(over="ignore", invalid="ignore"):
+            grad = dloss.reshape(n, a_count).T @ xs / n + config.l2 * theta
             theta = theta - config.learning_rate * grad
         if not np.all(np.isfinite(theta)):
             raise FitError("logging fit diverged to non-finite parameters")
@@ -189,8 +190,8 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
         "epochs": config.epochs,
         "frac_logged_above_median_score": frac_above,
     }
-    grams = np.broadcast_to(np.eye(d), (a_count, d, d)).copy()
-    return LoggingModel(policy=policy, grams=grams, fit_diagnostics=diagnostics)
+    grams = np.broadcast_to(np.eye(d), (a_count, d, d))
+    return accumulate_grams(dataset, LoggingModel(policy=policy, grams=grams, fit_diagnostics=diagnostics))
 
 
 def accumulate_grams(dataset: LoggedDataset, model: LoggingModel) -> LoggingModel:
@@ -213,14 +214,8 @@ def accumulate_grams(dataset: LoggedDataset, model: LoggingModel) -> LoggingMode
     return LoggingModel(policy=model.policy, grams=grams, fit_diagnostics=dict(model.fit_diagnostics))
 
 
-def _half_widths(factor, g: np.ndarray) -> np.ndarray:
-    """sqrt(g_n' M^{-1} g_n) for every row g_n of ``g``, given the Cholesky ``factor`` of M."""
-    sol = cho_solve(factor, g.T)
-    return np.sqrt(np.maximum(np.einsum("nd,dn->n", g, sol), 0.0))
-
-
 def uncertainties(model: LoggingModel, dataset: LoggedDataset) -> np.ndarray:
-    """Per-sample uncertainties for the logged (x, a) pairs."""
+    """Per-sample uncertainties sqrt(g' M_a^{-1} g), g = x/tau, of the logged (x, a) pairs."""
     if dataset.dim != model.policy.dim:
         raise ValueError("dataset dimension does not match the model")
     out = np.empty(len(dataset))
@@ -228,19 +223,9 @@ def uncertainties(model: LoggingModel, dataset: LoggedDataset) -> np.ndarray:
     g = dataset.xs / model.policy.tau
     for a in np.unique(dataset.actions):
         mask = dataset.actions == a
-        out[mask] = _half_widths(chol[int(a)], g[mask])
-    return out
-
-
-def uncertainty_matrix(model: LoggingModel, xs: np.ndarray) -> np.ndarray:
-    """Uncertainty of every (context, action) pair, shape (n, action_count)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != model.policy.dim:
-        raise ValueError("contexts must have shape (n, dim) matching the model")
-    g = xs / model.policy.tau
-    out = np.empty((xs.shape[0], model.policy.action_count))
-    for a, factor in enumerate(model._cholesky()):
-        out[:, a] = _half_widths(factor, g)
+        rows = g[mask]
+        sol = cho_solve(chol[int(a)], rows.T)
+        out[mask] = np.sqrt(np.maximum(np.einsum("nd,dn->n", rows, sol), 0.0))
     return out
 
 

@@ -14,8 +14,8 @@ from uips.learning import TrainConfig, TrainTrace
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
-    accumulate_grams,
     fit_logging_policy,
+    uncertainties,
 )
 from uips.synthetic import BanditEnv
 from uips.weights import GU_UNSCALED_MAX, UipsHyperParams
@@ -79,6 +79,17 @@ def count_ips_reference(dataset, policy, cap):
         w = min(cap, policy.prob(dataset.xs[i], int(dataset.actions[i])) / emp)
         terms.append(w * dataset.rewards[i])
     return float(np.mean(np.asarray(terms)))
+
+
+def uncertainty_table(model, xs):
+    """The uncertainty of every (context, action) pair of ``xs``, shape (n, action_count):
+    ``uncertainties`` of a log that holds each pair once, context-major."""
+    n, a_count = len(xs), model.policy.action_count
+    cells = LoggedDataset(
+        xs=np.repeat(xs, a_count, axis=0), actions=np.tile(np.arange(a_count), n),
+        rewards=np.zeros(n * a_count), action_count=a_count,
+    )
+    return uncertainties(model, cells).reshape(n, a_count)
 
 
 def one_vs_all_reference(xs, y, lr=2.0, iters=400, l2=1e-3):
@@ -220,7 +231,7 @@ def reference_train(
     """
     rng = make_rng(config.seed)
     if model is None and config.weighting.kind not in ("ce", "ips_true", "dice_s"):
-        model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed)))
+        model = fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed))
 
     kinds = (config.weighting.kind,)
     full = per_sample_tables(propensity_tables(dataset, None, model, kinds))

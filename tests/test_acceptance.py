@@ -35,7 +35,6 @@ from uips.learning import Weighting as TrainWeighting, dr_gradient, weighted_gra
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
-    accumulate_grams,
     fit_logging_policy,
     uncertainties,
     uncertainty_frequency_bins,
@@ -121,7 +120,7 @@ def test_04_estimated_propensity_bias_identity():
             grams=np.broadcast_to(np.eye(env.dim), (env.action_count, env.dim, env.dim)).copy(),
         )
         policy = epsilon_greedy_policy(env, float(rng.uniform(0.05, 0.6)), split="train")
-        bias, _, _ = exact_bias_variance(env, policy, model, "bips", int(rng.integers(1, 200)))
+        bias, _, _ = exact_bias_variance(env, policy, model, Weighting(kind="bips"), int(rng.integers(1, 200)))
 
         xs, rewards = env.train.xs, env.train.rewards
         pi = np.stack([policy.distribution(x) for x in xs])
@@ -179,9 +178,7 @@ def test_06_gradient_finite_difference_agreement():
     env = build_env(EnvConfig(dim=6, action_count=8, train_size=25, validation_size=5,
                               test_size=10, seed=70))
     ds = generate_log(env, 150, make_rng(70))
-    model = accumulate_grams(
-        ds, fit_logging_policy(ds, LoggingFitConfig(epochs=60, learning_rate=2.0, seed=70))
-    )
+    model = fit_logging_policy(ds, LoggingFitConfig(epochs=60, learning_rate=2.0, seed=70))
     rng = make_rng(71)
     hp = UipsHyperParams(lam=8.0, gamma=2.0, eta1=1.0, eta2=100.0)
     worst_w = worst_dr = 0.0
@@ -295,9 +292,7 @@ def test_09_uncertainty_frequency_trend():
     for tau, seed in ((0.4, 11), (0.5, 12), (0.6, 13), (0.8, 14)):
         env = build_env(EnvConfig(tau=tau, seed=seed))
         ds = generate_log(env, 4000, make_rng(seed))
-        model = accumulate_grams(
-            ds, fit_logging_policy(ds, LoggingFitConfig(epochs=80, learning_rate=2.0, seed=seed))
-        )
+        model = fit_logging_policy(ds, LoggingFitConfig(epochs=80, learning_rate=2.0, seed=seed))
         bins = uncertainty_frequency_bins(ds, uncertainties(model, ds), n_bins=5)
         results.append(bins[0]["mean_uncertainty"] > bins[-1]["mean_uncertainty"])
     report(

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
 from uips.estimators import propensity_tables
 from uips.learning import train_policies
-from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy, uncertainties
+from uips.logging_fit import LoggingFitConfig, LoggingModel, fit_logging_policy, uncertainties
 from uips.synthetic import BanditEnv, EnvConfig, build_env, epsilon_greedy_policy
 from uips.weights import UipsHyperParams, phi_star_vector
 
@@ -328,7 +329,7 @@ class TestSweepSharesTables:
         assert [c.weighting.kind for c in configs] == ["uips", "uips", "minvar", "dice_s", "bips_cap", "bips_cap"]
         assert shared is not None
         # the logging model run_sweep fits on its log for seed 4
-        model = accumulate_grams(dataset, fit_logging_policy(dataset, replace(fit_cfg, seed=4)))
+        model = fit_logging_policy(dataset, replace(fit_cfg, seed=4))
         for config, policy in zip(configs, policies, strict=True):
             ref_policy, _ = reference_train(dataset, model, config)
             assert_train_matches_reference(policy, None, ref_policy)
@@ -403,6 +404,58 @@ class TestExitCodes:
         config["logging_fit"]["epochs"] = 15
         cfg.write_text(json.dumps(config))
         assert main(["fit-logging", "--config", str(cfg)]) == 3
+
+
+def _numeric_leaves(node, path=()):
+    """The path of every int and float leaf of a config, seeds excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if key == "seed":
+            continue
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,), value
+
+
+BOUNDARY_FLOATS = (0.0, 5e-324, 1e-308, -0.0, 1e308)
+#: How JSON (NaN, Infinity) and CSV (nan, inf) write a non-finite number.
+NON_FINITE = re.compile(r"\b(nan|inf|NaN|Infinity)\b")
+
+
+class TestBoundaryScan:
+    """Every numeric extreme in a config field is a finite result, a config error or a documented
+    divergence."""
+
+    @pytest.mark.parametrize("value", BOUNDARY_FLOATS + ("integers at 0",), ids=str)
+    def test_every_subcommand_is_finite_a_config_error_or_a_divergence(self, tmp_path, capsys, value):
+        base = json.loads(write_config(tmp_path, "base").read_text())
+        leaves = [*_numeric_leaves(base), (("logging_fit", "l2"), 1e-4)]
+        if value == "integers at 0":
+            cases = [(path, 0) for path, leaf in leaves if isinstance(leaf, int)]
+        else:
+            cases = [(path, value) for path, leaf in leaves if isinstance(leaf, float)]
+        assert len(cases) > 5
+        failures = []
+        for i, (path, new) in enumerate(cases):
+            case = f"{'.'.join(map(str, path))}={new!r}"
+            out = tmp_path / f"scan-{i}"
+            config = json.loads(json.dumps(base))
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = new
+            config["output_dir"] = str(out)
+            cfg = tmp_path / f"scan-{i}.json"
+            cfg.write_text(json.dumps(config))
+            for command in ("generate", "fit-logging", "train", "sweep", "ope", "inspect-weights"):
+                code = main([command, "--config", str(cfg)])
+                err = capsys.readouterr().err
+                if code not in (0, 2) and not (code == 3 and "diverged" in err):
+                    failures.append(f"{case} {command}: exit {code} {err.strip()}")
+            written = sorted(out.iterdir()) if out.exists() else []
+            failures += [f"{case} {f.name}: not finite" for f in written if NON_FINITE.search(f.read_text())]
+        assert failures == []
 
 
 class TestMalformedLog:

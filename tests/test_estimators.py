@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import count_ips_reference
+from helpers import count_ips_reference, uncertainty_table
 from oracles import mse_upper_bound, v_dm, v_dr
-from uips.core import BETA_FLOOR, LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.estimators import (
     ConstantImputation,
     TabularImputation,
@@ -17,9 +17,7 @@ from uips.estimators import (
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
-    accumulate_grams,
     fit_logging_policy,
-    uncertainty_matrix,
 )
 from uips.synthetic import (
     BanditEnv,
@@ -44,9 +42,7 @@ def identity_model(action_count, dim, theta=None, tau=1.0):
 
 
 def fitted_model(ds, seed=0, epochs=120):
-    return accumulate_grams(
-        ds, fit_logging_policy(ds, LoggingFitConfig(epochs=epochs, learning_rate=2.0, seed=seed))
-    )
+    return fit_logging_policy(ds, LoggingFitConfig(epochs=epochs, learning_rate=2.0, seed=seed))
 
 
 def value(ds, policy, model, kind, **params):
@@ -395,7 +391,7 @@ class TestExactBiasVariance:
         for seed in range(8):
             env = self._small_env(seed)
             policy = epsilon_greedy_policy(env, 0.3, split="train")
-            bias, _, _ = exact_bias_variance(env, policy, None, "ips_true", 50)
+            bias, _, _ = exact_bias_variance(env, policy, None, Weighting(kind="ips_true"), 50)
             assert bias == pytest.approx(0.0, abs=1e-14)
 
     def test_bips_bias_matches_independent_enumeration(self):
@@ -407,7 +403,7 @@ class TestExactBiasVariance:
                                        env.logging_policy.theta.shape),
                                    tau=env.logging_policy.tau)
             policy = epsilon_greedy_policy(env, 0.3, split="train")
-            bias, _, _ = exact_bias_variance(env, policy, model, "bips", 77)
+            bias, _, _ = exact_bias_variance(env, policy, model, Weighting(kind="bips"), 77)
             xs, r = env.train.xs, env.train.rewards
             pi = np.stack([policy.distribution(x) for x in xs])
             beta_star = env.logging_policy.distribution_matrix(xs)
@@ -420,8 +416,8 @@ class TestExactBiasVariance:
         policy = epsilon_greedy_policy(env, 0.3, split="train")
         model = identity_model(env.action_count, env.dim, theta=env.logging_policy.theta,
                                tau=env.logging_policy.tau)
-        _, var1, _ = exact_bias_variance(env, policy, model, "bips", 1)
-        _, var100, _ = exact_bias_variance(env, policy, model, "bips", 100)
+        _, var1, _ = exact_bias_variance(env, policy, model, Weighting(kind="bips"), 1)
+        _, var100, _ = exact_bias_variance(env, policy, model, Weighting(kind="bips"), 100)
         assert var100 == pytest.approx(var1 / 100.0, rel=1e-12)
 
     def test_exact_mse_below_derived_bound(self):
@@ -431,23 +427,58 @@ class TestExactBiasVariance:
             policy = epsilon_greedy_policy(env, 0.3, split="train")
             ds = generate_log(env, 150, make_rng(seed))
             model = fitted_model(ds, seed=seed, epochs=60)
-            _, _, mse = exact_bias_variance(env, policy, model, "uips", 25, hp=hp)
+            _, _, mse = exact_bias_variance(env, policy, model, Weighting(kind="uips", hp=hp), 25)
             xs = env.train.xs
             pi = np.stack([policy.distribution(x) for x in xs])
             beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
-            u_mat = uncertainty_matrix(model, xs)
+            u_mat = uncertainty_table(model, xs)
             phi, _ = phi_star_vector(pi.ravel(), beta_hat.ravel(), u_mat.ravel(), hp)
             phi = phi.reshape(pi.shape)
             bound = mse_upper_bound(env, policy, model, phi, 25)
             assert mse <= bound + 1e-12
 
+    @pytest.mark.parametrize("kind", ["minvar", "stablevar"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_row_kinds_read_unfloored_beta_rows_below_the_floor(self, kind, epsilon):
+        # a far-off logging model puts many cells below BETA_FLOOR: the floor
+        # enters the ratio's denominator only, never the row score h
+        env = build_env(EnvConfig(dim=4, action_count=6, train_size=8, validation_size=3, test_size=4,
+                                  tau=0.5, seed=17))
+        rng = make_rng(1700)
+        model = identity_model(env.action_count, env.dim, theta=40.0 * rng.standard_normal((6, 4)), tau=0.5)
+        policy = epsilon_greedy_policy(env, epsilon, split="train")
+        n_logged = 30
+        xs, r = env.train.xs, env.train.rewards
+        beta_hat = model.beta_matrix(xs)
+        assert (beta_hat < BETA_FLOOR).sum() >= 10
+        pi = policy.distribution_matrix(xs)
+        pi_f = np.maximum(pi, PI_FLOOR)
+        h = beta_hat / pi_f**2 if kind == "minvar" else np.sqrt(beta_hat) / pi_f
+        t = pi / np.maximum(beta_hat, BETA_FLOOR) * (h / h.sum(axis=1, keepdims=True)) * r
+        p = env.logging_policy.distribution_matrix(xs) / len(xs)
+        e_t = (p * t).sum()
+        bias, variance, mse = exact_bias_variance(env, policy, model, Weighting(kind=kind), n_logged)
+        assert bias == pytest.approx(e_t - true_policy_value(env, policy, "train"), rel=1e-9, abs=1e-12)
+        assert variance == pytest.approx(((p * t * t).sum() - e_t**2) / n_logged, rel=1e-9)
+        assert mse == bias**2 + variance
+
     def test_rejects_non_mean_estimators_and_large_problems(self):
         env = self._small_env(300)
         policy = epsilon_greedy_policy(env, 0.3, split="train")
         with pytest.raises(ValueError):
-            exact_bias_variance(env, policy, None, "snips", 10)
+            exact_bias_variance(env, policy, None, Weighting(kind="snips"), 10)
         with pytest.raises(ValueError):
-            exact_bias_variance(env, policy, None, "ips_true", 10, max_outcomes=3)
+            exact_bias_variance(env, policy, None, Weighting(kind="ips_true"), 10, max_outcomes=3)
+
+    def test_true_probability_of_zero_is_a_value_error_for_ips_true_only(self):
+        env = build_env(EnvConfig(dim=4, action_count=6, train_size=8, validation_size=3, test_size=4,
+                                  tau=0.001, seed=3))
+        assert (env.logging_policy.distribution_matrix(env.train.xs) == 0.0).any()
+        policy = epsilon_greedy_policy(env, 0.3, split="train")
+        with pytest.raises(ValueError, match="true logging probability"):
+            exact_bias_variance(env, policy, None, Weighting(kind="ips_true"), 10)
+        model = identity_model(env.action_count, env.dim, theta=env.logging_policy.theta, tau=0.001)
+        assert np.isfinite(exact_bias_variance(env, policy, model, Weighting(kind="bips"), 10)).all()
 
 
 class TestPerPairBoundOrdering:
@@ -469,7 +500,7 @@ class TestPerPairBoundOrdering:
         xs = env.train.xs
         pi = np.stack([policy.distribution(x) for x in xs])
         beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
-        u_mat = uncertainty_matrix(model, xs)
+        u_mat = uncertainty_table(model, xs)
         lam, gamma = 5.0, 1.5
         hp = UipsHyperParams(lam=lam, gamma=gamma, eta1=1.0, eta2=1.0)
         for i in range(xs.shape[0]):

@@ -25,7 +25,7 @@ from uips.learning import (
     true_gradient_norm,
     weighted_gradient,
 )
-from uips.logging_fit import LoggingFitConfig, LoggingModel, accumulate_grams, fit_logging_policy, uncertainties
+from uips.logging_fit import LoggingFitConfig, LoggingModel, fit_logging_policy, uncertainties
 from uips.synthetic import EnvConfig, build_env, generate_log
 from uips.weights import UipsHyperParams
 
@@ -50,9 +50,7 @@ EVERY_WEIGHTING = [
 def make_setup(seed=0, n=120, cfg=SMALL):
     env = build_env(cfg)
     ds = generate_log(env, n, make_rng(seed))
-    model = accumulate_grams(
-        ds, fit_logging_policy(ds, LoggingFitConfig(epochs=60, learning_rate=2.0, seed=seed))
-    )
+    model = fit_logging_policy(ds, LoggingFitConfig(epochs=60, learning_rate=2.0, seed=seed))
     return env, ds, model
 
 
@@ -340,7 +338,7 @@ class TestTrain:
                 seed=seed, eval_every=15,
             )
             dataset = generate_log(env, 5000, make_rng(seed))
-            model = accumulate_grams(dataset, fit_logging_policy(dataset, fit_cfg))
+            model = fit_logging_policy(dataset, fit_cfg)
             policy, _ = train(dataset, model, config)
             _, _, before = evaluate_policy(SoftmaxLinearPolicy(theta=np.zeros((env.action_count, env.dim))),
                                            env.validation, 5)
@@ -396,7 +394,7 @@ class TestSharedStepLoop:
         policy, trace = train(ds, None, config)
         ref_policy, ref_trace = reference_train(ds, None, config)
         assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
-        model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(seed=config.seed)))
+        model = fit_logging_policy(ds, LoggingFitConfig(seed=config.seed))
         tables = propensity_tables(ds, None, model, ("uips",))
         np.testing.assert_array_equal(train_policies(ds, tables, [config])[0].theta, policy.theta)
 
@@ -528,9 +526,7 @@ class TestTrueGradientNorm:
         for seed in range(10):
             rng = make_rng(seed)
             ds = generate_log(env, 5000, rng)
-            model = accumulate_grams(
-                ds, fit_logging_policy(ds, LoggingFitConfig(epochs=120, learning_rate=2.0, seed=seed))
-            )
+            model = fit_logging_policy(ds, LoggingFitConfig(epochs=120, learning_rate=2.0, seed=seed))
             tables = propensity_tables(ds, None, model, ("uips",))
             theta = np.zeros((env.action_count, env.dim))
             policy = SoftmaxLinearPolicy(theta=theta)
@@ -539,7 +535,8 @@ class TestTrueGradientNorm:
                 grad = weighted_gradient(policy, ds, model, weighting, tables=tables)
                 theta = theta + 20.0 * grad
                 policy = SoftmaxLinearPolicy(theta=theta)
-                squared.append(true_gradient_norm(policy, ds) ** 2)
+                target = tables.with_target(policy.distribution_matrix(tables.contexts))
+                squared.append(true_gradient_norm(policy, ds, target) ** 2)
             squared = np.array(squared)
             holds += squared[:200].mean() < squared[:20].mean()
         assert holds >= 8

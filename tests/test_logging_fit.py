@@ -12,11 +12,10 @@ from uips.logging_fit import (
     fit_logging_policy,
     uncertainties,
     uncertainty_frequency_bins,
-    uncertainty_matrix,
 )
 from uips.synthetic import EnvConfig, build_env, generate_log, generate_log_per_context
 
-from helpers import dense_fit_reference
+from helpers import dense_fit_reference, uncertainty_table
 from oracles import UncertaintyRecord, confidence_interval, uncertainty
 
 
@@ -157,6 +156,13 @@ class TestAccumulateGrams:
             grams=np.broadcast_to(np.eye(dim), (action_count, dim, dim)).copy(),
         )
 
+    def test_fit_returns_the_grams_of_its_log(self):
+        ds = _random_log(30, 80, 20, 4, 5)
+        model = fit_logging_policy(ds, LoggingFitConfig(epochs=2))
+        bare = LoggingModel(policy=model.policy, grams=np.broadcast_to(np.eye(4), (5, 4, 4)))
+        np.testing.assert_array_equal(model.grams, accumulate_grams(ds, bare).grams)
+        assert model.fit_diagnostics["epochs"] == 2
+
     def test_fresh_model_grams_are_identity(self):
         model = self._empty_model()
         for m in model.grams:
@@ -269,7 +275,7 @@ class TestUncertainty:
             ),
         )
         queries = rng.standard_normal((12, d))
-        matrix = uncertainty_matrix(model, queries)
+        matrix = uncertainty_table(model, queries)
         assert matrix.shape == (12, a_count)
         for i, x in enumerate(queries):
             for a in range(a_count):
@@ -338,7 +344,7 @@ class TestFrequencyBins:
         for tau, seed in ((0.4, 11), (0.6, 12), (0.8, 13)):
             env = build_env(EnvConfig(tau=tau, seed=seed))
             ds = generate_log(env, 4000, make_rng(seed))
-            model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(epochs=80, learning_rate=2.0, seed=seed)))
+            model = fit_logging_policy(ds, LoggingFitConfig(epochs=80, learning_rate=2.0, seed=seed))
             bins = uncertainty_frequency_bins(ds, uncertainties(model, ds), n_bins=5)
             assert bins[0]["mean_uncertainty"] > bins[-1]["mean_uncertainty"]
             assert bins[0]["max_count"] <= bins[-1]["min_count"]
@@ -346,7 +352,7 @@ class TestFrequencyBins:
     def test_bin_sample_counts_cover_dataset(self):
         env = build_env(EnvConfig(tau=0.6, seed=14))
         ds = generate_log(env, 1500, make_rng(1))
-        model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(epochs=40, seed=1)))
+        model = fit_logging_policy(ds, LoggingFitConfig(epochs=40, seed=1))
         bins = uncertainty_frequency_bins(ds, uncertainties(model, ds), n_bins=4)
         assert sum(b["n_samples"] for b in bins) == len(ds)
 
@@ -360,7 +366,7 @@ class TestFrequencyBins:
 def test_model_json_round_trip(tmp_path):
     env = build_env(EnvConfig(dim=8, action_count=10, train_size=30, validation_size=10, test_size=10, seed=15))
     ds = generate_log(env, 300, make_rng(3))
-    model = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(epochs=30)))
+    model = fit_logging_policy(ds, LoggingFitConfig(epochs=30))
     path = tmp_path / "model.json"
     model.save(path)
     back = LoggingModel.load(path)
@@ -376,7 +382,7 @@ def test_save_load_save_gives_identical_bytes(tmp_path, kind):
         artifact = env
     else:
         ds = generate_log(env, 150, make_rng(6))
-        artifact = accumulate_grams(ds, fit_logging_policy(ds, LoggingFitConfig(epochs=10)))
+        artifact = fit_logging_policy(ds, LoggingFitConfig(epochs=10))
         if kind == "policy":
             artifact = artifact.policy
     first, second = tmp_path / "first.json", tmp_path / "second.json"

@@ -16,7 +16,7 @@ import pytest
 from uips.core import make_rng
 from uips.estimators import Weighting, propensity_tables
 from uips.learning import TrainConfig, train
-from uips.logging_fit import LoggingFitConfig, accumulate_grams, fit_logging_policy
+from uips.logging_fit import LoggingFitConfig, fit_logging_policy
 from uips.synthetic import EnvConfig, build_env, generate_log
 
 N, ACTIONS, CONTEXTS = 20_000, 50, 50
@@ -39,7 +39,6 @@ def peaks():
     env = build_env(EnvConfig(dim=8, action_count=ACTIONS, train_size=CONTEXTS, validation_size=5, test_size=5))
     dataset, log_units = _peak_units(lambda: generate_log(env, N, make_rng(0)))
     model, fit_units = _peak_units(lambda: fit_logging_policy(dataset, LoggingFitConfig(epochs=2)))
-    model = accumulate_grams(dataset, model)
     _, table_units = _peak_units(lambda: propensity_tables(dataset, None, model, ("uips", "bips")))
     config = TrainConfig(epochs=2, batch_size=2000, weighting=Weighting(kind="bips"))
     _, train_units = _peak_units(lambda: train(dataset, model, config))

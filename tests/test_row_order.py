@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from uips.core import make_rng
 from uips.estimators import WEIGHT_KINDS, Weighting, estimate
-from uips.logging_fit import LoggingFitConfig, accumulate_grams, fit_logging_policy
+from uips.logging_fit import LoggingFitConfig, fit_logging_policy
 from uips.synthetic import EnvConfig, build_env, epsilon_greedy_policy, generate_log_per_context
 from uips.weights import UipsHyperParams
 
@@ -30,7 +30,7 @@ def setting():
     """A log with repeated contexts, its fitted logging model and a target policy."""
     env = build_env(EnvConfig(dim=6, action_count=8, train_size=30, validation_size=10, test_size=20, tau=0.5, seed=7))
     dataset = generate_log_per_context(env, 10, make_rng(7))
-    model = accumulate_grams(dataset, fit_logging_policy(dataset, LoggingFitConfig(epochs=30, seed=7)))
+    model = fit_logging_policy(dataset, LoggingFitConfig(epochs=30, seed=7))
     return dataset, model, epsilon_greedy_policy(env, 0.2)
 
 
