@@ -2,7 +2,7 @@
 
 Each rung (action_count, n_logged) runs in a fresh child process with BLAS
 pinned to one thread: build the environment, draw the log, fit the logging
-policy and build the propensity tables that uips, minvar and dice_s read.
+policy and build its propensity tables, every table a weighting reads.
 The ``fit`` stage includes the fit's Gram step. The child reports every
 stage's wall time (<stage>_s), its RSS high-water mark when the stage ends
 (<stage>_rss_mb, so a memory regression names its stage) and its overall
@@ -31,7 +31,6 @@ from uips.logging_fit import LoggingFitConfig, fit_logging_policy
 from uips.synthetic import EnvConfig, build_env, generate_log
 
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-TABLE_KINDS = ("uips", "minvar", "dice_s")
 
 
 def peak_rss_mb() -> float:
@@ -55,7 +54,7 @@ def run_rung(action_count: int, n_logged: int, epochs: int, seed: int) -> dict:
     dataset = timed("generate_log", lambda: generate_log(env, n_logged, make_rng(seed)))
     fit_config = LoggingFitConfig(epochs=epochs, learning_rate=2.0, seed=seed)
     model = timed("fit", lambda: fit_logging_policy(dataset, fit_config))
-    timed("tables", lambda: propensity_tables(dataset, None, model, TABLE_KINDS))
+    timed("tables", lambda: propensity_tables(dataset, None, model))
     return {
         "action_count": action_count,
         "n_logged": n_logged,

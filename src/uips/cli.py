@@ -290,11 +290,11 @@ def run_sweep(
     Returns one leaderboard row per method with the selected point's test
     metrics. Every (method, weighting, learning rate) point of every method
     trains on one logged dataset, one logging model and one set of
-    propensity tables, built once for every weighting kind of the grid, in
-    one run of the stacked step loop of :func:`train_policies`: the points
-    share their minibatches, and each gets the policy it would get trained
-    alone. A method selects the point of the highest validation NDCG, the
-    smaller learning rate on a tie, and the first in grid order after that.
+    propensity tables, in one run of the stacked step loop of
+    :func:`train_policies`: the points share their minibatches, and each
+    gets the policy it would get trained alone. A method selects the point
+    of the highest validation NDCG, the smaller learning rate on a tie, and
+    the first in grid order after that.
     A one-point grid is exactly a single training run. ``train_section``
     holds ``TrainConfig`` fields; a ``n_logged`` key there is ignored,
     because the log has the ``n_logged`` rows of the argument.
@@ -321,7 +321,7 @@ def run_sweep(
     dataset = generate_log(env, n_logged, make_rng(seed))
     model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
     configs = [config for _, config in points]
-    tables = propensity_tables(dataset, None, model, {config.weighting.kind for config in configs})
+    tables = propensity_tables(dataset, None, model)
     best = {}
     for (method, config), policy in zip(points, train_policies(dataset, tables, configs)):
         _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
@@ -434,7 +434,7 @@ def cmd_inspect_weights(resolved: dict) -> None:
     n_bins = _value(section, "n_bins", 5, _count)
     policy = epsilon_greedy_policy(env, epsilon, split="train")
 
-    tables = propensity_tables(dataset, policy, model, ("uips",))
+    tables = propensity_tables(dataset, policy, model)
     # the phi* the uips estimator applies to these samples
     phi, on_cap = phi_star_vector(tables.pi_sel, tables.beta_sel, tables.us, hp)
     columns = (dataset.actions, tables.pi_sel, tables.beta_sel, tables.us, phi, on_cap)

@@ -75,23 +75,17 @@ def _row_keys(xs: np.ndarray) -> np.ndarray:
     return xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).reshape(-1)
 
 
-def _context_index(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``xs`` and, per row, the index of its distinct row."""
-    _, first, context = np.unique(_row_keys(xs), return_index=True, return_inverse=True)
-    return xs[first], context.reshape(-1)
+def _product_contexts(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows ``ux`` of ``xs``, whose product with a matrix stands in for that
+    of ``xs``, and per row of ``xs`` the index of its row in ``ux``.
 
-
-def _product_contexts(xs: np.ndarray, action_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``ux`` whose product with an (action_count, dim) matrix stands in for that of
-    ``xs``, and per row of ``xs`` the index of its row in ``ux``.
-
-    ``ux`` holds the distinct rows, and row ``context[i]`` of its product equals row i of
-    the product with ``xs`` bit for bit wherever BLAS computes a row independently of the
-    others. numpy sends a product with one row to gemv, which rounds differently from
-    gemm, so a single distinct context of several rows is padded to two rows.
+    Row ``context[i]`` of the product with ``ux`` equals row i of the product with ``xs``
+    bit for bit wherever BLAS computes a row independently of the others. numpy sends a
+    product with one row to gemv, which rounds differently from gemm, so a single
+    distinct context of several rows is padded to two rows.
     """
-    ux, context = _context_index(xs)
-    return _padded(ux, len(xs)), context
+    _, first, context = np.unique(_row_keys(xs), return_index=True, return_inverse=True)
+    return _padded(xs[first], len(xs)), context.reshape(-1)
 
 
 def _padded(ux: np.ndarray, n: int) -> np.ndarray:
@@ -157,17 +151,15 @@ class LoggedDataset:
         return self.xs.shape[1]
 
     def subset(self, indices: np.ndarray) -> "LoggedDataset":
-        """The rows at ``indices``; they are valid already, so no check runs again."""
+        """The rows at ``indices``."""
         probs = self.true_logging_probs
-        out = object.__new__(LoggedDataset)
-        out.__dict__.update(
+        return LoggedDataset(
             xs=self.xs[indices],
             actions=self.actions[indices],
             rewards=self.rewards[indices],
             action_count=self.action_count,
             true_logging_probs=None if probs is None else probs[indices],
         )
-        return out
 
     def to_jsonl(self, path) -> None:
         """One JSON object per line with keys x, a, r and optional beta_star."""
@@ -284,16 +276,9 @@ class SoftmaxLinearPolicy:
         return x
 
     def distribution(self, x: np.ndarray) -> np.ndarray:
-        """Probability vector over actions; sums to 1 within 1e-12.
-
-        The maximum is subtracted before the division by ``tau``, as in
-        :meth:`distribution_matrix`.
-        """
-        s = self.theta @ self._check_context(x)
-        s = s - s.max()
-        with np.errstate(over="ignore"):
-            e = np.exp(s / self.tau)
-        return e / e.sum()
+        """Probability vector over actions, row 0 of :meth:`distribution_matrix` of ``[x]``;
+        sums to 1 within 1e-12."""
+        return self.distribution_matrix(self._check_context(x)[None])[0]
 
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Row-wise distributions for a batch of contexts, shape (n, actions).

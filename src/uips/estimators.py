@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _context_index, _padded, _product_contexts, make_rng
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _padded, _product_contexts, make_rng
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -151,11 +151,12 @@ class PropensityTables:
     one distinct context of the log: ``contexts`` holds them, padded as
     :func:`uips.core._product_contexts` pads, and ``rows`` is the samples'
     context index. ``beta_sel`` is the logging model's probability of each
-    cell floored at ``BETA_FLOOR``; ``beta_rows`` is not floored. A table no
-    requested rule reads is None: ``beta_rows`` is kept for minvar and
-    stablevar, ``us`` (uncertainties) for the uips family and ``counts``
-    (count propensities) for dice_s. :meth:`with_target` sets the target
-    part, ``pi_rows`` and its selected column ``pi_sel``.
+    cell floored at ``BETA_FLOOR``; ``beta_rows`` is not floored. ``us``
+    holds the cells' uncertainties and ``counts`` their count propensities
+    N(x, a) / N(x). The three logging-model tables are None when there is
+    no model, ``true_probs`` when the log has no true propensities.
+    :meth:`with_target` sets the target part, ``pi_rows`` and its selected
+    column ``pi_sel``.
     """
 
     rows: np.ndarray
@@ -196,25 +197,13 @@ class PropensityTables:
         )
 
 
-def count_propensities(dataset: LoggedDataset) -> np.ndarray:
-    """Per-sample count propensity N(x, a) / N(x) of the logged pair.
-
-    Two samples share a context when their rows are equal byte for byte.
-    """
-    _, context = _context_index(dataset.xs)
-    pairs = context * dataset.action_count + dataset.actions
-    _, pair, pair_counts = np.unique(pairs, return_inverse=True, return_counts=True)
-    return pair_counts[pair] / np.bincount(context)[context]
-
-
-def propensity_tables(
-    dataset: LoggedDataset, policy, model: Optional[LoggingModel], kinds: Sequence[str]
-) -> PropensityTables:
-    """The tables of ``dataset`` that the weighting ``kinds`` read.
+def propensity_tables(dataset: LoggedDataset, policy, model: Optional[LoggingModel]) -> PropensityTables:
+    """Every table of ``dataset`` that its inputs allow.
 
     ``policy`` is the target policy, or None to leave the target for
-    :meth:`PropensityTables.with_target`. ``model`` is read only when some
-    kind needs a logging model.
+    :meth:`PropensityTables.with_target`. ``model`` is the logging model,
+    or None for a weighting that reads none; :func:`propensity_weights`
+    refuses a weighting whose table is missing.
 
     The row tables hold the distinct contexts of the dataset (the rows of
     :func:`uips.core._product_contexts`): the logging model's and the
@@ -223,23 +212,18 @@ def propensity_tables(
     The rows equal those of ``model.beta_matrix(dataset.xs)`` and
     ``policy.distribution_matrix(dataset.xs)`` bit for bit while ``dim`` is
     below 32; from there the bundled OpenBLAS picks its kernel by the
-    product's size, and they differ by rounding.
+    product's size, and they differ by rounding. The count propensities
+    tally the samples per context and per (context, action) pair, where two
+    samples share a context when their rows are equal byte for byte.
     """
-    kinds = set(kinds)
-    ux, context = _product_contexts(dataset.xs, dataset.action_count)
-    beta_sel = beta_rows = us = counts = None
-    model_kinds = kinds - set(MODEL_FREE_KINDS)
-    if model_kinds:
-        if model is None:
-            raise ValueError(f"{', '.join(sorted(model_kinds))} weighting needs a logging model")
-        beta = model.beta_matrix(ux)
-        beta_sel = np.maximum(beta[context, dataset.actions], BETA_FLOOR)
-        if kinds & set(ROW_KINDS):
-            beta_rows = beta
-        if kinds & set(UIPS_KINDS):
-            us = uncertainties(model, dataset)
-    if "dice_s" in kinds:
-        counts = count_propensities(dataset)
+    ux, context = _product_contexts(dataset.xs)
+    pair = context * dataset.action_count + dataset.actions
+    counts = np.bincount(pair)[pair] / np.bincount(context)[context]
+    beta_sel = beta_rows = us = None
+    if model is not None:
+        beta_rows = model.beta_matrix(ux)
+        beta_sel = np.maximum(beta_rows[context, dataset.actions], BETA_FLOOR)
+        us = uncertainties(model, dataset)
     tables = PropensityTables(
         rows=context, actions=dataset.actions, contexts=ux, true_probs=dataset.true_logging_probs,
         beta_sel=beta_sel, beta_rows=beta_rows, us=us, counts=counts,
@@ -318,7 +302,7 @@ def estimate(
     The value is the mean of w * r, or sum(w r) / sum(w) for snips. ``model``
     may be None for the kinds that need no logging model.
     """
-    w = propensity_weights(weighting, propensity_tables(dataset, policy, model, (weighting.kind,)))
+    w = propensity_weights(weighting, propensity_tables(dataset, policy, model))
     wsum = w.sum()
     diagnostics = {
         "effective_sample_size": float(wsum**2 / (w @ w)) if wsum > 0 else 0.0,
@@ -364,7 +348,7 @@ def exact_bias_variance(
         rewards=rewards.ravel(), action_count=a_count,
         true_logging_probs=beta_star.ravel() if weighting.kind == "ips_true" else None,
     )
-    tables = propensity_tables(cells, policy, model, (weighting.kind,))
+    tables = propensity_tables(cells, policy, model)
     t = propensity_weights(weighting, tables).reshape(rewards.shape) * rewards
 
     p_outcome = beta_star / n_contexts
@@ -407,14 +391,13 @@ def ope_mse_experiment(
     evaluation order.
     """
     fit_config = fit_config or LoggingFitConfig()
-    kinds = [weighting.kind for _, weighting in estimators]
     truth = true_policy_value(env, target_policy, split=split)
     rows = []
     for seed in seeds:
         rng = make_rng(seed)
         dataset = generate_log_per_context(env, samples_per_context, rng, split=split)
         model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
-        tables = propensity_tables(dataset, target_policy, model, kinds)
+        tables = propensity_tables(dataset, target_policy, model)
         for name, weighting in estimators:
             est = _value(weighting, propensity_weights(weighting, tables), dataset.rewards)
             rows.append(

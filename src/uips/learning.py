@@ -160,7 +160,7 @@ def weighted_gradient(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
+    tables = tables or propensity_tables(batch, None, model)
     return _step_gradient(policy.theta[None], tables, batch.rewards, [weighting], policy.tau)[0]
 
 
@@ -181,7 +181,7 @@ def dr_gradient(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    tables = tables or propensity_tables(batch, None, model, (weighting.kind,))
+    tables = tables or propensity_tables(batch, None, model)
     tables = tables.with_target(policy.distribution_matrix(tables.contexts))
     pi_u = tables.pi_rows
     eta_u = imputation.predict_matrix(tables.contexts, batch.action_count)
@@ -208,7 +208,7 @@ def true_gradient_norm(
     if pool.true_logging_probs is None:
         raise ValueError("pool carries no true logging probabilities")
     ips_true = Weighting(kind="ips_true")
-    tables = tables or propensity_tables(pool, policy, None, (ips_true.kind,))
+    tables = tables or propensity_tables(pool, policy, None)
     w = _weights(ips_true, tables)
     coeff = (w * pool.rewards)[None]
     return float(np.linalg.norm(_log_trick_gradient(tables, coeff, tables.pi_rows[None].copy(), policy.tau)))
@@ -238,7 +238,8 @@ def train_epochs(
     share ``seed``, ``epochs`` and ``batch_size``, so that every policy
     sees the same minibatches; they may differ in weighting and learning
     rate. ``tables`` are the propensity tables of ``dataset`` without a
-    target, holding at least what every configured weighting reads.
+    target, built with a logging model unless no configured weighting
+    reads one.
 
     Each step draws its batch once for the whole stack and works on the
     batch's distinct contexts: :meth:`PropensityTables.select` gathers the
@@ -327,7 +328,7 @@ def train(
     """
     if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
         model = fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed))
-    tables = propensity_tables(dataset, None, model, (config.weighting.kind,))
+    tables = propensity_tables(dataset, None, model)
     validation = env.validation if env is not None else None
     trace = TrainTrace()
     for epoch, (policy,) in enumerate(train_epochs(dataset, tables, [config]), start=1):

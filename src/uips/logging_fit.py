@@ -120,16 +120,17 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     ``dloss`` is exactly zero. The gradient stays one dense product of
     ``dloss`` with the contexts of all n rows, which fixes its summation
     order; ``dloss`` is the fit's one (n, action_count) buffer. The loss is
-    evaluated once, for the last epoch, after ``dloss`` is freed, from a
-    (distinct, action_count) table of the negatives' counts. ``theta``,
-    ``epochs``, ``frac_logged_above_median_score`` and the RNG stream are
-    bit-identical to a fit that evaluates every cell of every row every
-    epoch (``tests/helpers.dense_fit_reference``) wherever BLAS computes a
-    row of a product independently of the other rows (the rows that
-    :func:`uips.core._product_contexts` picks keep it so); ``final_loss``
-    adds its cells in another order and differs by rounding. From ``dim``
-    32 the bundled OpenBLAS picks a small-matrix kernel by the product's
-    size; there ``theta`` too differs from the dense loop by rounding only.
+    evaluated once, for the last epoch, after ``dloss`` is freed, from that
+    epoch's scores and a (distinct, action_count) table of the negatives'
+    counts. ``theta``, ``epochs``, ``frac_logged_above_median_score`` and
+    the RNG stream are bit-identical to a fit that evaluates every cell of
+    every row every epoch (``tests/helpers.dense_fit_reference``) wherever
+    BLAS computes a row of a product independently of the other rows (the
+    rows that :func:`uips.core._product_contexts` picks keep it so);
+    ``final_loss`` adds its cells in another order and differs by rounding.
+    From ``dim`` 32 the bundled OpenBLAS picks a small-matrix kernel by the
+    product's size; there ``theta`` too differs from the dense loop by
+    rounding only.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a logging policy on an empty dataset")
@@ -139,7 +140,7 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     theta = np.zeros((a_count, d))
     xs = dataset.xs
     acts = dataset.actions
-    ux, context = _product_contexts(xs, a_count)
+    ux, context = _product_contexts(xs)
 
     pos_flat = np.arange(n) * a_count + acts
     pos_cell = context * a_count + acts
@@ -163,7 +164,6 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             np.add.at(dloss, flat, 1.0)
             dloss[flat] *= _sigmoid(cell_scores[neg_cells])
         dloss[pos_flat] = _sigmoid(cell_scores[pos_cell]) - 1.0
-        theta_last = theta
         with np.errstate(over="ignore", invalid="ignore"):
             grad = dloss.reshape(n, a_count).T @ xs / n + config.l2 * theta
             theta = theta - config.learning_rate * grad
@@ -171,8 +171,8 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             raise FitError("logging fit diverged to non-finite parameters")
     del dloss
 
-    # the loss of the last epoch, at its pre-step parameters and negatives
-    p = _sigmoid(ux @ theta_last.T)
+    # the loss of the last epoch, from its scores at the pre-step parameters and its negatives
+    p = _sigmoid(scores)
     neg_counts = np.bincount(neg_cells, minlength=p.size).reshape(p.shape)
     loss = float(
         np.mean(-np.log(np.maximum(p[context, acts], TINY)))

@@ -233,10 +233,9 @@ def reference_train(
     if model is None and config.weighting.kind not in ("ce", "ips_true", "dice_s"):
         model = fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed))
 
-    kinds = (config.weighting.kind,)
-    full = per_sample_tables(propensity_tables(dataset, None, model, kinds))
+    full = per_sample_tables(propensity_tables(dataset, None, model))
     truth = (
-        per_sample_tables(propensity_tables(dataset, None, None, ("ips_true",)))
+        per_sample_tables(propensity_tables(dataset, None, None))
         if dataset.true_logging_probs is not None else None
     )
     onehot = np.eye(dataset.action_count)
@@ -261,7 +260,7 @@ def reference_train(
             batch_idx = order[start : start + config.batch_size]
             batch = dataset.subset(batch_idx)
             tables = replace(
-                per_sample_tables(propensity_tables(batch, None, model, kinds)),
+                per_sample_tables(propensity_tables(batch, None, model)),
                 us=None if full.us is None else full.us[batch_idx],
                 counts=None if full.counts is None else full.counts[batch_idx],
             )

@@ -291,7 +291,7 @@ def v_dm(dataset, policy, imputation) -> float:
 
 def v_dr(dataset, policy, model, imputation, weighting) -> float:
     """Direct method plus a ``weighting``-weighted residual correction."""
-    tables = propensity_tables(dataset, policy, model, (weighting.kind,))
+    tables = propensity_tables(dataset, policy, model)
     eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
     dm = np.mean(np.sum(tables.pi_rows[tables.rows] * eta, axis=1))
     residual = dataset.rewards - eta[np.arange(len(dataset)), tables.actions]

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from helpers import assert_train_matches_reference, reference_train
+from uips import cli
 from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
 from uips.estimators import propensity_tables
 from uips.learning import train_policies
 from uips.logging_fit import LoggingFitConfig, LoggingModel, fit_logging_policy, uncertainties
-from uips.synthetic import BanditEnv, EnvConfig, build_env, epsilon_greedy_policy
+from uips.synthetic import BanditEnv, EnvConfig, TabularPolicy, build_env, epsilon_greedy_policy
 from uips.weights import UipsHyperParams, phi_star_vector
 
 NAN = float("nan")
@@ -124,7 +125,7 @@ class TestPipeline:
         model = LoggingModel.load(out / "logging_model.json")
         inspect = TINY_CONFIG["inspect"]
         policy = epsilon_greedy_policy(env, inspect["epsilon"], split=inspect["split"])
-        tables = propensity_tables(dataset, policy, model, ("uips",))
+        tables = propensity_tables(dataset, policy, model)
         phi, on_cap = phi_star_vector(tables.pi_sel, tables.beta_sel, tables.us,
                                       UipsHyperParams(**inspect["uips_hp"]))
         rows = [line.split(",") for line in (out / "weights.csv").read_text().splitlines()[2:]]
@@ -405,6 +406,26 @@ class TestExitCodes:
         cfg.write_text(json.dumps(config))
         assert main(["fit-logging", "--config", str(cfg)]) == 3
 
+    def test_snips_weights_summing_to_zero_exit_three(self, tmp_path, capsys, monkeypatch):
+        # at a vanishing env.tau the logging policy logs each context's top action only,
+        # and the target puts all its mass on the other actions
+        cfg = write_config(tmp_path, "snips")
+        config = json.loads(cfg.read_text())
+        config["env"]["tau"] = 1e-308
+        config["ope"]["estimators"] = [{"kind": "snips"}]
+        cfg.write_text(json.dumps(config))
+        run_ok(["generate", "--config", str(cfg)])
+
+        def off_log_policy(env, epsilon, split="test"):
+            xs = env.split(split).xs
+            probs = 1.0 - env.logging_policy.distribution_matrix(xs)
+            return TabularPolicy(contexts=xs, probs=probs / probs.sum(axis=1, keepdims=True))
+
+        monkeypatch.setattr(cli, "epsilon_greedy_policy", off_log_policy)
+        capsys.readouterr()
+        assert main(["ope", "--config", str(cfg)]) == 3
+        assert "sum of propensity weights is zero" in capsys.readouterr().err
+
 
 def _numeric_leaves(node, path=()):
     """The path of every int and float leaf of a config, seeds excluded."""
@@ -419,6 +440,12 @@ def _numeric_leaves(node, path=()):
 
 
 BOUNDARY_FLOATS = (0.0, 5e-324, 1e-308, -0.0, 1e308)
+#: The integer fields whose work does not grow with their value; a size field such as
+#: n_logged or env.dim at 10**6 takes minutes or gigabytes.
+UNSCALED_INTEGERS = (
+    ("training", "batch_size"), ("training", "k_eval"), ("training", "eval_every"),
+    ("logging_fit", "negatives"), ("sweep", "k_eval"), ("inspect", "n_bins"),
+)
 #: How JSON (NaN, Infinity) and CSV (nan, inf) write a non-finite number.
 NON_FINITE = re.compile(r"\b(nan|inf|NaN|Infinity)\b")
 
@@ -427,12 +454,14 @@ class TestBoundaryScan:
     """Every numeric extreme in a config field is a finite result, a config error or a documented
     divergence."""
 
-    @pytest.mark.parametrize("value", BOUNDARY_FLOATS + ("integers at 0",), ids=str)
+    @pytest.mark.parametrize("value", BOUNDARY_FLOATS + ("integers at 0", "integers at 10**6"), ids=str)
     def test_every_subcommand_is_finite_a_config_error_or_a_divergence(self, tmp_path, capsys, value):
         base = json.loads(write_config(tmp_path, "base").read_text())
         leaves = [*_numeric_leaves(base), (("logging_fit", "l2"), 1e-4)]
         if value == "integers at 0":
             cases = [(path, 0) for path, leaf in leaves if isinstance(leaf, int)]
+        elif value == "integers at 10**6":
+            cases = [(path, 10**6) for path in UNSCALED_INTEGERS]
         else:
             cases = [(path, value) for path, leaf in leaves if isinstance(leaf, float)]
         assert len(cases) > 5

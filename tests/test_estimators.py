@@ -116,17 +116,14 @@ class TestVBips:
         beta_hat = rng.dirichlet(np.ones(3), size=2)
         pi = rng.dirichlet(np.ones(3), size=2)
         policy = TabularPolicy(contexts=xs, probs=pi)
-        model_policy = TabularPolicy(contexts=xs, probs=beta_hat)
-
-        class _TabularModel:
-            def beta_matrix(self, qs):
-                return np.stack([model_policy.distribution(q) for q in qs])
+        # on the one-hot contexts the softmax of log(beta_hat) is beta_hat
+        beta_model = identity_model(3, 2, theta=np.log(beta_hat).T)
 
         expectation = 0.0
         for i in range(2):
             for a in range(3):
                 one = LoggedDataset(xs=xs[i][None], actions=[a], rewards=[rewards[i, a]], action_count=3)
-                expectation += 0.5 * beta_star[i, a] * value(one, policy, _TabularModel(), "bips")
+                expectation += 0.5 * beta_star[i, a] * value(one, policy, beta_model, "bips")
         true_value = float(np.mean(np.sum(pi * rewards, axis=1)))
         bias = float(np.mean(np.sum(pi * rewards * (beta_star / beta_hat - 1.0), axis=1)))
         assert expectation == pytest.approx(true_value + bias, abs=1e-12)
@@ -182,6 +179,13 @@ class TestVSnips:
         ds = LoggedDataset(xs=np.stack([x, x]), actions=[0, 1], rewards=[0.0, 1.0], action_count=10)
         policy = TabularPolicy(contexts=x[None], probs=probs[None])
         assert value(ds, policy, identity_model(10, 2), "snips") == pytest.approx(0.75, abs=1e-12)
+
+    def test_target_with_no_mass_on_the_logged_actions_is_an_error(self):
+        x = np.array([1.0, 0.0])
+        ds = LoggedDataset(xs=np.stack([x, x]), actions=[0, 1], rewards=[1.0, 0.0], action_count=3)
+        policy = TabularPolicy(contexts=x[None], probs=np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="sum of propensity weights is zero"):
+            estimate(ds, policy, identity_model(3, 2), Weighting(kind="snips"))
 
     def test_invariant_to_weight_scaling(self):
         rng = make_rng(7)
@@ -300,11 +304,9 @@ class TestDirectMethodAndDr:
         ds = LoggedDataset(xs=x[None], actions=[1], rewards=[1.0], action_count=4)
         policy = TabularPolicy(contexts=x[None], probs=np.array([[0.2, 0.4, 0.2, 0.2]]))
 
-        class _Beta:
-            def beta_matrix(self, qs):
-                return np.array([[0.25, 0.2, 0.25, 0.3]])
-
-        got = v_dr(ds, policy, _Beta(), ConstantImputation(0.5), Weighting(kind="bips"))
+        # x is a unit vector, so the model's scores x . theta_a are log beta_hat
+        beta_model = identity_model(4, 2, theta=np.outer(np.log([0.25, 0.2, 0.25, 0.3]), x))
+        got = v_dr(ds, policy, beta_model, ConstantImputation(0.5), Weighting(kind="bips"))
         assert got == pytest.approx(0.5 + (0.4 / 0.2) * 0.5, abs=1e-12)  # 1.5
 
 
@@ -373,10 +375,9 @@ class TestPropensityTables:
         )
         model = identity_model(action_count, dim, theta=3.0 * rng.standard_normal((action_count, dim)), tau=tau)
         dense = model.beta_matrix(ds.xs)
-        tables = propensity_tables(ds, None, model, ("bips", "minvar"))
+        tables = propensity_tables(ds, None, model)
         np.testing.assert_array_equal(tables.beta_sel, np.maximum(dense[np.arange(n), ds.actions], BETA_FLOOR))
         np.testing.assert_array_equal(tables.beta_rows[tables.rows], dense)
-        assert propensity_tables(ds, None, model, ("uips", "bips")).beta_rows is None
 
 
 class TestExactBiasVariance:

@@ -160,7 +160,7 @@ class TestWeightedGradient:
     def test_capped_branch_contribution_is_bounded(self):
         env, ds, model = make_setup(seed=7)
         us = uncertainties(model, ds)
-        tables = propensity_tables(ds, None, model, ("uips",))
+        tables = propensity_tables(ds, None, model)
         hp = UipsHyperParams(lam=50.0, gamma=3.0, eta1=1.0, eta2=0.5)
         policy = random_policy(make_rng(8), 8, 6)
         beta_all = model.beta_matrix(ds.xs)
@@ -299,7 +299,7 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="epoch"):
             train(ds, model, config)
         # in a stack of three, only the middle point diverges, and the message names it
-        tables = propensity_tables(ds, None, model, ("bips", "bips_cap"))
+        tables = propensity_tables(ds, None, model)
         stack = [
             replace(config, learning_rate=0.5),
             replace(config, weighting=Weighting(kind="bips_cap", cap=1e9)),
@@ -383,7 +383,7 @@ class TestSharedStepLoop:
         policy, trace = train(ds, model, config, env=env)
         ref_policy, ref_trace = reference_train(ds, model, config, env=env)
         assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
-        tables = propensity_tables(ds, None, model, (weighting.kind,))
+        tables = propensity_tables(ds, None, model)
         np.testing.assert_array_equal(train_policies(ds, tables, [config])[0].theta, policy.theta)
 
     def test_default_logging_fit_matches_the_reference(self):
@@ -395,13 +395,13 @@ class TestSharedStepLoop:
         ref_policy, ref_trace = reference_train(ds, None, config)
         assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
         model = fit_logging_policy(ds, LoggingFitConfig(seed=config.seed))
-        tables = propensity_tables(ds, None, model, ("uips",))
+        tables = propensity_tables(ds, None, model)
         np.testing.assert_array_equal(train_policies(ds, tables, [config])[0].theta, policy.theta)
 
     @pytest.mark.parametrize("kind", ["bips", "minvar"])
     def test_hoisted_logging_rows_equal_the_per_batch_rows(self, kind):
         env, ds, model = make_setup(seed=29, n=300)
-        tables = propensity_tables(ds, None, model, (kind,))
+        tables = propensity_tables(ds, None, model)
         rng = make_rng(30)
         for size in (2, 3, 70, 300):
             idx = rng.permutation(len(ds))[:size]
@@ -410,7 +410,6 @@ class TestSharedStepLoop:
             if kind == "minvar":
                 np.testing.assert_array_equal(tables.beta_rows[tables.rows[idx]], expected)
             else:
-                assert tables.beta_rows is None
                 np.testing.assert_array_equal(
                     tables.beta_sel[idx], expected[np.arange(size), batch.actions]
                 )
@@ -423,7 +422,7 @@ class TestSharedStepLoop:
         config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=100,
                              weighting=Weighting(kind="uips", hp=UIPS_HP), seed=5)
         ref_policy, _ = reference_train(ds, model, config, env=env)
-        tables = propensity_tables(ds, None, model, ("uips",))
+        tables = propensity_tables(ds, None, model)
         np.testing.assert_allclose(train_policies(ds, tables, [config])[0].theta, ref_policy.theta,
                                    rtol=0, atol=1e-12)
 
@@ -447,7 +446,7 @@ class TestStackedStepLoop:
         env, ds, model = make_setup(seed=32, n=301)
         base = TrainConfig(epochs=3, batch_size=70, seed=7)
         configs = [replace(base, weighting=w, learning_rate=lr) for w in EVERY_WEIGHTING for lr in (0.5, 2.0)]
-        return ds, propensity_tables(ds, None, model, WEIGHT_KINDS), configs
+        return ds, propensity_tables(ds, None, model), configs
 
     def test_each_point_equals_its_one_config_run(self):
         ds, tables, configs = self.stack()
@@ -506,7 +505,7 @@ class TestTrueGradientNorm:
     def test_passed_policy_rows_are_left_unchanged(self):
         env, ds, model = make_setup(seed=26)
         policy = random_policy(make_rng(27), 8, 6)
-        tables = propensity_tables(ds, policy, None, ("ips_true",))
+        tables = propensity_tables(ds, policy, None)
         kept = tables.pi_rows.copy()
         assert true_gradient_norm(policy, ds, tables) == true_gradient_norm(policy, ds)
         np.testing.assert_array_equal(tables.pi_rows, kept)
@@ -527,7 +526,7 @@ class TestTrueGradientNorm:
             rng = make_rng(seed)
             ds = generate_log(env, 5000, rng)
             model = fit_logging_policy(ds, LoggingFitConfig(epochs=120, learning_rate=2.0, seed=seed))
-            tables = propensity_tables(ds, None, model, ("uips",))
+            tables = propensity_tables(ds, None, model)
             theta = np.zeros((env.action_count, env.dim))
             policy = SoftmaxLinearPolicy(theta=theta)
             squared = []

@@ -18,7 +18,7 @@ from uips.estimators import (
     WEIGHT_KINDS,
     PropensityTables,
     Weighting,
-    count_propensities,
+    propensity_tables,
     propensity_weights,
 )
 from uips.weights import UipsHyperParams
@@ -127,7 +127,7 @@ def test_count_propensities_sum_to_one_per_context(n_contexts, action_count, dra
     actions = np.array([a for _, a in pairs])
     ds = LoggedDataset(xs=contexts[ctx], actions=actions, rewards=np.ones(len(pairs)),
                        action_count=action_count)
-    emp = count_propensities(ds)
+    emp = propensity_tables(ds, None, None).counts
     assert np.all((emp > 0) & (emp <= 1))
     for c in np.unique(ctx):
         per_action = {int(a): emp[i] for i, a in enumerate(actions) if ctx[i] == c}
