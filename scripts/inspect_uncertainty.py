@@ -13,12 +13,8 @@ import sys
 import numpy as np
 
 from uips.core import make_rng
-from uips.logging_fit import (
-    LoggingFitConfig,
-    fit_logging_policy,
-    uncertainties,
-    uncertainty_frequency_bins,
-)
+from uips.estimators import propensity_tables
+from uips.logging_fit import LoggingFitConfig, fit_logging_policy, uncertainty_frequency_bins
 from uips.synthetic import EnvConfig, build_env, generate_log
 
 
@@ -33,9 +29,10 @@ def main(argv=None):
     env = build_env(EnvConfig(tau=args.tau, seed=args.seed))
     dataset = generate_log(env, args.n, make_rng(args.seed))
     model = fit_logging_policy(dataset, LoggingFitConfig(epochs=150, learning_rate=2.0, seed=args.seed))
-    beta = model.beta_matrix(dataset.xs)[np.arange(len(dataset)), dataset.actions]
+    tables = propensity_tables(dataset, model)
+    beta = tables.beta_rows[tables.rows, tables.actions]
 
-    bins = uncertainty_frequency_bins(dataset, uncertainties(model, dataset), n_bins=args.bins)
+    bins = uncertainty_frequency_bins(dataset, tables.us, n_bins=args.bins)
     print("bin,min_count,max_count,n_samples,mean_uncertainty,mean_beta_hat")
     for b in bins:
         mask = np.isin(dataset.actions, b["actions"])

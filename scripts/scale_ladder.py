@@ -54,7 +54,7 @@ def run_rung(action_count: int, n_logged: int, epochs: int, seed: int) -> dict:
     dataset = timed("generate_log", lambda: generate_log(env, n_logged, make_rng(seed)))
     fit_config = LoggingFitConfig(epochs=epochs, learning_rate=2.0, seed=seed)
     model = timed("fit", lambda: fit_logging_policy(dataset, fit_config))
-    timed("tables", lambda: propensity_tables(dataset, None, model))
+    timed("tables", lambda: propensity_tables(dataset, model))
     return {
         "action_count": action_count,
         "n_logged": n_logged,

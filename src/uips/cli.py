@@ -29,7 +29,7 @@ from typing import Sequence
 
 from uips import __version__
 from uips.core import LoggedDataset, _integer, make_rng
-from uips.estimators import PARAMETERS, UIPS_KINDS, WEIGHT_KINDS, Weighting, ope_mse_experiment, propensity_tables
+from uips.estimators import PARAMETERS, UIPS_KINDS, Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, _describe, train, train_policies
 from uips.logging_fit import (
     LoggingFitConfig,
@@ -207,8 +207,14 @@ def _load_log(resolved: dict, out: Path) -> tuple[BanditEnv, LoggedDataset]:
     return env, dataset
 
 
-def _load_model(out: Path) -> LoggingModel:
-    return _load(out / "logging_model.json", LoggingModel.load, "fit-logging")
+def _load_model(out: Path, env: BanditEnv) -> LoggingModel:
+    """The ``logging_model.json`` that the fit-logging subcommand wrote to ``out``, for ``env``."""
+    path = out / "logging_model.json"
+    model = _load(path, LoggingModel.load, "fit-logging")
+    shape, expected = model.policy.theta.shape, (env.action_count, env.dim)
+    if shape != expected:
+        raise ConfigError(f"{path} has shape {shape}, env.json has {expected}; run the fit-logging subcommand again")
+    return model
 
 
 def cmd_generate(resolved: dict) -> None:
@@ -247,7 +253,7 @@ def cmd_train(resolved: dict) -> None:
     weighting = _weighting(section.pop("weighting", {"kind": "bips"}))
     config = _parse("training section", lambda s: TrainConfig(weighting=weighting, **s), section)
     env, dataset = _load_log(resolved, out)
-    model = _load_model(out)
+    model = _load_model(out, env)
     policy, trace = train(dataset, model, config, env=env)
     policy.save(out / "policy.json")
     write_csv(out / "trace.csv", trace.COLUMNS, trace.to_csv_rows(), config_hash(resolved))
@@ -260,11 +266,11 @@ def cmd_train(resolved: dict) -> None:
 
 def expand_grid(kind: str, grid: dict) -> list[Weighting]:
     """Cartesian product of the per-method hyper-parameter lists."""
-    if kind != "ce" and kind not in WEIGHT_KINDS:
+    if kind not in PARAMETERS:
         raise ConfigError(f"unknown sweep method {kind!r}")
     if not isinstance(grid, dict):
         raise TypeError(f"a grid is a JSON object, not {type(grid).__name__}")
-    keys = PARAMETERS.get(kind, ())
+    keys = PARAMETERS[kind]
     unread = sorted(set(grid) - {"learning_rate", *keys})
     if unread:
         raise ValueError(f"{kind} reads no {', '.join(unread)}")
@@ -321,7 +327,7 @@ def run_sweep(
     dataset = generate_log(env, n_logged, make_rng(seed))
     model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
     configs = [config for _, config in points]
-    tables = propensity_tables(dataset, None, model)
+    tables = propensity_tables(dataset, model)
     best = {}
     for (method, config), policy in zip(points, train_policies(dataset, tables, configs)):
         _, _, val_ndcg = evaluate_policy(policy, env.validation, k_eval)
@@ -424,7 +430,7 @@ def cmd_ope(resolved: dict) -> None:
 def cmd_inspect_weights(resolved: dict) -> None:
     out = _out_dir(resolved)
     env, dataset = _load_log(resolved, out)
-    model = _load_model(out)
+    model = _load_model(out, env)
     section = resolved.get("inspect", {})
     epsilon = _value(section, "epsilon", 0.2, _probability)
     split = section.get("split", "train")
@@ -434,10 +440,11 @@ def cmd_inspect_weights(resolved: dict) -> None:
     n_bins = _value(section, "n_bins", 5, _count)
     policy = epsilon_greedy_policy(env, epsilon, split="train")
 
-    tables = propensity_tables(dataset, policy, model)
+    tables = propensity_tables(dataset, model)
+    pi_sel = policy.distribution_matrix(tables.contexts)[tables.rows, tables.actions]
     # the phi* the uips estimator applies to these samples
-    phi, on_cap = phi_star_vector(tables.pi_sel, tables.beta_sel, tables.us, hp)
-    columns = (dataset.actions, tables.pi_sel, tables.beta_sel, tables.us, phi, on_cap)
+    phi, on_cap = phi_star_vector(pi_sel, tables.beta_sel, tables.us, hp)
+    columns = (dataset.actions, pi_sel, tables.beta_sel, tables.us, phi, on_cap)
     rows = [
         (i, a, pi, beta, u, w, "cap" if cap else "first_term")
         for i, (a, pi, beta, u, w, cap) in enumerate(zip(*(c.tolist() for c in columns)))

@@ -5,11 +5,12 @@ w_n * r_n, where w_n = (pi / beta) * phi combines the target/logging
 probability ratio with a method-specific factor phi. :func:`propensity_weights`
 is the one place that turns a :class:`Weighting` into these weights. It
 reads a :class:`PropensityTables`, which :func:`propensity_tables` fills
-once per (dataset, target policy, logging model). On environments small
-enough to enumerate every (context, action) outcome of one logged draw, the
-exact bias, variance and mean squared error of these estimators are
-computed in closed form rather than by Monte Carlo, from the same tables
-built over a log that holds every cell of the (context, action) grid.
+once per (dataset, logging model), and the target policy's probabilities
+on the tables' distinct contexts. On environments small enough to
+enumerate every (context, action) outcome of one logged draw, the exact
+bias, variance and mean squared error of these estimators are computed in
+closed form rather than by Monte Carlo, from the same tables built over a
+log that holds every cell of the (context, action) grid.
 """
 
 from __future__ import annotations
@@ -34,31 +35,19 @@ from uips.synthetic import (
 )
 from uips.weights import UipsHyperParams, phi_star_vector
 
-WEIGHT_KINDS = (
-    "ips_true",
-    "bips",
-    "bips_cap",
-    "snips",
-    "minvar",
-    "stablevar",
-    "shrinkage",
-    "uips",
-    "uips_p",
-    "uips_o",
-    "dice_s",
-)
+#: The hyper-parameters each weighting kind reads, the uips family's from ``hp`` and the
+#: others' from the :class:`Weighting` field of that name.
+PARAMETERS = {
+    "ips_true": (), "bips": (), "bips_cap": ("cap",), "snips": (), "minvar": (), "stablevar": (),
+    "shrinkage": ("lam",), "uips": ("lam", "gamma", "eta1", "eta2"), "uips_p": ("gamma",),
+    "uips_o": ("gamma",), "dice_s": ("cap",), "ce": (),
+}
+#: The propensity weighting kinds: every kind but the training-only ``ce``.
+WEIGHT_KINDS = tuple(kind for kind in PARAMETERS if kind != "ce")
 #: Kinds that read no logging model.
 MODEL_FREE_KINDS = ("ce", "ips_true", "dice_s")
-#: Kinds that normalize a score over every action of the context.
-ROW_KINDS = ("minvar", "stablevar")
 #: Kinds that read the logging model's uncertainties.
 UIPS_KINDS = ("uips", "uips_p", "uips_o")
-#: The hyper-parameters each kind reads, the uips family's from ``hp`` and the others'
-#: from the :class:`Weighting` field of that name; a kind not listed reads none.
-PARAMETERS = {
-    "uips": ("lam", "gamma", "eta1", "eta2"), "uips_p": ("gamma",), "uips_o": ("gamma",),
-    "shrinkage": ("lam",), "bips_cap": ("cap",), "dice_s": ("cap",),
-}
 
 
 @dataclass(frozen=True)
@@ -77,9 +66,9 @@ class Weighting:
     hp: Optional[UipsHyperParams] = None
 
     def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS and self.kind != "ce":
+        if not isinstance(self.kind, str) or self.kind not in PARAMETERS:
             raise ValueError(f"unknown weighting kind {self.kind!r}")
-        reads = ("hp",) if self.kind in UIPS_KINDS else PARAMETERS.get(self.kind, ())
+        reads = ("hp",) if self.kind in UIPS_KINDS else PARAMETERS[self.kind]
         for name in ("cap", "lam", "hp"):
             if (getattr(self, name) is None) == (name in reads):
                 raise ValueError(f"{self.kind} {'needs' if name in reads else 'reads no'} {name}")
@@ -144,19 +133,17 @@ class TabularImputation:
 
 @dataclass(frozen=True)
 class PropensityTables:
-    """What the weighting rules read, for n selected (context, action) cells.
+    """What a log and its logging model say about n selected (context, action) cells.
 
-    Cell i is action ``actions[i]`` of row ``rows[i]`` of the row tables
-    ``pi_rows`` (target policy) and ``beta_rows`` (logging model). A row is
-    one distinct context of the log: ``contexts`` holds them, padded as
+    Cell i is action ``actions[i]`` of row ``rows[i]``. A row is one
+    distinct context of the log: ``contexts`` holds them, padded as
     :func:`uips.core._product_contexts` pads, and ``rows`` is the samples'
-    context index. ``beta_sel`` is the logging model's probability of each
-    cell floored at ``BETA_FLOOR``; ``beta_rows`` is not floored. ``us``
-    holds the cells' uncertainties and ``counts`` their count propensities
-    N(x, a) / N(x). The three logging-model tables are None when there is
-    no model, ``true_probs`` when the log has no true propensities.
-    :meth:`with_target` sets the target part, ``pi_rows`` and its selected
-    column ``pi_sel``.
+    context index. ``beta_rows`` holds the logging model's probabilities on
+    the rows, and ``beta_sel`` each cell's, floored at ``BETA_FLOOR``.
+    ``us`` holds the cells' uncertainties and ``counts`` their count
+    propensities N(x, a) / N(x). The three logging-model tables are None
+    when there is no model, ``true_probs`` when the log has no true
+    propensities. No table depends on a target policy.
     """
 
     rows: np.ndarray
@@ -167,15 +154,9 @@ class PropensityTables:
     beta_rows: Optional[np.ndarray] = None
     us: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
-    pi_rows: Optional[np.ndarray] = None
-    pi_sel: Optional[np.ndarray] = None
-
-    def with_target(self, pi_rows: np.ndarray) -> "PropensityTables":
-        """These tables for the target policy whose rows are ``pi_rows``."""
-        return replace(self, pi_rows=pi_rows, pi_sel=pi_rows[self.rows, self.actions])
 
     def select(self, idx: np.ndarray) -> "PropensityTables":
-        """The tables, without a target, of the samples ``idx`` of a dataset.
+        """The tables of the samples ``idx`` of a dataset.
 
         Their rows are the distinct contexts of those samples, in the order
         of these tables' rows. The contexts are marked in a boolean mask and
@@ -197,23 +178,22 @@ class PropensityTables:
         )
 
 
-def propensity_tables(dataset: LoggedDataset, policy, model: Optional[LoggingModel]) -> PropensityTables:
+def propensity_tables(dataset: LoggedDataset, model: Optional[LoggingModel]) -> PropensityTables:
     """Every table of ``dataset`` that its inputs allow.
 
-    ``policy`` is the target policy, or None to leave the target for
-    :meth:`PropensityTables.with_target`. ``model`` is the logging model,
-    or None for a weighting that reads none; :func:`propensity_weights`
-    refuses a weighting whose table is missing.
+    ``model`` is the logging model, or None for a weighting that reads
+    none; :func:`propensity_weights` refuses a weighting whose table is
+    missing.
 
     The row tables hold the distinct contexts of the dataset (the rows of
-    :func:`uips.core._product_contexts`): the logging model's and the
-    target's softmaxes run once per distinct context, and ``beta_sel``
-    gathers one cell per sample. No table has a row per sample and action.
-    The rows equal those of ``model.beta_matrix(dataset.xs)`` and
-    ``policy.distribution_matrix(dataset.xs)`` bit for bit while ``dim`` is
-    below 32; from there the bundled OpenBLAS picks its kernel by the
-    product's size, and they differ by rounding. The count propensities
-    tally the samples per context and per (context, action) pair, where two
+    :func:`uips.core._product_contexts`): the logging model's softmax runs
+    once per distinct context, and ``beta_sel`` gathers one cell per
+    sample. No table has a row per sample and action. The rows equal those
+    of ``model.beta_matrix(dataset.xs)`` bit for bit while ``dim`` is below
+    32; from there the bundled OpenBLAS picks its kernel by the product's
+    size, and they differ by rounding. The same holds for a target policy's
+    ``distribution_matrix`` on ``contexts``. The count propensities tally
+    the samples per context and per (context, action) pair, where two
     samples share a context when their rows are equal byte for byte.
     """
     ux, context = _product_contexts(dataset.xs)
@@ -224,45 +204,46 @@ def propensity_tables(dataset: LoggedDataset, policy, model: Optional[LoggingMod
         beta_rows = model.beta_matrix(ux)
         beta_sel = np.maximum(beta_rows[context, dataset.actions], BETA_FLOOR)
         us = uncertainties(model, dataset)
-    tables = PropensityTables(
+    return PropensityTables(
         rows=context, actions=dataset.actions, contexts=ux, true_probs=dataset.true_logging_probs,
         beta_sel=beta_sel, beta_rows=beta_rows, us=us, counts=counts,
     )
-    return tables if policy is None else tables.with_target(policy.distribution_matrix(ux))
 
 
-def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.ndarray:
+def propensity_weights(weighting: Weighting, tables: PropensityTables, pi_rows: np.ndarray) -> np.ndarray:
     """Per-cell weights w = (pi / beta) * phi under ``weighting``.
 
-    beta is the true logging probability for ips_true, the count propensity
-    for dice_s and the floored estimate otherwise. phi is 1 except for
-    minvar and stablevar, which normalize a score h over every action of the
-    context (h = beta/pi^2 and h = sqrt(beta)/pi respectively), shrinkage,
-    lam / (lam + (pi/beta)^2), and the uips family: the minimax weight or its
-    uncertainty-only variants exp(-gamma u) and exp(gamma u) (a uips_o weight
-    that overflows is the largest float, or 0 where pi is 0). bips_cap and
-    dice_s clip the weight at ``cap``; ce weights every sample 1. snips
-    weights are the bips weights: self-normalization is the caller's
-    aggregation.
+    pi is the cell's entry of ``pi_rows``, the target policy's probabilities
+    on ``tables.contexts``. beta is the true logging probability for
+    ips_true, the count propensity for dice_s and the floored estimate
+    otherwise. phi is 1 except for minvar and stablevar, which normalize a
+    score h over every action of the context (h = beta/pi^2 and h =
+    sqrt(beta)/pi respectively), shrinkage, lam / (lam + (pi/beta)^2), and
+    the uips family: the minimax weight or its uncertainty-only variants
+    exp(-gamma u) and exp(gamma u) (a uips_o weight that overflows is the
+    largest float, or 0 where pi is 0). bips_cap and dice_s clip the weight
+    at ``cap``; ce weights every sample 1. snips weights are the bips
+    weights: self-normalization is the caller's aggregation.
     """
     kind, t = weighting.kind, tables
     if kind == "ce":
         return np.ones(len(t.actions))
+    pi_sel = pi_rows[t.rows, t.actions]
     if kind == "ips_true":
         if t.true_probs is None:
             raise ValueError("ips_true weighting needs true logging probabilities")
-        return t.pi_sel / t.true_probs
+        return pi_sel / t.true_probs
     if kind == "dice_s":
-        return np.minimum(weighting.cap, t.pi_sel / t.counts)
+        return np.minimum(weighting.cap, pi_sel / t.counts)
     if t.beta_sel is None:
         raise ValueError(f"{kind} weighting needs a logging model")
-    ratio = t.pi_sel / t.beta_sel
+    ratio = pi_sel / t.beta_sel
     if kind in ("bips", "snips"):
         return ratio
     if kind == "bips_cap":
         return np.minimum(weighting.cap, ratio)
-    if kind in ROW_KINDS:
-        pi_f = np.maximum(t.pi_rows, PI_FLOOR)
+    if kind in ("minvar", "stablevar"):
+        pi_f = np.maximum(pi_rows, PI_FLOOR)
         h = t.beta_rows / pi_f**2 if kind == "minvar" else np.sqrt(t.beta_rows) / pi_f
         phi = (h / h.sum(axis=1, keepdims=True))[t.rows, t.actions]
     elif kind == "shrinkage":
@@ -270,7 +251,7 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables) -> np.nda
         # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
         phi = np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
     elif kind == "uips":
-        phi, _ = phi_star_vector(t.pi_sel, t.beta_sel, t.us, weighting.hp)
+        phi, _ = phi_star_vector(pi_sel, t.beta_sel, t.us, weighting.hp)
     elif kind == "uips_p":
         phi = np.exp(-weighting.hp.gamma * t.us)
     else:
@@ -302,7 +283,8 @@ def estimate(
     The value is the mean of w * r, or sum(w r) / sum(w) for snips. ``model``
     may be None for the kinds that need no logging model.
     """
-    w = propensity_weights(weighting, propensity_tables(dataset, policy, model))
+    tables = propensity_tables(dataset, model)
+    w = propensity_weights(weighting, tables, policy.distribution_matrix(tables.contexts))
     wsum = w.sum()
     diagnostics = {
         "effective_sample_size": float(wsum**2 / (w @ w)) if wsum > 0 else 0.0,
@@ -348,8 +330,9 @@ def exact_bias_variance(
         rewards=rewards.ravel(), action_count=a_count,
         true_logging_probs=beta_star.ravel() if weighting.kind == "ips_true" else None,
     )
-    tables = propensity_tables(cells, policy, model)
-    t = propensity_weights(weighting, tables).reshape(rewards.shape) * rewards
+    tables = propensity_tables(cells, model)
+    pi_rows = policy.distribution_matrix(tables.contexts)
+    t = propensity_weights(weighting, tables, pi_rows).reshape(rewards.shape) * rewards
 
     p_outcome = beta_star / n_contexts
     e_t = float((p_outcome * t).sum())
@@ -397,9 +380,10 @@ def ope_mse_experiment(
         rng = make_rng(seed)
         dataset = generate_log_per_context(env, samples_per_context, rng, split=split)
         model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
-        tables = propensity_tables(dataset, target_policy, model)
+        tables = propensity_tables(dataset, model)
+        pi_rows = target_policy.distribution_matrix(tables.contexts)
         for name, weighting in estimators:
-            est = _value(weighting, propensity_weights(weighting, tables), dataset.rewards)
+            est = _value(weighting, propensity_weights(weighting, tables, pi_rows), dataset.rewards)
             rows.append(
                 {
                     "estimator": name,

@@ -3,10 +3,10 @@
 The training loop is plain minibatch SGD ascent on the weighted objective:
 the propensity tables of the logged dataset (the logging model's
 ``beta_hat``, uncertainties, count propensities) are computed once up
-front, the weight of each sample is recomputed from the current policy at
-every step, and the weight is treated as a constant (stop-gradient) inside
-the step, so the per-step gradient is the log-trick gradient of the
-weighted sample mean.
+front, since they describe the log and not the policy; the weight of each
+sample is recomputed from the current policy at every step, and the weight
+is treated as a constant (stop-gradient) inside the step, so the per-step
+gradient is the log-trick gradient of the weighted sample mean.
 
 One step loop, :func:`train_epochs`, trains a stack of configs that share
 their seed, epochs and batch size, such as the grid points of a sweep:
@@ -25,6 +25,7 @@ import numpy as np
 from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _softmax, make_rng
 from uips.estimators import (
     MODEL_FREE_KINDS,
+    PARAMETERS,
     PropensityTables,
     Weighting,
     propensity_tables,
@@ -73,13 +74,14 @@ class TrainTrace:
         return [tuple(r.get(c) for c in self.COLUMNS) for r in self.records]
 
 
-def _weights(weighting: Weighting, tables: PropensityTables) -> np.ndarray:
-    """Per-sample weights of the target policy of ``tables``.
+def _weights(weighting: Weighting, tables: PropensityTables, pi_rows: np.ndarray) -> np.ndarray:
+    """Per-sample weights of the target policy whose probabilities on the rows of
+    ``tables`` are ``pi_rows``.
 
     snips weights are rescaled to sum to the sample count, so that the mean
     of w * r is the self-normalized estimate.
     """
-    w = propensity_weights(weighting, tables)
+    w = propensity_weights(weighting, tables, pi_rows)
     if weighting.kind == "snips":
         w = w / max(w.sum(), TINY) * len(w)
     return w
@@ -127,8 +129,8 @@ def _step_gradient(
     tau: float = 1.0,
 ) -> np.ndarray:
     """One step's gradients for the stack of G policies ``theta`` (G, A, dim), the
-    g-th under ``weightings[g]``, over the samples of ``tables``, which have no
-    target, with rewards ``rewards``.
+    g-th under ``weightings[g]``, over the samples of ``tables`` with rewards
+    ``rewards``.
 
     One softmax runs over the row contexts for the whole stack, then each
     point's weight rule, then one stacked :func:`_log_trick_gradient`, which
@@ -137,7 +139,7 @@ def _step_gradient(
     pi = _softmax(np.matmul(tables.contexts, theta.transpose(0, 2, 1)), tau)
     coeff = np.empty((len(weightings), len(rewards)))
     for g, weighting in enumerate(weightings):
-        coeff[g] = _weights(weighting, tables.with_target(pi[g])) * rewards
+        coeff[g] = _weights(weighting, tables, pi[g]) * rewards
     return _log_trick_gradient(tables, coeff, pi, tau)
 
 
@@ -153,14 +155,13 @@ def weighted_gradient(
     Returns (1/B) sum_n w_n r_n grad log pi(a_n|x_n) as a matrix shaped like
     ``policy.theta``. The weight is recomputed from the current policy but
     not differentiated through. ``tables`` are the batch's propensity
-    tables without a target; they are computed from the batch unless
-    passed, so count propensities for dice_s are then the batch's own.
-    This is one step of :func:`train_epochs` on the whole batch, for a
-    stack of one policy.
+    tables; they are computed from the batch unless passed, so count
+    propensities for dice_s are then the batch's own. This is one step of
+    :func:`train_epochs` on the whole batch, for a stack of one policy.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    tables = tables or propensity_tables(batch, None, model)
+    tables = tables or propensity_tables(batch, model)
     return _step_gradient(policy.theta[None], tables, batch.rewards, [weighting], policy.tau)[0]
 
 
@@ -181,16 +182,15 @@ def dr_gradient(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    tables = tables or propensity_tables(batch, None, model)
-    tables = tables.with_target(policy.distribution_matrix(tables.contexts))
-    pi_u = tables.pi_rows
+    tables = tables or propensity_tables(batch, model)
+    pi_u = policy.distribution_matrix(tables.contexts)
     eta_u = imputation.predict_matrix(tables.contexts, batch.action_count)
     # sum_a pi_a eta_a grad log pi_a collapses to coefficients pi_a' (eta_a' - v),
     # once per sample of the context
     v = np.sum(pi_u * eta_u, axis=1, keepdims=True)
     c_dm = pi_u * (eta_u - v) * np.bincount(tables.rows, minlength=len(pi_u))[:, None]
 
-    w = _weights(weighting, tables)
+    w = _weights(weighting, tables, pi_u)
     residual = batch.rewards - eta_u[tables.rows, tables.actions]
     # pi_u is not read again: the correction's coefficient table takes it over
     correction = _log_trick_gradient(tables, (w * residual)[None], pi_u[None], policy.tau)[0]
@@ -198,33 +198,32 @@ def dr_gradient(
 
 
 def true_gradient_norm(
-    policy: SoftmaxLinearPolicy, pool: LoggedDataset, tables: Optional[PropensityTables] = None
+    policy: SoftmaxLinearPolicy,
+    pool: LoggedDataset,
+    tables: Optional[PropensityTables] = None,
+    pi_rows: Optional[np.ndarray] = None,
 ) -> float:
     """Frobenius norm of the exact-propensity REINFORCE gradient over the pool.
 
-    ``tables``, the pool's propensity tables with ``policy`` as the target,
-    are computed unless passed in; passed tables are left unchanged.
+    ``tables``, the pool's propensity tables, and ``pi_rows``, the policy's
+    probabilities on their rows, are computed unless passed in; passed rows
+    are left unchanged.
     """
     if pool.true_logging_probs is None:
         raise ValueError("pool carries no true logging probabilities")
-    ips_true = Weighting(kind="ips_true")
-    tables = tables or propensity_tables(pool, policy, None)
-    w = _weights(ips_true, tables)
-    coeff = (w * pool.rewards)[None]
-    return float(np.linalg.norm(_log_trick_gradient(tables, coeff, tables.pi_rows[None].copy(), policy.tau)))
+    tables = tables or propensity_tables(pool, None)
+    if pi_rows is None:
+        pi_rows = policy.distribution_matrix(tables.contexts)
+    coeff = (_weights(Weighting(kind="ips_true"), tables, pi_rows) * pool.rewards)[None]
+    return float(np.linalg.norm(_log_trick_gradient(tables, coeff, pi_rows[None].copy(), policy.tau)))
 
 
 def _describe(weighting: Weighting, learning_rate: float) -> str:
-    """A grid point's hyper-parameters, as the sweep leaderboard names them."""
-    parts = [f"lr={learning_rate}"]
-    if weighting.cap is not None:
-        parts.append(f"cap={weighting.cap}")
-    if weighting.lam is not None:
-        parts.append(f"lam={weighting.lam}")
-    if weighting.hp is not None:
-        hp = weighting.hp
-        parts.append(f"lam={hp.lam};gamma={hp.gamma};eta1={hp.eta1};eta2={hp.eta2}")
-    return "|".join(parts)
+    """A grid point's hyper-parameters, as the sweep leaderboard names them: the
+    learning rate, then the parameters its kind reads."""
+    source = weighting.hp or weighting
+    params = ";".join(f"{name}={getattr(source, name)}" for name in PARAMETERS[weighting.kind])
+    return f"lr={learning_rate}|{params}" if params else f"lr={learning_rate}"
 
 
 def train_epochs(
@@ -237,9 +236,8 @@ def train_epochs(
     config after each epoch, in the order of ``configs``. The configs must
     share ``seed``, ``epochs`` and ``batch_size``, so that every policy
     sees the same minibatches; they may differ in weighting and learning
-    rate. ``tables`` are the propensity tables of ``dataset`` without a
-    target, built with a logging model unless no configured weighting
-    reads one.
+    rate. ``tables`` are the propensity tables of ``dataset``, built with a
+    logging model unless no configured weighting reads one.
 
     Each step draws its batch once for the whole stack and works on the
     batch's distinct contexts: :meth:`PropensityTables.select` gathers the
@@ -249,8 +247,8 @@ def train_epochs(
     one stacked :func:`_log_trick_gradient` gives every gradient. A stack
     holds at most ``_STACK_CELLS`` (policy, sample, action) cells; more
     configs run as several stacks on the same batches. Each policy gets
-    the bits it would get trained alone. The selected probabilities
-    ``pi_sel``, and so the weights, equal those of a softmax over the
+    the bits it would get trained alone. The selected probabilities, and
+    so the weights, equal those of a softmax over the
     batch's rows bit for bit while ``dim`` is below 32; the gradient adds
     the rows' terms per context first and differs from the row-by-row sum
     by rounding.
@@ -328,13 +326,13 @@ def train(
     """
     if model is None and config.weighting.kind not in MODEL_FREE_KINDS:
         model = fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed))
-    tables = propensity_tables(dataset, None, model)
+    tables = propensity_tables(dataset, model)
     validation = env.validation if env is not None else None
     trace = TrainTrace()
     for epoch, (policy,) in enumerate(train_epochs(dataset, tables, [config]), start=1):
         record = {"epoch": epoch}
-        target = tables.with_target(policy.distribution_matrix(tables.contexts))
-        w = _weights(config.weighting, target)
+        pi_rows = policy.distribution_matrix(tables.contexts)
+        w = _weights(config.weighting, tables, pi_rows)
         record["value"] = _mean_value(config.weighting, w, dataset.rewards)
         record["max_weight"] = float(w.max())
         if validation is not None and epoch % config.eval_every == 0:
@@ -343,7 +341,7 @@ def train(
         else:
             record.update({"p_at_k": None, "r_at_k": None, "ndcg_at_k": None})
         record["grad_norm"] = (
-            true_gradient_norm(policy, dataset, target)
+            true_gradient_norm(policy, dataset, tables, pi_rows)
             if dataset.true_logging_probs is not None else None
         )
         trace.records.append(record)

@@ -12,7 +12,6 @@ and therefore carry high uncertainty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +45,9 @@ class LoggingFitConfig:
             raise ValueError("learning_rate must be positive")
         _integer(self.epochs, least=1, what="epochs")
         _integer(self.negatives, what="negatives")
-        if math.isnan(self.l2):
-            raise ValueError("l2 must be a number, not NaN")
+        # written so that NaN fails; -0.0 passes
+        if not self.l2 >= 0:
+            raise ValueError(f"l2 {self.l2!r} is not a number >= 0")
         _integer(self.seed)
 
     @classmethod

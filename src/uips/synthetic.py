@@ -102,6 +102,14 @@ class BanditEnv:
     dim: int
     config: Optional[EnvConfig] = None
 
+    def __post_init__(self):
+        expected = (self.action_count, self.dim)
+        splits = {f"{name} split": self.split(name) for name in SPLITS}
+        shapes = {what: (split.rewards.shape[1], split.xs.shape[1]) for what, split in splits.items()}
+        for what, shape in {"logging policy": self.logging_policy.theta.shape, **shapes}.items():
+            if shape != expected:
+                raise ValueError(f"{what} has shape {shape}, not (action_count, dim) = {expected}")
+
     def split(self, name: str) -> Split:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")

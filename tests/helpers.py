@@ -233,16 +233,16 @@ def reference_train(
     if model is None and config.weighting.kind not in ("ce", "ips_true", "dice_s"):
         model = fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed))
 
-    full = per_sample_tables(propensity_tables(dataset, None, model))
+    full = per_sample_tables(propensity_tables(dataset, model))
     truth = (
-        per_sample_tables(propensity_tables(dataset, None, None))
+        per_sample_tables(propensity_tables(dataset, None))
         if dataset.true_logging_probs is not None else None
     )
     onehot = np.eye(dataset.action_count)
 
     def gradient(policy, batch, tables, weighting):
         pi = policy.distribution_matrix(batch.xs)
-        w = propensity_weights(weighting, tables.with_target(pi))
+        w = propensity_weights(weighting, tables, pi)
         if weighting.kind == "snips":
             w = w / max(w.sum(), TINY) * len(batch)
         coeff = w * batch.rewards
@@ -260,7 +260,7 @@ def reference_train(
             batch_idx = order[start : start + config.batch_size]
             batch = dataset.subset(batch_idx)
             tables = replace(
-                per_sample_tables(propensity_tables(batch, None, model)),
+                per_sample_tables(propensity_tables(batch, model)),
                 us=None if full.us is None else full.us[batch_idx],
                 counts=None if full.counts is None else full.counts[batch_idx],
             )
@@ -274,7 +274,7 @@ def reference_train(
             policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
 
         record = {"epoch": epoch}
-        w = propensity_weights(config.weighting, full.with_target(policy.distribution_matrix(dataset.xs)))
+        w = propensity_weights(config.weighting, full, policy.distribution_matrix(dataset.xs))
         if config.weighting.kind == "snips":
             w = w / max(w.sum(), TINY) * n
         coeff = w * dataset.rewards

@@ -291,11 +291,12 @@ def v_dm(dataset, policy, imputation) -> float:
 
 def v_dr(dataset, policy, model, imputation, weighting) -> float:
     """Direct method plus a ``weighting``-weighted residual correction."""
-    tables = propensity_tables(dataset, policy, model)
+    tables = propensity_tables(dataset, model)
+    pi_rows = policy.distribution_matrix(tables.contexts)
     eta = imputation.predict_matrix(dataset.xs, dataset.action_count)
-    dm = np.mean(np.sum(tables.pi_rows[tables.rows] * eta, axis=1))
+    dm = np.mean(np.sum(pi_rows[tables.rows] * eta, axis=1))
     residual = dataset.rewards - eta[np.arange(len(dataset)), tables.actions]
-    return float(dm + np.mean(propensity_weights(weighting, tables) * residual))
+    return float(dm + np.mean(propensity_weights(weighting, tables, pi_rows) * residual))
 
 
 def imputed_reward(imputation, x, action: int) -> float:

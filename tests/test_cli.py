@@ -125,8 +125,9 @@ class TestPipeline:
         model = LoggingModel.load(out / "logging_model.json")
         inspect = TINY_CONFIG["inspect"]
         policy = epsilon_greedy_policy(env, inspect["epsilon"], split=inspect["split"])
-        tables = propensity_tables(dataset, policy, model)
-        phi, on_cap = phi_star_vector(tables.pi_sel, tables.beta_sel, tables.us,
+        tables = propensity_tables(dataset, model)
+        pi_sel = policy.distribution_matrix(tables.contexts)[tables.rows, tables.actions]
+        phi, on_cap = phi_star_vector(pi_sel, tables.beta_sel, tables.us,
                                       UipsHyperParams(**inspect["uips_hp"]))
         rows = [line.split(",") for line in (out / "weights.csv").read_text().splitlines()[2:]]
         np.testing.assert_array_equal(np.array([float(r[5]) for r in rows]), phi)
@@ -235,6 +236,18 @@ class TestPipeline:
         rows = (out / "leaderboard.csv").read_text().splitlines()
         methods = sorted(line.split(",")[0] for line in rows[2:])
         assert methods == sorted(TINY_CONFIG["sweep"]["methods"])
+
+    def test_selected_params_name_only_what_the_kind_reads(self):
+        env = build_env(EnvConfig(**TINY_CONFIG["env"]))
+        methods = {
+            "uips_p": {"gamma": [2]}, "uips": {"lam": [10], "gamma": [2], "eta1": [1], "eta2": [100]}, "bips": {},
+        }
+        fit_cfg = LoggingFitConfig(**TINY_CONFIG["logging_fit"])
+        train_section = {"learning_rate": 0.5, "epochs": 1, "batch_size": 100}
+        rows = run_sweep(env, methods, train_section, fit_cfg, seed=3, k_eval=3, n_logged=300)
+        assert {r["method"]: r["selected_params"] for r in rows} == {
+            "uips_p": "lr=0.5|gamma=2", "uips": "lr=0.5|lam=10;gamma=2;eta1=1;eta2=100", "bips": "lr=0.5",
+        }
 
 
 class TestSingletonSweepMatchesTrain:
@@ -387,6 +400,35 @@ class TestExitCodes:
         run_ok(["generate", "--config", str(cfg), *flags])
         run_ok(["fit-logging", "--config", str(cfg), *flags])
         run_ok([command, "--config", str(cfg), *flags])
+
+    @pytest.mark.parametrize("command", ["fit-logging", "train", "sweep", "ope", "inspect-weights"])
+    def test_logging_policy_of_the_wrong_shape_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "shape")
+        run_ok(["generate", "--config", str(cfg)])
+        run_ok(["fit-logging", "--config", str(cfg)])
+        path = tmp_path / "shape" / "env.json"
+        env = json.loads(path.read_text())
+        path.write_text(json.dumps({**env, "logging_theta": env["logging_theta"][:-1]}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid {path}: logging policy has shape (7, 6), not (action_count, dim) = (8, 6)" in err
+
+    @pytest.mark.parametrize("key, value", [("action_count", 9), ("dim", 7)])
+    @pytest.mark.parametrize("command", ["train", "inspect-weights"])
+    def test_logging_model_of_another_env_is_a_config_error(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, "stalemodel")
+        run_ok(["generate", "--config", str(cfg)])
+        run_ok(["fit-logging", "--config", str(cfg)])
+        config = json.loads(cfg.read_text())
+        config["env"][key] = value
+        cfg.write_text(json.dumps(config))
+        run_ok(["generate", "--config", str(cfg)])
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'stalemodel' / 'logging_model.json'} has shape (8, 6)" in err
+        assert "run the fit-logging subcommand again" in err
 
     def test_invalid_section_is_a_config_error(self, tmp_path):
         config = json.loads(json.dumps(TINY_CONFIG))
@@ -719,6 +761,7 @@ class TestBadInputEntersAsConfigError:
         ("train", ("training", "learning_rate"), NAN, "invalid training section"),
         ("fit-logging", ("logging_fit", "learning_rate"), NAN, "invalid logging_fit"),
         ("fit-logging", ("logging_fit", "l2"), NAN, "invalid logging_fit"),
+        ("fit-logging", ("logging_fit", "l2"), -1.0, "invalid logging_fit: l2 -1.0 is not a number >= 0"),
         ("train", ("training", "weighting", "hp", "lam"), NAN, "invalid weighting spec"),
         ("train", ("training", "weighting", "hp", "gamma"), NAN, "invalid weighting spec"),
         ("train", ("training", "weighting", "hp", "eta1"), NAN, "invalid weighting spec"),
@@ -727,7 +770,7 @@ class TestBadInputEntersAsConfigError:
         ("train", ("training", "weighting"), {"kind": "shrinkage", "lam": NAN}, "invalid weighting spec"),
         ("ope", ("ope", "uips_hp", "lam"), NAN, "invalid uips_hp"),
         ("sweep", ("sweep", "methods", "uips", "lam"), [NAN], "invalid uips grid"),
-    ], ids=["train-learning_rate", "fit-learning_rate", "fit-l2", "hp-lam", "hp-gamma", "hp-eta1",
+    ], ids=["train-learning_rate", "fit-learning_rate", "fit-l2", "fit-l2-negative", "hp-lam", "hp-gamma", "hp-eta1",
             "hp-eta2", "weighting-cap", "weighting-lam", "ope-hp-lam", "sweep-grid-lam"])
     def test_nan_hyper_parameter(self, tmp_path, capsys, command, path, value, message):
         cfg = write_config(tmp_path, "nan")

@@ -375,7 +375,7 @@ class TestPropensityTables:
         )
         model = identity_model(action_count, dim, theta=3.0 * rng.standard_normal((action_count, dim)), tau=tau)
         dense = model.beta_matrix(ds.xs)
-        tables = propensity_tables(ds, None, model)
+        tables = propensity_tables(ds, model)
         np.testing.assert_array_equal(tables.beta_sel, np.maximum(dense[np.arange(n), ds.actions], BETA_FLOOR))
         np.testing.assert_array_equal(tables.beta_rows[tables.rows], dense)
 

@@ -160,7 +160,7 @@ class TestWeightedGradient:
     def test_capped_branch_contribution_is_bounded(self):
         env, ds, model = make_setup(seed=7)
         us = uncertainties(model, ds)
-        tables = propensity_tables(ds, None, model)
+        tables = propensity_tables(ds, model)
         hp = UipsHyperParams(lam=50.0, gamma=3.0, eta1=1.0, eta2=0.5)
         policy = random_policy(make_rng(8), 8, 6)
         beta_all = model.beta_matrix(ds.xs)
@@ -299,7 +299,7 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="epoch"):
             train(ds, model, config)
         # in a stack of three, only the middle point diverges, and the message names it
-        tables = propensity_tables(ds, None, model)
+        tables = propensity_tables(ds, model)
         stack = [
             replace(config, learning_rate=0.5),
             replace(config, weighting=Weighting(kind="bips_cap", cap=1e9)),
@@ -364,10 +364,10 @@ class TestContextGradient:
         # the whole log, a batch, a batch of one context (padded to two rows) and one row
         for idx in (np.arange(n), np.arange(5, 69), np.flatnonzero(rows == rows[0]), np.array([7])):
             batch = tables.select(idx)
-            batch = batch.with_target(pi[batch.contexts[:, 0].astype(int)])
+            pi_rows = pi[batch.contexts[:, 0].astype(int)]
             xs = contexts[rows[idx]]
             dense = ((onehot[actions[idx]] - pi[rows[idx]]) * coeff[idx, None]).T @ xs / (tau * len(idx))
-            got = _log_trick_gradient(batch, coeff[idx][None], batch.pi_rows[None].copy(), tau)
+            got = _log_trick_gradient(batch, coeff[idx][None], pi_rows[None].copy(), tau)
             np.testing.assert_array_equal(got[0], dense)
             np.testing.assert_array_equal(batch.contexts[batch.rows], xs)
 
@@ -383,7 +383,7 @@ class TestSharedStepLoop:
         policy, trace = train(ds, model, config, env=env)
         ref_policy, ref_trace = reference_train(ds, model, config, env=env)
         assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
-        tables = propensity_tables(ds, None, model)
+        tables = propensity_tables(ds, model)
         np.testing.assert_array_equal(train_policies(ds, tables, [config])[0].theta, policy.theta)
 
     def test_default_logging_fit_matches_the_reference(self):
@@ -395,13 +395,13 @@ class TestSharedStepLoop:
         ref_policy, ref_trace = reference_train(ds, None, config)
         assert_train_matches_reference(policy, trace, ref_policy, ref_trace)
         model = fit_logging_policy(ds, LoggingFitConfig(seed=config.seed))
-        tables = propensity_tables(ds, None, model)
+        tables = propensity_tables(ds, model)
         np.testing.assert_array_equal(train_policies(ds, tables, [config])[0].theta, policy.theta)
 
     @pytest.mark.parametrize("kind", ["bips", "minvar"])
     def test_hoisted_logging_rows_equal_the_per_batch_rows(self, kind):
         env, ds, model = make_setup(seed=29, n=300)
-        tables = propensity_tables(ds, None, model)
+        tables = propensity_tables(ds, model)
         rng = make_rng(30)
         for size in (2, 3, 70, 300):
             idx = rng.permutation(len(ds))[:size]
@@ -422,7 +422,7 @@ class TestSharedStepLoop:
         config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=100,
                              weighting=Weighting(kind="uips", hp=UIPS_HP), seed=5)
         ref_policy, _ = reference_train(ds, model, config, env=env)
-        tables = propensity_tables(ds, None, model)
+        tables = propensity_tables(ds, model)
         np.testing.assert_allclose(train_policies(ds, tables, [config])[0].theta, ref_policy.theta,
                                    rtol=0, atol=1e-12)
 
@@ -446,7 +446,7 @@ class TestStackedStepLoop:
         env, ds, model = make_setup(seed=32, n=301)
         base = TrainConfig(epochs=3, batch_size=70, seed=7)
         configs = [replace(base, weighting=w, learning_rate=lr) for w in EVERY_WEIGHTING for lr in (0.5, 2.0)]
-        return ds, propensity_tables(ds, None, model), configs
+        return ds, propensity_tables(ds, model), configs
 
     def test_each_point_equals_its_one_config_run(self):
         ds, tables, configs = self.stack()
@@ -505,10 +505,11 @@ class TestTrueGradientNorm:
     def test_passed_policy_rows_are_left_unchanged(self):
         env, ds, model = make_setup(seed=26)
         policy = random_policy(make_rng(27), 8, 6)
-        tables = propensity_tables(ds, policy, None)
-        kept = tables.pi_rows.copy()
-        assert true_gradient_norm(policy, ds, tables) == true_gradient_norm(policy, ds)
-        np.testing.assert_array_equal(tables.pi_rows, kept)
+        tables = propensity_tables(ds, None)
+        pi_rows = policy.distribution_matrix(tables.contexts)
+        kept = pi_rows.copy()
+        assert true_gradient_norm(policy, ds, tables, pi_rows) == true_gradient_norm(policy, ds)
+        np.testing.assert_array_equal(pi_rows, kept)
 
     def test_requires_true_propensities(self):
         ds = LoggedDataset(xs=np.ones((2, 3)), actions=[0, 1], rewards=[1.0, 0.0], action_count=2)
@@ -526,7 +527,7 @@ class TestTrueGradientNorm:
             rng = make_rng(seed)
             ds = generate_log(env, 5000, rng)
             model = fit_logging_policy(ds, LoggingFitConfig(epochs=120, learning_rate=2.0, seed=seed))
-            tables = propensity_tables(ds, None, model)
+            tables = propensity_tables(ds, model)
             theta = np.zeros((env.action_count, env.dim))
             policy = SoftmaxLinearPolicy(theta=theta)
             squared = []
@@ -534,8 +535,8 @@ class TestTrueGradientNorm:
                 grad = weighted_gradient(policy, ds, model, weighting, tables=tables)
                 theta = theta + 20.0 * grad
                 policy = SoftmaxLinearPolicy(theta=theta)
-                target = tables.with_target(policy.distribution_matrix(tables.contexts))
-                squared.append(true_gradient_norm(policy, ds, target) ** 2)
+                pi_rows = policy.distribution_matrix(tables.contexts)
+                squared.append(true_gradient_norm(policy, ds, tables, pi_rows) ** 2)
             squared = np.array(squared)
             holds += squared[:200].mean() < squared[:20].mean()
         assert holds >= 8

@@ -39,7 +39,7 @@ def peaks():
     env = build_env(EnvConfig(dim=8, action_count=ACTIONS, train_size=CONTEXTS, validation_size=5, test_size=5))
     dataset, log_units = _peak_units(lambda: generate_log(env, N, make_rng(0)))
     model, fit_units = _peak_units(lambda: fit_logging_policy(dataset, LoggingFitConfig(epochs=2)))
-    _, table_units = _peak_units(lambda: propensity_tables(dataset, None, model))
+    _, table_units = _peak_units(lambda: propensity_tables(dataset, model))
     config = TrainConfig(epochs=2, batch_size=2000, weighting=Weighting(kind="bips"))
     _, train_units = _peak_units(lambda: train(dataset, model, config))
     return {"generate_log": log_units, "fit": fit_units, "tables": table_units, "train": train_units}

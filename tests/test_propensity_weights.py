@@ -47,7 +47,7 @@ def table_columns(draw):
 
 
 def make_tables(columns, order):
-    """Tables of the samples in ``order``, one row per sample."""
+    """Tables of the samples in ``order``, one row per sample, and the target's rows."""
     actions = columns["actions"][order]
     rows = np.arange(len(order))
     beta = columns["beta"][order]
@@ -55,7 +55,7 @@ def make_tables(columns, order):
         rows=rows, actions=actions, true_probs=columns["true_probs"][order],
         beta_sel=np.maximum(beta[rows, actions], BETA_FLOOR), beta_rows=beta,
         us=columns["us"][order], counts=columns["counts"][order],
-    ).with_target(columns["pi"][order])
+    ), columns["pi"][order]
 
 
 weightings = st.builds(
@@ -79,11 +79,11 @@ weightings = st.builds(
 @given(table_columns(), weightings, st.randoms(use_true_random=False))
 def test_weights_are_finite_nonnegative_and_follow_a_permutation(columns, weighting, random):
     n = len(columns["actions"])
-    w = propensity_weights(weighting, make_tables(columns, np.arange(n)))
+    w = propensity_weights(weighting, *make_tables(columns, np.arange(n)))
     assert w.shape == (n,)
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
     perm = np.array(random.sample(range(n), n))
-    np.testing.assert_array_equal(propensity_weights(weighting, make_tables(columns, perm)), w[perm])
+    np.testing.assert_array_equal(propensity_weights(weighting, *make_tables(columns, perm)), w[perm])
 
 
 @pytest.mark.parametrize("kind", WEIGHT_KINDS + ("ce",))
@@ -98,7 +98,7 @@ def test_every_kind_is_covered(kind):
     weighting = Weighting(kind=kind, cap=2.0 if kind in ("bips_cap", "dice_s") else None,
                           lam=0.0 if kind == "shrinkage" else None,
                           hp=hp if kind.startswith("uips") else None)
-    w = propensity_weights(weighting, make_tables(columns, np.arange(2)))
+    w = propensity_weights(weighting, *make_tables(columns, np.arange(2)))
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
 
 
@@ -112,7 +112,7 @@ def test_uips_o_saturates_where_exp_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = propensity_weights(Weighting(kind="uips_o", hp=UipsHyperParams(gamma=800.0)),
-                               make_tables(columns, np.arange(3)))
+                               *make_tables(columns, np.arange(3)))
     # pi = 0 weighs 0; e^{800} overflows; e^{700} is finite, but 5e8 times it is not
     np.testing.assert_array_equal(w, [0.0, np.finfo(float).max, np.finfo(float).max])
 
@@ -127,7 +127,7 @@ def test_count_propensities_sum_to_one_per_context(n_contexts, action_count, dra
     actions = np.array([a for _, a in pairs])
     ds = LoggedDataset(xs=contexts[ctx], actions=actions, rewards=np.ones(len(pairs)),
                        action_count=action_count)
-    emp = propensity_tables(ds, None, None).counts
+    emp = propensity_tables(ds, None).counts
     assert np.all((emp > 0) & (emp <= 1))
     for c in np.unique(ctx):
         per_action = {int(a): emp[i] for i, a in enumerate(actions) if ctx[i] == c}

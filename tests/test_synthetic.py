@@ -93,6 +93,17 @@ class TestBuildEnv:
         with pytest.raises(ValueError, match=message):
             Split(xs, np.array(rewards))
 
+    @pytest.mark.parametrize("split, message", [
+        ("train", r"train split has shape \(10, 3\), not \(action_count, dim\) = \(10, 8\)"),
+        ("test", r"test split has shape \(9, 8\), not \(action_count, dim\) = \(10, 8\)"),
+    ], ids=["contexts", "actions"])
+    def test_env_rejects_a_split_of_another_shape(self, split, message):
+        env = build_env(SMALL)
+        bad = {"train": Split(env.train.xs[:, :3], env.train.rewards),
+               "test": Split(env.test.xs, env.test.rewards[:, 1:])}[split]
+        with pytest.raises(ValueError, match=message):
+            BanditEnv(**{**vars(env), split: bad})
+
     def test_load_rejects_a_relevant_action_outside_the_action_range(self, tmp_path):
         path = tmp_path / "env.json"
         build_env(SMALL).save(path)

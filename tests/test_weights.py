@@ -201,8 +201,9 @@ def variant_weight(kind: str, u: float, gamma: float) -> float:
     tables = PropensityTables(
         rows=np.zeros(1, dtype=int), actions=np.zeros(1, dtype=int),
         beta_sel=np.array([0.2]), us=np.array([u]),
-    ).with_target(np.array([[0.2]]))
-    return float(propensity_weights(Weighting(kind=kind, hp=UipsHyperParams(gamma=gamma)), tables)[0])
+    )
+    weighting = Weighting(kind=kind, hp=UipsHyperParams(gamma=gamma))
+    return float(propensity_weights(weighting, tables, np.array([[0.2]]))[0])
 
 
 class TestVariantWeights:
@@ -221,8 +222,10 @@ class TestVariantWeights:
             assert product == pytest.approx(1.0, rel=1e-15)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Weighting(kind="bogus")
+        # a JSON list is not a kind either, and is refused with the same message
+        for kind in ("bogus", ["uips"]):
+            with pytest.raises(ValueError, match="unknown weighting kind"):
+                Weighting(kind=kind)
 
 
 def phi_of_u(ratio, lam, gamma, eta, u):
