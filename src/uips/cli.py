@@ -387,13 +387,13 @@ def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     if specs is not None:
         return _parse("estimators", lambda s: [_estimator(spec) for spec in _list(s)], specs)
     hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
-    lam = _value(section, "shrinkage_lam", 10.0, float)
+    shrinkage = _value(section, "shrinkage_lam", 10.0, lambda lam: Weighting(kind="shrinkage", lam=float(lam)))
     return [
         ("ips_true", Weighting(kind="ips_true")),
         ("bips", Weighting(kind="bips")),
         ("minvar", Weighting(kind="minvar")),
         ("stablevar", Weighting(kind="stablevar")),
-        ("shrinkage", Weighting(kind="shrinkage", lam=lam)),
+        ("shrinkage", shrinkage),
         ("uips", Weighting(kind="uips", hp=hp)),
     ]
 

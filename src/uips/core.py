@@ -269,17 +269,6 @@ class SoftmaxLinearPolicy:
     def dim(self) -> int:
         return self.theta.shape[1]
 
-    def _check_context(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"context has length {x.shape}, expected ({self.dim},)")
-        return x
-
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        """Probability vector over actions, row 0 of :meth:`distribution_matrix` of ``[x]``;
-        sums to 1 within 1e-12."""
-        return self.distribution_matrix(self._check_context(x)[None])[0]
-
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Row-wise distributions for a batch of contexts, shape (n, actions).
 
@@ -287,11 +276,6 @@ class SoftmaxLinearPolicy:
         in :func:`_softmax`.
         """
         return _softmax(xs @ self.theta.T, self.tau)
-
-    def prob(self, x: np.ndarray, action: int) -> float:
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"action {action} out of range [0, {self.action_count})")
-        return float(self.distribution(x)[action])
 
     def _fields(self, prefix: str = "") -> dict:
         """The JSON form of this policy, its theta and tau, with keys under ``prefix``."""

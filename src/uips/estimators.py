@@ -27,12 +27,7 @@ from uips.logging_fit import (
     fit_logging_policy,
     uncertainties,
 )
-from uips.synthetic import (
-    BanditEnv,
-    TabularPolicy,
-    generate_log_per_context,
-    true_policy_value,
-)
+from uips.synthetic import BanditEnv, generate_log_per_context, true_policy_value
 from uips.weights import UipsHyperParams, phi_star_vector
 
 #: The hyper-parameters each weighting kind reads, the uips family's from ``hp`` and the
@@ -42,8 +37,6 @@ PARAMETERS = {
     "shrinkage": ("lam",), "uips": ("lam", "gamma", "eta1", "eta2"), "uips_p": ("gamma",),
     "uips_o": ("gamma",), "dice_s": ("cap",), "ce": (),
 }
-#: The propensity weighting kinds: every kind but the training-only ``ce``.
-WEIGHT_KINDS = tuple(kind for kind in PARAMETERS if kind != "ce")
 #: Kinds that read no logging model.
 MODEL_FREE_KINDS = ("ce", "ips_true", "dice_s")
 #: Kinds that read the logging model's uncertainties.
@@ -75,8 +68,8 @@ class Weighting:
         # written so that NaN fails each check; an infinite cap means no cap
         if not (self.cap is None or self.cap > 0):
             raise ValueError(f"{self.kind} needs a positive cap")
-        if not (self.lam is None or self.lam >= 0):
-            raise ValueError(f"{self.kind} needs a nonnegative lam")
+        if not (self.lam is None or 0 <= self.lam < np.inf):
+            raise ValueError(f"{self.kind} needs a finite nonnegative lam")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Weighting":
@@ -110,25 +103,6 @@ class ConstantImputation:
 
     def predict_matrix(self, xs: np.ndarray, action_count: int) -> np.ndarray:
         return np.full((xs.shape[0], action_count), self.value)
-
-
-class TabularImputation:
-    """Reward model backed by an exact-match context table."""
-
-    def __init__(self, contexts: np.ndarray, table: np.ndarray):
-        # reward rows share the tabular policy's exact-context lookup
-        self.lookup = TabularPolicy(contexts=contexts, probs=table)
-        if self.lookup.probs.min() < 0 or self.lookup.probs.max() > 1:
-            raise ValueError("imputed rewards must lie in [0, 1]")
-
-    @classmethod
-    def from_env(cls, env: BanditEnv, split: str = "test") -> "TabularImputation":
-        """The oracle imputation: the split's true 0/1 reward table."""
-        data = env.split(split)
-        return cls(data.xs, data.rewards)
-
-    def predict_matrix(self, xs: np.ndarray, action_count: int) -> np.ndarray:
-        return self.lookup.distribution_matrix(xs)
 
 
 @dataclass(frozen=True)

@@ -87,13 +87,6 @@ def _weights(weighting: Weighting, tables: PropensityTables, pi_rows: np.ndarray
     return w
 
 
-def _mean_value(weighting: Weighting, w: np.ndarray, rewards: np.ndarray) -> float:
-    coeff = w * rewards
-    if weighting.kind == "snips":
-        return float(coeff.sum() / max(w.sum(), TINY))
-    return float(coeff.mean())
-
-
 def _log_trick_gradient(
     tables: PropensityTables, coeff: np.ndarray, pi: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -333,7 +326,7 @@ def train(
         record = {"epoch": epoch}
         pi_rows = policy.distribution_matrix(tables.contexts)
         w = _weights(config.weighting, tables, pi_rows)
-        record["value"] = _mean_value(config.weighting, w, dataset.rewards)
+        record["value"] = float(np.mean(w * dataset.rewards))
         record["max_weight"] = float(w.max())
         if validation is not None and epoch % config.eval_every == 0:
             p, r, ndcg = evaluate_policy(policy, validation, config.k_eval)

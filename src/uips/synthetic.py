@@ -79,8 +79,8 @@ class EnvConfig:
             raise ValueError("need 1 <= min_labels <= max_labels")
         if self.max_labels > self.action_count:
             raise ValueError("more labels than actions")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be finite and positive")
         if not self.label_noise >= 0:
             raise ValueError(f"label_noise {self.label_noise!r} is not a number >= 0")
         _integer(self.seed)
@@ -321,7 +321,7 @@ class TabularPolicy:
     """Context-indexed action distribution, looked up by exact context match.
 
     A context matches the distinct table context equal to it byte for byte,
-    found by binary search. ``TabularImputation`` looks its reward rows up through it.
+    found by binary search.
     """
 
     contexts: np.ndarray
@@ -337,10 +337,6 @@ class TabularPolicy:
         self._keys = keys[self._order]
         if (self._keys[1:] == self._keys[:-1]).any():
             raise ValueError("the table holds a context twice")
-
-    @property
-    def action_count(self) -> int:
-        return self.probs.shape[1]
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         """The table row of each context of the 2-D ``xs``."""
@@ -359,9 +355,6 @@ class TabularPolicy:
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Distribution rows for a batch of contexts."""
         return self.probs[self._rows(xs)]
-
-    def prob(self, x: np.ndarray, action: int) -> float:
-        return float(self.distribution(x)[action])
 
 
 def epsilon_greedy_policy(env: BanditEnv, epsilon: float, split: str = "test") -> TabularPolicy:

@@ -59,13 +59,13 @@ class UipsHyperParams:
     eta2: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be nonnegative")
-        if not (self.eta1 > 0 and self.eta2 > 0):
-            raise ValueError("eta1 and eta2 must be positive")
+        # written so that NaN fails every check; an infinite eta2 means no cap
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and nonnegative")
+        if not (0 < self.eta1 < np.inf and self.eta2 > 0):
+            raise ValueError("eta1 must be finite and positive, eta2 positive")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "UipsHyperParams":
@@ -79,7 +79,9 @@ def phi_star_vector(
 
     Returns ``(phi, on_cap)``; a tie goes to the first term. Finite and
     within [0, 2 * eta2] for any valid input, including a gamma*u large
-    enough that e^{gamma u} overflows.
+    enough that e^{gamma u} overflows. An infinite eta2 counts as half the
+    largest float, so that phi stays finite and a weight pi / beta_hat * phi
+    is never 0 * inf.
     """
     gu = hp.gamma * np.asarray(us, dtype=float)
     ratio = np.asarray(pis, dtype=float) / np.maximum(beta_hats, BETA_FLOOR)
@@ -94,5 +96,5 @@ def phi_star_vector(
     with np.errstate(over="ignore", divide="ignore"):
         denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
         first = np.divide(hp.lam * scale, denom, out=np.full_like(denom, np.inf), where=denom > 0)
-    cap = 2.0 * hp.eta2 * scale / (e_pos + e_neg)
+    cap = 2.0 * min(hp.eta2, np.finfo(float).max / 2) * scale / (e_pos + e_neg)
     return np.minimum(first, cap), first > cap

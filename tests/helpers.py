@@ -9,7 +9,7 @@ import pytest
 
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR, TINY
-from uips.estimators import Weighting, propensity_tables, propensity_weights
+from uips.estimators import PARAMETERS, Weighting, propensity_tables, propensity_weights
 from uips.learning import TrainConfig, TrainTrace
 from uips.logging_fit import (
     LoggingFitConfig,
@@ -20,7 +20,10 @@ from uips.logging_fit import (
 from uips.synthetic import BanditEnv
 from uips.weights import GU_UNSCALED_MAX, UipsHyperParams
 
-from oracles import WeightInput, confidence_interval, evaluate_policy_loop
+from oracles import WeightInput, confidence_interval, evaluate_policy_loop, prob
+
+#: The propensity weighting kinds: every kind but the training-only ``ce``.
+WEIGHT_KINDS = tuple(k for k in PARAMETERS if k != "ce")
 
 
 def sample_weight_instances(n, seed, gamma=1.0, eta=1.0):
@@ -76,7 +79,7 @@ def count_ips_reference(dataset, policy, cap):
     for i in range(len(dataset)):
         key = dataset.xs[i].tobytes()
         emp = counts[(key, int(dataset.actions[i]))] / group_sizes[key]
-        w = min(cap, policy.prob(dataset.xs[i], int(dataset.actions[i])) / emp)
+        w = min(cap, prob(policy, dataset.xs[i], int(dataset.actions[i])) / emp)
         terms.append(w * dataset.rewards[i])
     return float(np.mean(np.asarray(terms)))
 

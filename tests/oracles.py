@@ -7,15 +7,16 @@ come to depend on the code it checks. It holds:
   closed-form weight phi*, with the per-sample error proxy T(phi, beta),
   its worst case over a confidence interval and the cap-region threshold;
 - one-sample views of the package's vectorized phi* (acceptance criteria
-  01 to 03 check the product formula through them);
+  01 to 03 check the product formula through them) and of a policy's
+  ``distribution_matrix``;
 - the scalar ellipsoid half-width, solved without the package's Cholesky
   path;
 - a bias-variance bound on the MSE of a phi-reweighted estimator;
 - the gradient of log pi(a|x) of a softmax-linear policy;
 - the ranking metrics P@k, R@k and NDCG@k of one ranked context, and the
   split means and the exact policy value computed one context at a time;
-- the direct-method and doubly robust value estimates, and one cell of an
-  imputation's reward table.
+- the tabular reward imputation, the direct-method and doubly robust
+  value estimates, and one cell of an imputation's reward table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from uips.core import BETA_FLOOR
 from uips.estimators import ConstantImputation, propensity_tables, propensity_weights
+from uips.synthetic import TabularPolicy
 from uips.weights import UipsHyperParams, phi_star_vector
 
 
@@ -63,6 +65,17 @@ def phi_star_branch(winput: WeightInput, hp: UipsHyperParams) -> tuple[float, st
         np.array([winput.pi]), np.array([winput.beta_hat]), np.array([winput.u]), hp
     )
     return float(phi[0]), "cap" if on_cap[0] else "first_term"
+
+
+def distribution(policy, x: np.ndarray) -> np.ndarray:
+    """The probability vector of ``policy`` in the one context ``x``: row 0 of its
+    ``distribution_matrix`` of ``[x]``."""
+    return policy.distribution_matrix(np.asarray(x, dtype=float)[None])[0]
+
+
+def prob(policy, x: np.ndarray, action: int) -> float:
+    """pi(action|x) of ``policy``, one entry of :func:`distribution`."""
+    return float(distribution(policy, x)[action])
 
 
 @dataclass(frozen=True)
@@ -219,7 +232,7 @@ def log_prob_grad(policy, x: np.ndarray, action: int) -> np.ndarray:
     if not 0 <= action < policy.action_count:
         raise ValueError(f"action {action} out of range [0, {policy.action_count})")
     x = np.asarray(x, dtype=float)
-    coeff = -policy.distribution(x)
+    coeff = -distribution(policy, x)
     coeff[action] += 1.0
     return np.outer(coeff, x / policy.tau)
 
@@ -260,10 +273,10 @@ def ndcg_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
 
 def evaluate_policy_loop(policy, split, k: int) -> tuple[float, float, float]:
     """Mean P@k, R@k and NDCG@k over ``split``, ranking one context at a time
-    by ``policy.distribution``."""
+    by :func:`distribution`."""
     p_sum = r_sum = n_sum = 0.0
     for x, row in zip(split.xs, split.rewards):
-        ranked = rank_actions(policy.distribution(x))
+        ranked = rank_actions(distribution(policy, x))
         relevant = np.flatnonzero(row).tolist()
         p_sum += precision_at_k(ranked, relevant, k)
         r_sum += recall_at_k(ranked, relevant, k)
@@ -277,9 +290,28 @@ def true_policy_value_loop(env, policy, split: str = "test") -> float:
     data = env.split(split)
     total = 0.0
     for x, row in zip(data.xs, data.rewards):
-        p = policy.distribution(x)
+        p = distribution(policy, x)
         total += sum(p[a] for a in np.flatnonzero(row).tolist())
     return total / len(data)
+
+
+class TabularImputation:
+    """Reward model backed by an exact-match context table."""
+
+    def __init__(self, contexts: np.ndarray, table: np.ndarray):
+        # reward rows share the tabular policy's exact-context lookup
+        self.lookup = TabularPolicy(contexts=contexts, probs=table)
+        if self.lookup.probs.min() < 0 or self.lookup.probs.max() > 1:
+            raise ValueError("imputed rewards must lie in [0, 1]")
+
+    @classmethod
+    def from_env(cls, env, split: str = "test") -> "TabularImputation":
+        """The oracle imputation: the split's true 0/1 reward table."""
+        data = env.split(split)
+        return cls(data.xs, data.rewards)
+
+    def predict_matrix(self, xs: np.ndarray, action_count: int) -> np.ndarray:
+        return self.lookup.distribution_matrix(xs)
 
 
 def v_dm(dataset, policy, imputation) -> float:
@@ -303,4 +335,4 @@ def imputed_reward(imputation, x, action: int) -> float:
     """The reward ``imputation`` predicts for ``action`` in the context ``x``."""
     if isinstance(imputation, ConstantImputation):
         return imputation.value
-    return imputation.lookup.prob(x, action)
+    return prob(imputation.lookup, x, action)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import count_ips_reference, uncertainty_table
-from oracles import mse_upper_bound, v_dm, v_dr
+from oracles import TabularImputation, mse_upper_bound, v_dm, v_dr
 from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.estimators import (
     ConstantImputation,
-    TabularImputation,
     Weighting,
     estimate,
     exact_bias_variance,

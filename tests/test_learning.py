@@ -3,16 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import assert_train_matches_reference, reference_train
-from oracles import imputed_reward, log_prob_grad
+from helpers import WEIGHT_KINDS, assert_train_matches_reference, reference_train
+from oracles import TabularImputation, imputed_reward, log_prob_grad, prob
 from uips.cli import run_sweep
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR
 from uips.estimators import (
-    WEIGHT_KINDS,
     ConstantImputation,
     PropensityTables,
-    TabularImputation,
     Weighting,
     propensity_tables,
 )
@@ -63,7 +61,7 @@ def loop_ips_gradient(policy, batch):
     total = np.zeros_like(policy.theta)
     for i in range(len(batch)):
         x, a = batch.xs[i], int(batch.actions[i])
-        w = policy.prob(x, a) / batch.true_logging_probs[i]
+        w = prob(policy, x, a) / batch.true_logging_probs[i]
         total += w * batch.rewards[i] * log_prob_grad(policy, x, a)
     return total / len(batch)
 
@@ -171,7 +169,7 @@ class TestWeightedGradient:
             if ds.rewards[i] == 0.0:
                 continue
             x, a = ds.xs[i], int(ds.actions[i])
-            pi = policy.prob(x, a)
+            pi = prob(policy, x, a)
             beta = max(float(beta_all[i, a]), BETA_FLOOR)
             phi, branch = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=float(us[i])), hp)
             if branch != "cap":

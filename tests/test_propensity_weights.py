@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import WEIGHT_KINDS
 from uips.core import BETA_FLOOR, LoggedDataset
 from uips.estimators import (
-    WEIGHT_KINDS,
     PropensityTables,
     Weighting,
     propensity_tables,

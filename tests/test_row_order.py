@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import WEIGHT_KINDS
 from uips.core import make_rng
-from uips.estimators import WEIGHT_KINDS, Weighting, estimate
+from uips.estimators import Weighting, estimate
 from uips.logging_fit import LoggingFitConfig, fit_logging_policy
 from uips.synthetic import EnvConfig, build_env, epsilon_greedy_policy, generate_log_per_context
 from uips.weights import UipsHyperParams

@@ -17,7 +17,7 @@ from uips.synthetic import (
 )
 
 from helpers import dense_log_reference, one_vs_all_reference
-from oracles import true_policy_value_loop
+from oracles import distribution, prob, true_policy_value_loop
 
 SMALL = EnvConfig(dim=8, action_count=10, train_size=40, validation_size=10, test_size=20, seed=5)
 
@@ -34,13 +34,13 @@ class TestBuildEnv:
         for _ in range(20):
             x = rng.standard_normal(8)
             x /= np.linalg.norm(x)
-            p = env.logging_policy.distribution(x)
+            p = distribution(env.logging_policy, x)
             assert np.all(np.abs(p - 1.0 / 12.0) < 1e-6)
 
     def test_logging_policy_ranks_relevant_actions_first(self):
         env = build_env(EnvConfig(seed=1))  # default config has zero label noise
         hits = sum(
-            row[np.argmax(env.logging_policy.distribution(x))] == 1.0
+            row[np.argmax(distribution(env.logging_policy, x))] == 1.0
             for x, row in zip(env.train.xs, env.train.rewards)
         )
         assert hits / len(env.train) >= 0.80
@@ -128,7 +128,7 @@ class TestGenerateLog:
         env = build_env(SMALL)
         ds = generate_log(env, 300, make_rng(2))
         for i in range(len(ds)):
-            expected = env.logging_policy.prob(ds.xs[i], int(ds.actions[i]))
+            expected = prob(env.logging_policy, ds.xs[i], int(ds.actions[i]))
             assert ds.true_logging_probs[i] == pytest.approx(expected, abs=1e-12)
 
     def test_near_deterministic_logging_hits_one_action(self):
@@ -142,7 +142,7 @@ class TestGenerateLog:
         )
         ds = generate_log(sharp, 200, make_rng(3))
         assert len(np.unique(ds.actions)) == 1
-        top = int(np.argmax(sharp.logging_policy.distribution(base.train.xs[0])))
+        top = int(np.argmax(distribution(sharp.logging_policy, base.train.xs[0])))
         if base.train.rewards[0, top] == 1.0:
             assert np.all(ds.rewards == 1.0)
 
@@ -150,7 +150,7 @@ class TestGenerateLog:
         env = build_env(EnvConfig(dim=8, action_count=10, train_size=1, validation_size=5, test_size=5, seed=6))
         ds = generate_log(env, 50_000, make_rng(4))
         freq = np.bincount(ds.actions, minlength=10) / len(ds)
-        p = env.logging_policy.distribution(env.train.xs[0])
+        p = distribution(env.logging_policy, env.train.xs[0])
         assert 0.5 * np.abs(freq - p).sum() < 0.02
 
     def test_per_context_protocol_counts(self):
@@ -212,8 +212,8 @@ class TestEpsilonGreedy:
         env = self._tiny_env()
         policy = epsilon_greedy_policy(env, 0.2)
         x = env.test.xs[0]
-        assert policy.prob(x, 1) == pytest.approx(0.8 / 2 + 0.2 / 4, abs=1e-15)  # 0.45
-        assert policy.prob(x, 3) == pytest.approx(0.2 / 4, abs=1e-15)  # 0.05
+        assert prob(policy, x, 1) == pytest.approx(0.8 / 2 + 0.2 / 4, abs=1e-15)  # 0.45
+        assert prob(policy, x, 3) == pytest.approx(0.2 / 4, abs=1e-15)  # 0.05
 
     def test_epsilon_one_is_uniform(self):
         env = self._tiny_env()

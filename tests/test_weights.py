@@ -96,6 +96,18 @@ class TestPhiStar:
         assert math.isfinite(value) and 0.0 <= value <= 2.0 * hp.eta2
         assert vec[0] == pytest.approx(value, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("gu", [1.0, 710.0, 800.0, 1e4])
+    def test_infinite_eta2_gives_finite_weights(self, gu):
+        # an infinite eta2 means no cap, yet the weight where pi = 0 is 0, never 0 * inf
+        hp = UipsHyperParams(lam=10.0, gamma=50.0, eta1=1.0, eta2=math.inf)
+        pis, beta_hats = np.array([0.0, 0.3, 1.0]), np.array([0.1, 0.1, 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, _ = phi_star_vector(pis, beta_hats, np.full(3, gu / hp.gamma), hp)
+            weights = pis / beta_hats * phi
+        assert np.all(np.isfinite(phi) & (phi >= 0)) and np.all(np.isfinite(weights))
+        assert weights[0] == 0.0
+
     def test_values_up_to_gamma_u_700_are_the_unscaled_formula(self):
         # the direct formula, before large gamma*u was rescaled
         def unscaled_vector(pis, beta_hats, us, hp):
