@@ -1,5 +1,7 @@
 """Policy-learning benchmark: grid sweep per method, mean test metrics over seeds.
 
+The methods and their grids are the ``sweep.methods`` of configs/desk.json.
+
 Each seed regenerates the logged dataset, refits the logging model, trains
 every grid point of every method together in one stacked step loop (one
 policy per point), selects per method by validation NDCG, and reports the
@@ -10,19 +12,13 @@ Usage: python scripts/run_learning_benchmark.py [--seeds 10] [--tau 0.5]
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from uips.cli import run_sweep
+from uips.cli import load_config, run_sweep
 from uips.logging_fit import LoggingFitConfig
 from uips.synthetic import EnvConfig, build_env
-
-METHODS = {
-    "ce": {},
-    "bips_cap": {"cap": [1, 5, 10, 100]},
-    "shrinkage": {"lam": [1, 10, 50]},
-    "uips": {"lam": [10, 50], "gamma": [0.5, 5], "eta1": [0.5, 1], "eta2": [100]},
-}
 
 
 def main(argv=None):
@@ -32,13 +28,14 @@ def main(argv=None):
     parser.add_argument("--epochs", type=int, default=20)
     args = parser.parse_args(argv)
 
+    methods = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.json")["sweep"]["methods"]
     env = build_env(EnvConfig(tau=args.tau, seed=0))
     train_section = {"learning_rate": 0.5, "epochs": args.epochs, "batch_size": 500, "n_logged": 5000}
     fit_config = LoggingFitConfig(epochs=150, learning_rate=2.0)
 
-    per_method = {name: {"p": [], "r": [], "ndcg": []} for name in METHODS}
+    per_method = {name: {"p": [], "r": [], "ndcg": []} for name in methods}
     for seed in range(args.seeds):
-        rows = run_sweep(env, METHODS, dict(train_section), fit_config, seed=seed, k_eval=5)
+        rows = run_sweep(env, methods, dict(train_section), fit_config, seed=seed, k_eval=5)
         for row in rows:
             per_method[row["method"]]["p"].append(row["test_p_at_k"])
             per_method[row["method"]]["r"].append(row["test_r_at_k"])

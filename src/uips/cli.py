@@ -58,6 +58,9 @@ SECTION_KEYS = {
 }
 CONFIG_KEYS = ("output_dir", "n_logged", "seed", *SECTION_KEYS)
 
+#: The header of trace.csv: one row per training epoch, as ``learning.train`` records it.
+TRACE_COLUMNS = ("epoch", "value", "p_at_k", "r_at_k", "ndcg_at_k", "grad_norm", "max_weight")
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -155,6 +158,11 @@ def _value(section: dict, key: str, default, build):
     return _parse(key, build, section.get(key, default))
 
 
+def _record(section: dict, key: str, cls, default=None):
+    """``cls(**section[key])``, or ``cls(**default)``: the dataclass a JSON object holds."""
+    return _value(section, key, default or {}, lambda obj: cls(**obj))
+
+
 def _count(value) -> int:
     """``value`` as an integer >= 1."""
     return _integer(value, least=1, what="count")
@@ -177,10 +185,6 @@ def _list(value) -> list:
     return value
 
 
-def _weighting(spec: dict) -> Weighting:
-    return _parse(f"weighting spec {spec}", Weighting.from_dict, spec)
-
-
 def _load(path: Path, load, producer: str):
     """``load(path)``; a missing or malformed file is a config error naming it."""
     if not path.exists():
@@ -199,7 +203,7 @@ def _load_env(config: EnvConfig, out: Path) -> BanditEnv:
 
 def _load_log(resolved: dict, out: Path) -> tuple[BanditEnv, LoggedDataset]:
     """``_load_env`` and the ``logged.jsonl`` that the generate subcommand wrote to ``out``."""
-    env = _load_env(_value(resolved, "env", {}, EnvConfig.from_dict), out)
+    env = _load_env(_record(resolved, "env", EnvConfig), out)
     path = out / "logged.jsonl"
     dataset = _load(path, lambda p: LoggedDataset.from_jsonl(p, env.action_count), "generate")
     if dataset.dim != env.dim:
@@ -219,7 +223,7 @@ def _load_model(out: Path, env: BanditEnv) -> LoggingModel:
 
 def cmd_generate(resolved: dict) -> None:
     out = _out_dir(resolved)
-    env_cfg = _value(resolved, "env", {}, EnvConfig.from_dict)
+    env_cfg = _record(resolved, "env", EnvConfig)
     env = build_env(env_cfg)
     n_logged = _value(resolved, "n_logged", 5000, _count)
     dataset = generate_log(env, n_logged, make_rng(env_cfg.seed))
@@ -241,22 +245,31 @@ def cmd_generate(resolved: dict) -> None:
 def cmd_fit_logging(resolved: dict) -> None:
     out = _out_dir(resolved)
     env, dataset = _load_log(resolved, out)
-    fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
+    fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
     model = fit_logging_policy(dataset, fit_config)
     model.save(out / "logging_model.json")
 
 
+def _train_config(section: dict, **fields) -> TrainConfig:
+    """The ``training`` section as a TrainConfig with ``fields`` set. It leaves out
+    ``n_logged`` (train reads logged.jsonl, sweep the top-level n_logged), ``weighting``
+    (train parses it, a sweep grid sets it) and the keys of ``fields``."""
+    kept = {k: v for k, v in section.items() if k not in ("n_logged", "weighting", *fields)}
+    return _parse("training section", lambda s: TrainConfig(**s, **fields), kept)
+
+
 def cmd_train(resolved: dict) -> None:
     out = _out_dir(resolved)
-    section = dict(resolved.get("training", {}))
-    section.pop("n_logged", None)  # the log is logged.jsonl, written by generate
-    weighting = _weighting(section.pop("weighting", {"kind": "bips"}))
-    config = _parse("training section", lambda s: TrainConfig(weighting=weighting, **s), section)
+    section = resolved.get("training", {})
+    spec = section.get("weighting", {"kind": "bips"})
+    weighting = _parse(f"weighting spec {spec}", Weighting.from_dict, spec)
+    config = _train_config(section, weighting=weighting)
     env, dataset = _load_log(resolved, out)
     model = _load_model(out, env)
     policy, trace = train(dataset, model, config, env=env)
     policy.save(out / "policy.json")
-    write_csv(out / "trace.csv", trace.COLUMNS, trace.to_csv_rows(), config_hash(resolved))
+    rows = [tuple(record.get(c) for c in TRACE_COLUMNS) for record in trace]
+    write_csv(out / "trace.csv", TRACE_COLUMNS, rows, config_hash(resolved))
     p, r, ndcg = evaluate_policy(policy, env.test, config.k_eval)
     _write_report(
         out / "train_report.json", resolved, seed=config.seed, weighting=weighting.kind,
@@ -302,14 +315,11 @@ def run_sweep(
     of the highest validation NDCG, the smaller learning rate on a tie, and
     the first in grid order after that.
     A one-point grid is exactly a single training run. ``train_section``
-    holds ``TrainConfig`` fields; a ``n_logged`` key there is ignored,
-    because the log has the ``n_logged`` rows of the argument.
+    is the ``training`` section, read as :func:`_train_config` reads it:
+    the log has the ``n_logged`` rows of the argument, the grid sets the
+    weighting, and the arguments set the seed and ``k_eval``.
     """
-    base = _parse(
-        "training section",
-        lambda s: TrainConfig(seed=seed, k_eval=k_eval, **s),
-        {k: v for k, v in train_section.items() if k != "n_logged"},
-    )
+    base = _train_config(train_section, seed=seed, k_eval=k_eval)
     points = []
     for method, grid in methods.items():
         candidates = _parse(f"{method} grid", lambda g: expand_grid(method, g), grid or {})
@@ -357,16 +367,14 @@ def cmd_sweep(resolved: dict) -> None:
     methods = section.get("methods")
     if not methods or not isinstance(methods, dict):
         raise ConfigError("sweep section needs a non-empty methods map")
-    train_section = dict(resolved.get("training", {}))
-    for key in ("weighting", "seed", "k_eval"):
-        train_section.pop(key, None)
-    env_cfg = _value(resolved, "env", {}, EnvConfig.from_dict)
+    env_cfg = _record(resolved, "env", EnvConfig)
     seed = _value(resolved, "seed", env_cfg.seed, _integer)
-    fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
+    fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
     k_eval = _value(section, "k_eval", 5, _count)
     n_logged = _value(resolved, "n_logged", 5000, _count)
     rows = run_sweep(
-        _load_env(env_cfg, out), methods, train_section, fit_config, seed=seed, k_eval=k_eval, n_logged=n_logged
+        _load_env(env_cfg, out), methods, resolved.get("training", {}), fit_config,
+        seed=seed, k_eval=k_eval, n_logged=n_logged,
     )
     columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
     rows_out = [tuple(r[k] for k in columns) for r in rows]
@@ -374,19 +382,28 @@ def cmd_sweep(resolved: dict) -> None:
     _write_report(out / "sweep_report.json", resolved, seed=seed, leaderboard=rows)
 
 
-def _estimator(spec: dict) -> tuple[str, Weighting]:
-    """A named weighting from an ``ope.estimators`` entry; the name defaults to the kind."""
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    weighting = Weighting.from_dict(spec)
-    return (weighting.kind if name is None else name), weighting
+def _estimators(specs) -> list[tuple[str, Weighting]]:
+    """The named weightings of ``ope.estimators``. A name defaults to the kind, and
+    labels the rows of one estimator: it is a string no other entry has."""
+    estimators = []
+    for spec in _list(specs):
+        spec = dict(spec)
+        name = spec.pop("name", None)
+        weighting = Weighting.from_dict(spec)
+        name = weighting.kind if name is None else name
+        if not isinstance(name, str):
+            raise TypeError(f"estimator name {name!r} is not a string")
+        if name in dict(estimators):
+            raise ValueError(f"two estimators are named {name!r}")
+        estimators.append((name, weighting))
+    return estimators
 
 
 def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     specs = section.get("estimators")
     if specs is not None:
-        return _parse("estimators", lambda s: [_estimator(spec) for spec in _list(s)], specs)
-    hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
+        return _parse("estimators", _estimators, specs)
+    hp = _record(section, "uips_hp", UipsHyperParams, DEFAULT_UIPS_HP)
     shrinkage = _value(section, "shrinkage_lam", 10.0, lambda lam: Weighting(kind="shrinkage", lam=float(lam)))
     return [
         ("ips_true", Weighting(kind="ips_true")),
@@ -410,8 +427,8 @@ def cmd_ope(resolved: dict) -> None:
         seeds = _parse("seeds", lambda s: [_integer(v) for v in _list(s)], seeds)
     estimators = _default_ope_estimators(section)
     samples_per_context = _value(section, "samples_per_context", 100, _count)
-    fit_config = _value(resolved, "logging_fit", {}, LoggingFitConfig.from_dict)
-    env = _load_env(_value(resolved, "env", {}, EnvConfig.from_dict), out)
+    fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
+    env = _load_env(_record(resolved, "env", EnvConfig), out)
     result = ope_mse_experiment(
         env,
         epsilon_greedy_policy(env, epsilon),
@@ -436,7 +453,7 @@ def cmd_inspect_weights(resolved: dict) -> None:
     split = section.get("split", "train")
     if split != "train":
         raise ConfigError(f"invalid split {split!r}: the log is drawn from the train split")
-    hp = _value(section, "uips_hp", DEFAULT_UIPS_HP, UipsHyperParams.from_dict)
+    hp = _record(section, "uips_hp", UipsHyperParams, DEFAULT_UIPS_HP)
     n_bins = _value(section, "n_bins", 5, _count)
     policy = epsilon_greedy_policy(env, epsilon, split="train")
 

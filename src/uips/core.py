@@ -175,8 +175,9 @@ class LoggedDataset:
 
         A record that is not JSON, lacks a key, has a context of another
         length, carries ``beta_star`` where the first record does not (or the
-        reverse) or holds an invalid value raises ``ValueError`` naming the
-        file and the record's 1-based line.
+        reverse), holds a string or boolean where a number belongs or holds an
+        invalid value raises ``ValueError`` naming the file and the record's
+        1-based line.
         """
         xs, actions, rewards, probs, lines = [], [], [], [], []
         with open(path) as fh:
@@ -186,12 +187,15 @@ class LoggedDataset:
                     continue
                 try:
                     record = json.loads(line)
-                    x = np.asarray(record["x"], dtype=float)
-                    if x.ndim != 1 or (xs and x.shape != xs[0].shape):
-                        raise ValueError(f"context has shape {x.shape}")
-                    actions.append(operator.index(record["a"]))
-                    rewards.append(float(record["r"]))
-                    prob = record.get("beta_star")
+                    x, a, r, prob = record["x"], record["a"], record["r"], record.get("beta_star")
+                    # float() would take "1" and true, operator.index() true: test the JSON types
+                    numbers = [*x, r] if prob is None else [*x, r, prob]
+                    if type(x) is not list or type(a) is not int or not {int, float}.issuperset(map(type, numbers)):
+                        raise TypeError("x must be a list of numbers, r and beta_star numbers and a an integer")
+                    if xs and len(x) != len(xs[0]):
+                        raise ValueError(f"context has length {len(x)}")
+                    actions.append(a)
+                    rewards.append(float(r))
                     probs.append(None if prob is None else float(prob))
                 except KeyError as exc:
                     raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
@@ -207,7 +211,7 @@ class LoggedDataset:
                 state = "has no" if has_prob else "has a"
                 raise ValueError(f"{path}:{lineno}: record {state} beta_star, unlike line {lines[0]}")
         columns = dict(
-            xs=np.stack(xs),
+            xs=np.asarray(xs, dtype=float),
             actions=np.asarray(actions, dtype=int),
             rewards=np.asarray(rewards, dtype=float),
             action_count=action_count,

@@ -81,7 +81,7 @@ class Weighting:
             unread = sorted(set(hp) - set(PARAMETERS[kind]))
             if unread:
                 raise ValueError(f"{kind} reads no {', '.join(unread)}")
-        return cls(hp=None if hp is None else UipsHyperParams.from_dict(hp), **obj)
+        return cls(hp=None if hp is None else UipsHyperParams(**hp), **obj)
 
 
 @dataclass
@@ -338,21 +338,20 @@ def ope_mse_experiment(
     seeds: Sequence[int],
     samples_per_context: int,
     fit_config: Optional[LoggingFitConfig] = None,
-    split: str = "test",
 ) -> OpeResult:
-    """Monte-Carlo table of estimator MSE against the exact policy value.
+    """Monte-Carlo table of estimator MSE against the exact policy value on the test split.
 
     Per seed: regenerate the logged dataset (``samples_per_context`` draws
-    per context of the split), refit the logging model, and evaluate every
+    per test context), refit the logging model, and evaluate every
     estimator. The result is deterministic in the seed list, regardless of
     evaluation order.
     """
     fit_config = fit_config or LoggingFitConfig()
-    truth = true_policy_value(env, target_policy, split=split)
+    truth = true_policy_value(env, target_policy)
     rows = []
     for seed in seeds:
         rng = make_rng(seed)
-        dataset = generate_log_per_context(env, samples_per_context, rng, split=split)
+        dataset = generate_log_per_context(env, samples_per_context, rng)
         model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
         tables = propensity_tables(dataset, model)
         pi_rows = target_policy.distribution_matrix(tables.contexts)

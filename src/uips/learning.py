@@ -61,19 +61,6 @@ class TrainConfig:
         _integer(self.seed)
 
 
-@dataclass
-class TrainTrace:
-    """Per-epoch training diagnostics; one record per epoch."""
-
-    records: list[dict] = field(default_factory=list)
-
-    #: The header of :meth:`to_csv_rows`.
-    COLUMNS = ("epoch", "value", "p_at_k", "r_at_k", "ndcg_at_k", "grad_norm", "max_weight")
-
-    def to_csv_rows(self) -> list[tuple]:
-        return [tuple(r.get(c) for c in self.COLUMNS) for r in self.records]
-
-
 def _weights(weighting: Weighting, tables: PropensityTables, pi_rows: np.ndarray) -> np.ndarray:
     """Per-sample weights of the target policy whose probabilities on the rows of
     ``tables`` are ``pi_rows``.
@@ -301,14 +288,14 @@ def train(
     model: Optional[LoggingModel],
     config: TrainConfig,
     env: Optional[BanditEnv] = None,
-) -> tuple[SoftmaxLinearPolicy, TrainTrace]:
+) -> tuple[SoftmaxLinearPolicy, list[dict]]:
     """Minibatch REINFORCE ascent under the configured weighting, with a trace.
 
     Builds the propensity tables of ``dataset`` once, runs the step loop of
-    :func:`train_epochs` on them and records one :class:`TrainTrace` entry
-    per epoch. A weighting that reads a logging model, given no ``model``,
-    fits one with the default :class:`LoggingFitConfig` seeded with
-    ``config.seed``. Passing the environment adds validation ranking
+    :func:`train_epochs` on them and returns the last policy and the trace,
+    one dict per epoch. A weighting that reads a logging model, given no
+    ``model``, fits one with the default :class:`LoggingFitConfig` seeded
+    with ``config.seed``. Passing the environment adds validation ranking
     metrics to the trace.
 
     The trace is diagnostic only: the policy does not depend on it, and is
@@ -321,7 +308,7 @@ def train(
         model = fit_logging_policy(dataset, LoggingFitConfig(seed=config.seed))
     tables = propensity_tables(dataset, model)
     validation = env.validation if env is not None else None
-    trace = TrainTrace()
+    trace = []
     for epoch, (policy,) in enumerate(train_epochs(dataset, tables, [config]), start=1):
         record = {"epoch": epoch}
         pi_rows = policy.distribution_matrix(tables.contexts)
@@ -337,6 +324,6 @@ def train(
             true_gradient_norm(policy, dataset, tables, pi_rows)
             if dataset.true_logging_probs is not None else None
         )
-        trace.records.append(record)
+        trace.append(record)
 
     return policy, trace

@@ -50,10 +50,6 @@ class LoggingFitConfig:
             raise ValueError(f"l2 {self.l2!r} is not a number >= 0")
         _integer(self.seed)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LoggingFitConfig":
-        return cls(**obj)
-
 
 @dataclass
 class LoggingModel:

@@ -81,13 +81,9 @@ class EnvConfig:
             raise ValueError("more labels than actions")
         if not 0 < self.tau < np.inf:
             raise ValueError("tau must be finite and positive")
-        if not self.label_noise >= 0:
-            raise ValueError(f"label_noise {self.label_noise!r} is not a number >= 0")
+        if not 0 <= self.label_noise < np.inf:
+            raise ValueError(f"label_noise {self.label_noise!r} is not a finite number >= 0")
         _integer(self.seed)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EnvConfig":
-        return cls(**obj)
 
 
 @dataclass
@@ -151,7 +147,7 @@ class BanditEnv:
             logging_policy=SoftmaxLinearPolicy._from_fields(obj, "logging_"),
             action_count=action_count,
             dim=dim,
-            config=EnvConfig.from_dict(obj["config"]) if obj.get("config") else None,
+            config=EnvConfig(**obj["config"]) if obj.get("config") else None,
         )
 
 
@@ -172,7 +168,9 @@ def _plant_labels(
     """The 0/1 reward table that marks each context's k top-scoring actions relevant."""
     scores = xs @ scorer.T
     if noise > 0:
-        scores = scores + noise * rng.standard_normal(scores.shape)
+        # a huge noise overflows to +-inf, whose scores still rank
+        with np.errstate(over="ignore"):
+            scores = scores + noise * rng.standard_normal(scores.shape)
     ks = rng.integers(min_labels, max_labels + 1, size=xs.shape[0])
     table = np.zeros(scores.shape)
     for row, k, out in zip(scores, ks, table):
@@ -280,22 +278,17 @@ def _draw_log(env: BanditEnv, split: str, rng: np.random.Generator, pick_instanc
     )
 
 
-def generate_log(
-    env: BanditEnv,
-    n_samples: int,
-    rng: np.random.Generator,
-    split: str = "train",
-) -> LoggedDataset:
+def generate_log(env: BanditEnv, n_samples: int, rng: np.random.Generator) -> LoggedDataset:
     """Draw a logged dataset from the environment's logging policy.
 
-    Each record draws an instance uniformly from the split, samples an
+    Each record draws an instance uniformly from the train split, samples an
     action from the logging policy, and sets reward = 1 iff the action is
     one of the instance's relevant actions. The true logging probability of
     the chosen action is stored alongside.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    return _draw_log(env, split, rng, lambda count: rng.integers(0, count, size=n_samples))
+    return _draw_log(env, "train", rng, lambda count: rng.integers(0, count, size=n_samples))
 
 
 def generate_log_per_context(

@@ -67,10 +67,6 @@ class UipsHyperParams:
         if not (0 < self.eta1 < np.inf and self.eta2 > 0):
             raise ValueError("eta1 must be finite and positive, eta2 positive")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "UipsHyperParams":
-        return cls(**obj)
-
 
 def phi_star_vector(
     pis: np.ndarray, beta_hats: np.ndarray, us: np.ndarray, hp: UipsHyperParams

@@ -10,7 +10,7 @@ import pytest
 from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.core import BETA_FLOOR, TINY
 from uips.estimators import PARAMETERS, Weighting, propensity_tables, propensity_weights
-from uips.learning import TrainConfig, TrainTrace
+from uips.learning import TrainConfig
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -197,8 +197,8 @@ def assert_train_matches_reference(policy, trace, ref_policy, ref_trace=None):
     np.testing.assert_allclose(policy.theta, ref_policy.theta, rtol=TRAIN_RTOL, atol=0)
     if ref_trace is None:
         return
-    assert [r.keys() for r in trace.records] == [r.keys() for r in ref_trace.records]
-    for record, ref in zip(trace.records, ref_trace.records):
+    assert [r.keys() for r in trace] == [r.keys() for r in ref_trace]
+    for record, ref in zip(trace, ref_trace):
         for key, value in record.items():
             if ref[key] is None:
                 assert value is None, key
@@ -219,7 +219,7 @@ def reference_train(
     model: Optional[LoggingModel],
     config: TrainConfig,
     env: Optional[BanditEnv] = None,
-) -> tuple[SoftmaxLinearPolicy, TrainTrace]:
+) -> tuple[SoftmaxLinearPolicy, list[dict]]:
     """``learning.train`` as one loop, with its steps and epoch records inline.
 
     Independent of ``uips.learning``'s step loop and gradients: every step
@@ -253,7 +253,7 @@ def reference_train(
 
     theta = np.zeros((dataset.action_count, dataset.dim))
     policy = SoftmaxLinearPolicy(theta=theta, tau=1.0)
-    trace = TrainTrace()
+    trace = []
     n = len(dataset)
     validation = env.validation if env is not None else None
 
@@ -295,6 +295,6 @@ def reference_train(
             float(np.linalg.norm(gradient(policy, dataset, truth, Weighting(kind="ips_true"))))
             if truth is not None else None
         )
-        trace.records.append(record)
+        trace.append(record)
 
     return policy, trace

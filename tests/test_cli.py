@@ -313,6 +313,21 @@ class TestTrainingLogSizeIsIgnored:
         assert outputs["with"] == outputs["without"]
         assert outputs["other"] == outputs["without"]
 
+    def test_sweep_ignores_the_training_seed_k_eval_and_weighting(self, tmp_path):
+        # the top-level seed, sweep.k_eval and the grid set these for a sweep; at this
+        # learning rate the minibatch order, and so a training seed, shows in the leaderboard
+        bodies = []
+        for name, changes in (("base", {}), ("changed", {"seed": 7, "k_eval": 1, "weighting": {"kind": "bips"}})):
+            config = json.loads(json.dumps(TINY_CONFIG))
+            config["output_dir"] = str(tmp_path / name)
+            config["training"].update(changes, learning_rate=50.0)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            for command in ("generate", "sweep"):
+                run_ok([command, "--config", str(path)])
+            bodies.append((tmp_path / name / "leaderboard.csv").read_bytes().split(b"\n", 1)[1])
+        assert bodies[0] == bodies[1]
+
 
 class TestSweepSharesTables:
     def test_every_grid_point_matches_its_own_training_run(self, monkeypatch):
@@ -508,7 +523,10 @@ class TestBoundaryScan:
     @pytest.mark.parametrize("value", BOUNDARY_FLOATS + ("integers at 0", "integers at 10**6"), ids=str)
     def test_every_subcommand_is_finite_a_config_error_or_a_divergence(self, tmp_path, capsys, value):
         base = json.loads(write_config(tmp_path, "base").read_text())
-        leaves = [*_numeric_leaves(base), (("logging_fit", "l2"), 1e-4), (("ope", "shrinkage_lam"), 10.0)]
+        leaves = [
+            *_numeric_leaves(base), (("logging_fit", "l2"), 1e-4), (("ope", "shrinkage_lam"), 10.0),
+            (("env", "label_noise"), 0.0),
+        ]
         if value == "integers at 0":
             cases = [(path, 0) for path, leaf in leaves if isinstance(leaf, int)]
         elif value == "integers at 10**6":
@@ -545,7 +563,14 @@ class TestMalformedLog:
          "logged.jsonl:3: missing key 'a'"),
         (lambda line: json.dumps({**json.loads(line), "r": 5.0}), "logged.jsonl:3: reward outside [0, 1]"),
         (lambda line: json.dumps({**json.loads(line), "a": 1.5}), "logged.jsonl:3: malformed record"),
-    ], ids=["truncated", "missing-key", "reward-out-of-range", "fractional-action"])
+        (lambda line: json.dumps({**json.loads(line), "x": [str(v) for v in json.loads(line)["x"]]}),
+         "logged.jsonl:3: malformed record"),
+        (lambda line: json.dumps({**json.loads(line), "a": True}), "logged.jsonl:3: malformed record"),
+        (lambda line: json.dumps({**json.loads(line), "r": "1"}), "logged.jsonl:3: malformed record"),
+        (lambda line: json.dumps({**json.loads(line), "r": False}), "logged.jsonl:3: malformed record"),
+        (lambda line: json.dumps({**json.loads(line), "beta_star": "0.5"}), "logged.jsonl:3: malformed record"),
+    ], ids=["truncated", "missing-key", "reward-out-of-range", "fractional-action", "string-context",
+            "boolean-action", "string-reward", "boolean-reward", "string-beta_star"])
     def test_bad_line_is_a_config_error_naming_the_line(self, tmp_path, capsys, damage, message):
         cfg = write_config(tmp_path, "bad")
         run_ok(["generate", "--config", str(cfg)])
@@ -623,6 +648,8 @@ class TestBadInputEntersAsConfigError:
         ("ope", "ope", "estimators", [{"kind": "bips", "hp": {}}]),
         ("train", "training", "weighting", {"kind": "uips_p", "hp": {"gamma": 2, "lam": 5}}),
         ("ope", "ope", "estimators", [{"kind": "uips_p", "hp": {"gamma": 2, "lam": 5}}]),
+        ("ope", "ope", "estimators", [{"kind": "uips", "hp": {"lam": 10, "gamma": g}} for g in (1, 5)]),
+        ("ope", "ope", "estimators", [{"kind": "bips", "name": 5}]),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")

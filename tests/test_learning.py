@@ -269,16 +269,16 @@ class TestTrain:
         p1, t1 = train(ds, model, config, env=env)
         p2, t2 = train(ds, model, config, env=env)
         np.testing.assert_array_equal(p1.theta, p2.theta)
-        assert t1.records == t2.records
+        assert t1 == t2
 
     def test_trace_has_one_record_per_epoch(self):
         env, ds, model = make_setup(seed=17)
         config = TrainConfig(learning_rate=0.5, epochs=6, batch_size=30,
                              weighting=Weighting(kind="bips"), seed=1, eval_every=2)
         _, trace = train(ds, model, config, env=env)
-        assert [r["epoch"] for r in trace.records] == list(range(1, 7))
-        assert all(np.isfinite(r["value"]) for r in trace.records)
-        assert all(r["grad_norm"] is not None for r in trace.records)
+        assert [r["epoch"] for r in trace] == list(range(1, 7))
+        assert all(np.isfinite(r["value"]) for r in trace)
+        assert all(r["grad_norm"] is not None for r in trace)
 
     def test_divergence_aborts_with_diagnostic(self):
         # floored propensities produce weights ~1e7; an absurd step size then
@@ -320,7 +320,7 @@ class TestTrain:
                              weighting=weighting, seed=0)
         policy, trace = train(ds, model, config, env=env)
         assert np.all(np.isfinite(policy.theta))
-        assert all(np.isfinite(r["value"]) for r in trace.records)
+        assert all(np.isfinite(r["value"]) for r in trace)
 
     def test_uips_training_improves_validation_ranking(self):
         from uips.metrics import evaluate_policy
@@ -546,7 +546,7 @@ def test_snips_trace_value_normalization():
                          weighting=Weighting(kind="snips"), seed=25)
     policy, trace = train(ds, model, config)
     # the last epoch's record is the estimate for the returned policy
-    got = trace.records[-1]["value"]
+    got = trace[-1]["value"]
     n = np.arange(len(ds))
     pi = policy.distribution_matrix(ds.xs)[n, ds.actions]
     beta = np.maximum(model.beta_matrix(ds.xs)[n, ds.actions], 1e-8)
