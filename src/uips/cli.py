@@ -146,10 +146,10 @@ def _out_dir(resolved: dict) -> Path:
 
 
 def _parse(what: str, build, value):
-    """``build(value)``; a KeyError, TypeError or ValueError there is an invalid ``what``."""
+    """``build(value)``; a KeyError, TypeError, ValueError or OverflowError there is an invalid ``what``."""
     try:
         return build(value)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 

@@ -68,6 +68,15 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _json_floats(value, ndim: int, what: str) -> np.ndarray:
+    """The JSON number (``ndim`` 0) or ``ndim`` nested lists of numbers ``value`` as floats. Unlike
+    ``np.asarray``, it refuses "0.5", true and null, as :meth:`LoggedDataset.from_jsonl` does."""
+    cells = np.asarray(value, dtype=object)
+    if cells.ndim != ndim or not {int, float}.issuperset(map(type, cells.flat)):
+        raise ValueError(f"{what}: not {f'a {ndim}-d array of numbers' if ndim else 'a number'}")
+    return cells.astype(float)
+
+
 def _row_keys(xs: np.ndarray) -> np.ndarray:
     """Each row of the 2-D ``xs`` as one byte string: two rows are the same context when
     their keys are equal. Keys sort several times faster than ``np.unique(xs, axis=0)``."""
@@ -175,9 +184,9 @@ class LoggedDataset:
 
         A record that is not JSON, lacks a key, has a context of another
         length, carries ``beta_star`` where the first record does not (or the
-        reverse), holds a string or boolean where a number belongs or holds an
-        invalid value raises ``ValueError`` naming the file and the record's
-        1-based line.
+        reverse), holds a string or boolean where a number belongs, an integer
+        numpy cannot hold or an invalid value raises ``ValueError`` naming the
+        file and the record's 1-based line.
         """
         xs, actions, rewards, probs, lines = [], [], [], [], []
         with open(path) as fh:
@@ -190,16 +199,21 @@ class LoggedDataset:
                     x, a, r, prob = record["x"], record["a"], record["r"], record.get("beta_star")
                     # float() would take "1" and true, operator.index() true: test the JSON types
                     numbers = [*x, r] if prob is None else [*x, r, prob]
-                    if type(x) is not list or type(a) is not int or not {int, float}.issuperset(map(type, numbers)):
+                    kinds = set(map(type, numbers))
+                    if type(x) is not list or type(a) is not int or not {int, float}.issuperset(kinds):
                         raise TypeError("x must be a list of numbers, r and beta_star numbers and a an integer")
                     if xs and len(x) != len(xs[0]):
                         raise ValueError(f"context has length {len(x)}")
+                    # json keeps integers exact; numpy overflows on one past int64 (a) or the float range
+                    np.int64(a)
+                    if int in kinds:
+                        np.asarray(numbers, dtype=float)
                     actions.append(a)
                     rewards.append(float(r))
                     probs.append(None if prob is None else float(prob))
                 except KeyError as exc:
                     raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from None
                 xs.append(x)
                 lines.append(lineno)
@@ -261,8 +275,10 @@ class SoftmaxLinearPolicy:
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 2:
             raise ValueError("theta must have shape (action_count, dim)")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be finite and positive")
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -287,7 +303,8 @@ class SoftmaxLinearPolicy:
 
     @classmethod
     def _from_fields(cls, obj: dict, prefix: str = "") -> "SoftmaxLinearPolicy":
-        return cls(theta=np.asarray(obj[prefix + "theta"], dtype=float), tau=float(obj[prefix + "tau"]))
+        theta = _json_floats(obj[prefix + "theta"], 2, prefix + "theta")
+        return cls(theta=theta, tau=float(_json_floats(obj[prefix + "tau"], 0, prefix + "tau")))
 
     def save(self, path) -> None:
         _write_json(path, self._fields())

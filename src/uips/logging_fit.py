@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from uips.core import (
-    TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _product_contexts, _read_json, _write_json, make_rng,
+    TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _json_floats, _product_contexts, _read_json, _write_json,
+    make_rng,
 )
 
 
@@ -55,8 +56,8 @@ class LoggingFitConfig:
 class LoggingModel:
     """Fitted logging policy plus per-action Gram matrices for uncertainty.
 
-    ``grams`` has shape (action_count, d, d); each matrix starts at identity
-    and is symmetric positive-definite by construction.
+    ``grams`` has shape (action_count, d, d) and is finite; each matrix starts at identity
+    and is symmetric positive-definite by construction, which :meth:`load` checks.
     """
 
     policy: SoftmaxLinearPolicy
@@ -68,15 +69,11 @@ class LoggingModel:
         a, d = self.policy.action_count, self.policy.dim
         if self.grams.shape != (a, d, d):
             raise ValueError(f"grams must have shape ({a}, {d}, {d})")
-        self._chol = None
+        if not np.isfinite(self.grams).all():
+            raise ValueError("grams must be finite")
 
     def beta_matrix(self, xs: np.ndarray) -> np.ndarray:
         return self.policy.distribution_matrix(xs)
-
-    def _cholesky(self):
-        if self._chol is None:
-            self._chol = [cho_factor(m, lower=True) for m in self.grams]
-        return self._chol
 
     def save(self, path) -> None:
         _write_json(
@@ -87,11 +84,17 @@ class LoggingModel:
     @classmethod
     def load(cls, path) -> "LoggingModel":
         obj = _read_json(path)
-        return cls(
+        model = cls(
             policy=SoftmaxLinearPolicy._from_fields(obj),
-            grams=np.asarray(obj["grams"], dtype=float),
+            grams=_json_floats(obj["grams"], 3, "grams"),
             fit_diagnostics=obj.get("fit_diagnostics", {}),
         )
+        for a, gram in enumerate(model.grams):
+            try:
+                np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"the Gram matrix of action {a} is not positive-definite") from None
+        return model
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
@@ -215,12 +218,11 @@ def uncertainties(model: LoggingModel, dataset: LoggedDataset) -> np.ndarray:
     if dataset.dim != model.policy.dim:
         raise ValueError("dataset dimension does not match the model")
     out = np.empty(len(dataset))
-    chol = model._cholesky()
     g = dataset.xs / model.policy.tau
     for a in np.unique(dataset.actions):
         mask = dataset.actions == a
         rows = g[mask]
-        sol = cho_solve(chol[int(a)], rows.T)
+        sol = cho_solve(cho_factor(model.grams[a], lower=True), rows.T)
         out[mask] = np.sqrt(np.maximum(np.einsum("nd,dn->n", rows, sol), 0.0))
     return out
 

@@ -17,7 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, _integer, _read_json, _row_keys, _write_json, make_rng
+from uips.core import (
+    LoggedDataset, SoftmaxLinearPolicy, _integer, _json_floats, _read_json, _row_keys, _write_json, make_rng,
+)
 
 
 SPLITS = ("train", "validation", "test")
@@ -25,7 +27,7 @@ SPLITS = ("train", "validation", "test")
 
 @dataclass(frozen=True)
 class Split:
-    """The m >= 1 contexts ``xs`` (m, dim) of a split and their 0/1 table ``rewards`` (m, action_count).
+    """The m >= 1 finite contexts ``xs`` (m, dim) of a split and their 0/1 table ``rewards`` (m, action_count).
 
     ``rewards[i, a]`` is 1 exactly when action a is relevant to context i: the
     reward a logged draw of a on i reveals. Each context has a relevant action.
@@ -41,6 +43,8 @@ class Split:
             raise ValueError(f"contexts {xs.shape} and reward table {rewards.shape} need one row per instance")
         if not len(xs):
             raise ValueError("a split needs at least one instance")
+        if not np.isfinite(xs).all():
+            raise ValueError("contexts must be finite")
         if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise ValueError("reward table entries must be 0 or 1")
         if not rewards.any(axis=1).all():
@@ -129,18 +133,21 @@ class BanditEnv:
     @classmethod
     def load(cls, path) -> "BanditEnv":
         obj = _read_json(path)
-        action_count, dim = int(obj["action_count"]), int(obj["dim"])
+        action_count, dim = (_integer(obj[key], least=1, what=key) for key in ("action_count", "dim"))
 
         def unpack(name):
             rows = obj[name]
+            actions = [a for r in rows for a in r["relevant"]]
+            if not {int}.issuperset(map(type, actions)):
+                raise ValueError(f"{name}: a relevant action is not a JSON integer")
+            instance = np.repeat(np.arange(len(rows)), [len(r["relevant"]) for r in rows])
+            actions = np.asarray(actions, dtype=int)
+            bad = (actions < 0) | (actions >= action_count)
+            if bad.any():
+                raise ValueError(f"{name} instance {instance[bad.argmax()]}: relevant action outside [0, {action_count})")
             rewards = np.zeros((len(rows), action_count))
-            for i, r in enumerate(rows):
-                relevant = np.asarray(r["relevant"], dtype=int)
-                if ((relevant < 0) | (relevant >= action_count)).any():
-                    raise ValueError(f"{name} instance {i}: relevant action outside [0, {action_count})")
-                rewards[i, relevant] = 1.0
-            xs = np.asarray([r["x"] for r in rows], dtype=float).reshape(len(rows), dim)
-            return Split(xs, rewards)
+            rewards[instance, actions] = 1.0
+            return Split(_json_floats([r["x"] for r in rows], 2, f"{name} contexts"), rewards)
 
         return cls(
             **{name: unpack(name) for name in SPLITS},

@@ -54,6 +54,16 @@ def run_ok(args):
     assert main(args) == 0
 
 
+def json_with(text: str, value, *path) -> str:
+    """The JSON object ``text`` with its node at ``path`` set to ``value``."""
+    obj = json.loads(text)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(obj)
+
+
 def read_bytes_map(folder: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
 
@@ -569,8 +579,12 @@ class TestMalformedLog:
         (lambda line: json.dumps({**json.loads(line), "r": "1"}), "logged.jsonl:3: malformed record"),
         (lambda line: json.dumps({**json.loads(line), "r": False}), "logged.jsonl:3: malformed record"),
         (lambda line: json.dumps({**json.loads(line), "beta_star": "0.5"}), "logged.jsonl:3: malformed record"),
+        (lambda line: json_with(line, 10**30, "a"), "logged.jsonl:3: malformed record"),
+        (lambda line: json_with(line, 10**400, "x", 0), "logged.jsonl:3: malformed record"),
+        (lambda line: json_with(line, 10**400, "r"), "logged.jsonl:3: malformed record"),
     ], ids=["truncated", "missing-key", "reward-out-of-range", "fractional-action", "string-context",
-            "boolean-action", "string-reward", "boolean-reward", "string-beta_star"])
+            "boolean-action", "string-reward", "boolean-reward", "string-beta_star", "action-past-int64",
+            "context-past-float", "reward-past-float"])
     def test_bad_line_is_a_config_error_naming_the_line(self, tmp_path, capsys, damage, message):
         cfg = write_config(tmp_path, "bad")
         run_ok(["generate", "--config", str(cfg)])
@@ -728,7 +742,34 @@ class TestBadInputEntersAsConfigError:
              for i, line in enumerate(text.splitlines())
          ),
          "logged.jsonl:3: record has no beta_star, unlike line 1"),
-    ], ids=["relevant-out-of-range", "missing-split", "truncated-model", "beta-star-on-some-records"])
+        ("train", "env.json", lambda text: json_with(text, NAN, "test", 0, "x", 0), "contexts must be finite"),
+        ("inspect-weights", "env.json", lambda text: json_with(text, NAN, "logging_theta", 0, 0),
+         "theta must be finite"),
+        ("train", "env.json", lambda text: json_with(text, None, "logging_theta", 0, 0),
+         "logging_theta: not a 2-d array of numbers"),
+        ("train", "env.json", lambda text: json_with(text, "0.5", "logging_tau"), "logging_tau: not a number"),
+        ("train", "env.json", lambda text: json_with(text, [1.5], "train", 0, "relevant"),
+         "train: a relevant action is not a JSON integer"),
+        ("inspect-weights", "env.json", lambda text: json_with(text, [True], "validation", 0, "relevant"),
+         "validation: a relevant action is not a JSON integer"),
+        ("train", "env.json", lambda text: json_with(text, [10**30], "test", 1, "relevant"), "too large"),
+        ("train", "env.json", lambda text: json_with(text, "0.5", "test", 0, "x", 0),
+         "test contexts: not a 2-d array of numbers"),
+        ("train", "env.json", lambda text: json_with(text, "8", "action_count"), "action_count '8' is not an integer"),
+        ("train", "logging_model.json", lambda text: json_with(text, float("inf"), "grams", 0, 0, 0),
+         "grams must be finite"),
+        ("inspect-weights", "logging_model.json", lambda text: json_with(text, True, "grams", 0, 0, 0),
+         "grams: not a 3-d array of numbers"),
+        ("train", "logging_model.json", lambda text: json_with(text, [[0.0] * 6] * 6, "grams", 2),
+         "the Gram matrix of action 2 is not positive-definite"),
+        ("inspect-weights", "logging_model.json", lambda text: json_with(text, -1.0, "grams", 1, 0, 0),
+         "the Gram matrix of action 1 is not positive-definite"),
+        ("inspect-weights", "logging_model.json", lambda text: json_with(text, NAN, "theta", 0, 0),
+         "theta must be finite"),
+    ], ids=["relevant-out-of-range", "missing-split", "truncated-model", "beta-star-on-some-records",
+            "nan-context", "nan-logging-theta", "null-logging-theta", "string-logging-tau", "fractional-relevant",
+            "boolean-relevant", "relevant-past-int64", "string-context", "string-action-count", "infinite-gram",
+            "boolean-gram", "zero-gram", "negative-gram-diagonal", "nan-model-theta"])
     def test_malformed_input_file_is_a_config_error_naming_it(self, tmp_path, capsys, command, file, damage, message):
         cfg = write_config(tmp_path, "damaged")
         run_ok(["generate", "--config", str(cfg)])
