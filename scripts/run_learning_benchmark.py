@@ -30,12 +30,12 @@ def main(argv=None):
 
     methods = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.json")["sweep"]["methods"]
     env = build_env(EnvConfig(tau=args.tau, seed=0))
-    train_section = {"learning_rate": 0.5, "epochs": args.epochs, "batch_size": 500, "n_logged": 5000}
+    train_section = {"learning_rate": 0.5, "epochs": args.epochs, "batch_size": 500}
     fit_config = LoggingFitConfig(epochs=150, learning_rate=2.0)
 
     per_method = {name: {"p": [], "r": [], "ndcg": []} for name in methods}
     for seed in range(args.seeds):
-        rows = run_sweep(env, methods, dict(train_section), fit_config, seed=seed, k_eval=5)
+        rows = run_sweep(env, methods, train_section, fit_config, seed=seed, k_eval=5, n_logged=5000)
         for row in rows:
             per_method[row["method"]]["p"].append(row["test_p_at_k"])
             per_method[row["method"]]["r"].append(row["test_r_at_k"])

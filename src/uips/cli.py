@@ -460,7 +460,7 @@ def cmd_inspect_weights(resolved: dict) -> None:
     tables = propensity_tables(dataset, model)
     pi_sel = policy.distribution_matrix(tables.contexts)[tables.rows, tables.actions]
     # the phi* the uips estimator applies to these samples
-    phi, on_cap = phi_star_vector(pi_sel, tables.beta_sel, tables.us, hp)
+    phi, on_cap = phi_star_vector(pi_sel / tables.beta_sel, tables.us, hp)
     columns = (dataset.actions, pi_sel, tables.beta_sel, tables.us, phi, on_cap)
     rows = [
         (i, a, pi, beta, u, w, "cap" if cap else "first_term")

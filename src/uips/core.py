@@ -107,7 +107,9 @@ def _first_invalid_row(xs, actions, rewards, action_count, true_logging_probs) -
     """The first row of a logged dataset that breaks an invariant, and why; or None."""
     p = true_logging_probs
     checks = [
-        (~np.isfinite(xs).all(axis=1), "context is not finite"),
+        # a NaN, an infinity or an entry past about 1.3e154 leaves the squared norm not finite;
+        # einsum, unlike x * x, warns of none of them
+        (~np.isfinite(np.einsum("ij,ij->i", xs, xs)), "context is not finite or its squared norm overflows"),
         ((actions < 0) | (actions >= action_count), f"action outside [0, {action_count})"),
         (~((rewards >= 0.0) & (rewards <= 1.0)), "reward outside [0, 1]"),
         (np.zeros(len(xs), bool) if p is None else ~((p > 0.0) & (p <= 1.0)),
@@ -123,8 +125,9 @@ class LoggedDataset:
 
     ``xs`` has shape (n, dim), ``actions`` and ``rewards`` have shape (n,),
     and ``true_logging_probs`` is either None or shape (n,). Construction
-    rejects non-finite contexts, actions outside ``[0, action_count)``,
-    rewards outside [0, 1] and true logging probabilities outside (0, 1].
+    rejects contexts whose squared norm is not finite, actions outside
+    ``[0, action_count)``, rewards outside [0, 1] and true logging
+    probabilities outside (0, 1].
     """
 
     xs: np.ndarray

@@ -225,7 +225,7 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables, pi_rows: 
         # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
         phi = np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
     elif kind == "uips":
-        phi, _ = phi_star_vector(pi_sel, t.beta_sel, t.us, weighting.hp)
+        phi, _ = phi_star_vector(ratio, t.us, weighting.hp)
     elif kind == "uips_p":
         phi = np.exp(-weighting.hp.gamma * t.us)
     else:
@@ -275,24 +275,23 @@ def exact_bias_variance(
     model: Optional[LoggingModel],
     weighting: Weighting,
     n_logged: int,
-    split: str = "train",
     max_outcomes: int = 10_000,
 ) -> tuple[float, float, float]:
     """Exact bias/variance/MSE of a per-sample-mean estimator.
 
     Enumerates the distribution of a single logged draw (uniform context
-    from the split, action from the true logging policy), computes the
-    estimator's per-draw term t(x, a) for every outcome, and uses
-    independence across the ``n_logged`` draws: the estimator's expectation
-    is E[t] and its variance is Var(t)/n_logged. The terms are the weights
+    from the train split, as :func:`uips.synthetic.generate_log` draws it,
+    action from the true logging policy), computes the estimator's per-draw
+    term t(x, a) for every outcome, and uses independence across the
+    ``n_logged`` draws: the estimator's expectation is E[t] and its
+    variance is Var(t)/n_logged. The terms are the weights
     :func:`estimate` would give a log that holds every (context, action)
-    cell of the split once, in context-major order: the same
+    cell of the train split once, in context-major order: the same
     :func:`propensity_tables` and :func:`propensity_weights`. Only ips_true
     reads the true logging probabilities, and a cell where one is 0 is a
     ValueError there.
     """
-    data = env.split(split)
-    xs, rewards = data.xs, data.rewards
+    xs, rewards = env.train.xs, env.train.rewards
     if rewards.size > max_outcomes:
         raise ValueError("environment too large to enumerate")
     if weighting.kind in ("snips", "dice_s"):
@@ -311,7 +310,7 @@ def exact_bias_variance(
     p_outcome = beta_star / n_contexts
     e_t = float((p_outcome * t).sum())
     e_t2 = float((p_outcome * t * t).sum())
-    bias = e_t - float(true_policy_value(env, policy, split))
+    bias = e_t - float(true_policy_value(env, policy, "train"))
     variance = (e_t2 - e_t**2) / n_logged
     return bias, variance, bias**2 + variance
 
@@ -337,16 +336,15 @@ def ope_mse_experiment(
     estimators: Sequence[tuple[str, Weighting]],
     seeds: Sequence[int],
     samples_per_context: int,
-    fit_config: Optional[LoggingFitConfig] = None,
+    fit_config: LoggingFitConfig,
 ) -> OpeResult:
     """Monte-Carlo table of estimator MSE against the exact policy value on the test split.
 
     Per seed: regenerate the logged dataset (``samples_per_context`` draws
-    per test context), refit the logging model, and evaluate every
-    estimator. The result is deterministic in the seed list, regardless of
-    evaluation order.
+    per test context), refit the logging model by ``fit_config`` reseeded
+    with the seed, and evaluate every estimator. The result is
+    deterministic in the seed list, regardless of evaluation order.
     """
-    fit_config = fit_config or LoggingFitConfig()
     truth = true_policy_value(env, target_policy)
     rows = []
     for seed in seeds:

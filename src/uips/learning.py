@@ -151,7 +151,6 @@ def dr_gradient(
     model: Optional[LoggingModel],
     imputation,
     weighting: Weighting,
-    tables: Optional[PropensityTables] = None,
 ) -> np.ndarray:
     """Gradient of the doubly robust objective.
 
@@ -162,7 +161,7 @@ def dr_gradient(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    tables = tables or propensity_tables(batch, model)
+    tables = propensity_tables(batch, model)
     pi_u = policy.distribution_matrix(tables.contexts)
     eta_u = imputation.predict_matrix(tables.contexts, batch.action_count)
     # sum_a pi_a eta_a grad log pi_a collapses to coefficients pi_a' (eta_a' - v),

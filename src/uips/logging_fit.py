@@ -57,7 +57,9 @@ class LoggingModel:
     """Fitted logging policy plus per-action Gram matrices for uncertainty.
 
     ``grams`` has shape (action_count, d, d) and is finite; each matrix starts at identity
-    and is symmetric positive-definite by construction, which :meth:`load` checks.
+    and is symmetric positive-definite by construction, which :meth:`load` checks. Any
+    policy temperature is accepted here, but :meth:`load` refuses a tau other than 1.0,
+    the one :func:`fit_logging_policy` writes.
     """
 
     policy: SoftmaxLinearPolicy
@@ -89,6 +91,8 @@ class LoggingModel:
             grams=_json_floats(obj["grams"], 3, "grams"),
             fit_diagnostics=obj.get("fit_diagnostics", {}),
         )
+        if model.policy.tau != 1.0:
+            raise ValueError(f"tau {model.policy.tau!r} is not 1.0, the temperature of a fitted logging model")
         for a, gram in enumerate(model.grams):
             try:
                 np.linalg.cholesky(gram)
@@ -154,8 +158,10 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
         np.matmul(ux, theta.T, out=scores)
         dloss.fill(0.0)
         if k > 0:
-            # negatives are uniform over non-chosen actions; a cell drawn c times
-            # carries c * sigmoid(score), exactly as the dense count product did
+            # negatives are uniform over non-chosen actions. A cell drawn c times holds
+            # the one product c * sigmoid(score), the dense count product's value there:
+            # np.add.at counts c exactly, and dloss[flat] *= gathers before it writes,
+            # so every repeated write of a cell stores that same product
             negs = rng.integers(0, a_count - 1, size=(n, k))
             negs += negs >= acts[:, None]
             flat = (negs + row_start).ravel()

@@ -27,7 +27,8 @@ SPLITS = ("train", "validation", "test")
 
 @dataclass(frozen=True)
 class Split:
-    """The m >= 1 finite contexts ``xs`` (m, dim) of a split and their 0/1 table ``rewards`` (m, action_count).
+    """The m >= 1 contexts ``xs`` (m, dim) of a split, each of finite squared norm, and their 0/1 table
+    ``rewards`` (m, action_count).
 
     ``rewards[i, a]`` is 1 exactly when action a is relevant to context i: the
     reward a logged draw of a on i reveals. Each context has a relevant action.
@@ -43,8 +44,8 @@ class Split:
             raise ValueError(f"contexts {xs.shape} and reward table {rewards.shape} need one row per instance")
         if not len(xs):
             raise ValueError("a split needs at least one instance")
-        if not np.isfinite(xs).all():
-            raise ValueError("contexts must be finite")
+        if not np.isfinite(np.einsum("ij,ij->i", xs, xs)).all():
+            raise ValueError("contexts must be finite, with a finite squared norm")
         if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise ValueError("reward table entries must be 0 or 1")
         if not rewards.any(axis=1).all():
@@ -298,22 +299,16 @@ def generate_log(env: BanditEnv, n_samples: int, rng: np.random.Generator) -> Lo
     return _draw_log(env, "train", rng, lambda count: rng.integers(0, count, size=n_samples))
 
 
-def generate_log_per_context(
-    env: BanditEnv,
-    samples_per_context: int,
-    rng: np.random.Generator,
-    split: str = "test",
-) -> LoggedDataset:
-    """Logged dataset with exactly ``samples_per_context`` draws per instance.
+def generate_log_per_context(env: BanditEnv, samples_per_context: int, rng: np.random.Generator) -> LoggedDataset:
+    """Logged dataset with exactly ``samples_per_context`` draws per test instance.
 
-    This is the off-policy-evaluation protocol: every context of the split
-    appears the same number of times, actions come from the logging policy.
+    This is the off-policy-evaluation protocol: every context of the test
+    split appears the same number of times, actions come from the logging
+    policy.
     """
     if samples_per_context < 1:
         raise ValueError("samples_per_context must be >= 1")
-    return _draw_log(
-        env, split, rng, lambda count: np.repeat(np.arange(count), samples_per_context)
-    )
+    return _draw_log(env, "test", rng, lambda count: np.repeat(np.arange(count), samples_per_context))
 
 
 @dataclass
@@ -348,9 +343,6 @@ class TabularPolicy:
         if not (self._keys[at] == keys).all():
             raise ValueError("context not covered by this table")
         return self._order[at]
-
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        return self.probs[self._rows(np.asarray(x, dtype=float)[None])[0]]
 
     def distribution_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Distribution rows for a batch of contexts."""

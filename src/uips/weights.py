@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uips.core import BETA_FLOOR
-
 #: Hyper-parameter search ranges used by the sweep tooling.
 DEFAULT_SWEEP_GRID = {
     "learning_rate": [1e-5, 1e-4, 1e-3, 1e-2],
@@ -68,19 +66,19 @@ class UipsHyperParams:
             raise ValueError("eta1 must be finite and positive, eta2 positive")
 
 
-def phi_star_vector(
-    pis: np.ndarray, beta_hats: np.ndarray, us: np.ndarray, hp: UipsHyperParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimax weights over per-sample arrays, and where the cap branch gave them.
+def phi_star_vector(ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams) -> tuple[np.ndarray, np.ndarray]:
+    """Minimax weights for per-sample ratios pi / beta_hat and uncertainties u,
+    and where the cap branch gave them.
 
     Returns ``(phi, on_cap)``; a tie goes to the first term. Finite and
     within [0, 2 * eta2] for any valid input, including a gamma*u large
     enough that e^{gamma u} overflows. An infinite eta2 counts as half the
-    largest float, so that phi stays finite and a weight pi / beta_hat * phi
-    is never 0 * inf.
+    largest float, so that phi stays finite and a weight ratio * phi is
+    never 0 * inf. The caller floors beta_hat where it divides, as
+    :func:`uips.estimators.propensity_tables` does.
     """
     gu = hp.gamma * np.asarray(us, dtype=float)
-    ratio = np.asarray(pis, dtype=float) / np.maximum(beta_hats, BETA_FLOOR)
+    ratio = np.asarray(ratios, dtype=float)
     e_neg, e_pos = np.exp(-gu), np.minimum(gu, GU_UNSCALED_MAX)
     np.exp(e_pos, out=e_pos)
     scale = 1.0

@@ -61,9 +61,8 @@ def phi_star_branch(winput: WeightInput, hp: UipsHyperParams) -> tuple[float, st
 
     The one-sample view of :func:`uips.weights.phi_star_vector`.
     """
-    phi, on_cap = phi_star_vector(
-        np.array([winput.pi]), np.array([winput.beta_hat]), np.array([winput.u]), hp
-    )
+    ratio = winput.pi / max(winput.beta_hat, BETA_FLOOR)
+    phi, on_cap = phi_star_vector(np.array([ratio]), np.array([winput.u]), hp)
     return float(phi[0]), "cap" if on_cap[0] else "first_term"
 
 

@@ -16,6 +16,7 @@ from helpers import count_ips_reference, sample_weight_instances
 from oracles import (
     WeightInput,
     cap_region_threshold,
+    distribution,
     minmax_objective,
     oracle_phi,
     phi_star,
@@ -123,7 +124,7 @@ def test_04_estimated_propensity_bias_identity():
         bias, _, _ = exact_bias_variance(env, policy, model, Weighting(kind="bips"), int(rng.integers(1, 200)))
 
         xs, rewards = env.train.xs, env.train.rewards
-        pi = np.stack([policy.distribution(x) for x in xs])
+        pi = np.stack([distribution(policy, x) for x in xs])
         beta_star = env.logging_policy.distribution_matrix(xs)
         beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
         reference = float(np.mean(np.sum(pi * rewards * (beta_star / beta_hat - 1.0), axis=1)))
@@ -148,7 +149,7 @@ def test_05_true_propensity_unbiasedness():
         policy = epsilon_greedy_policy(env, float(rng.uniform(0.2, 0.6)))
         truth = true_policy_value(env, policy)
         estimates = np.array([
-            estimate(generate_log_per_context(env, 20, rng, split="test"), policy, None,
+            estimate(generate_log_per_context(env, 20, rng), policy, None,
                      Weighting(kind="ips_true")).value
             for _ in range(500)
         ])
@@ -196,7 +197,7 @@ def test_06_gradient_finite_difference_agreement():
         else:
             from uips.weights import phi_star_vector
 
-            w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, hp)[0]
+            w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref / beta_sel, us, hp)[0]
         frozen = w_ref / pi_ref
 
         analytic_w = weighted_gradient(policy, batch, model, weighting)

@@ -137,8 +137,7 @@ class TestPipeline:
         policy = epsilon_greedy_policy(env, inspect["epsilon"], split=inspect["split"])
         tables = propensity_tables(dataset, model)
         pi_sel = policy.distribution_matrix(tables.contexts)[tables.rows, tables.actions]
-        phi, on_cap = phi_star_vector(pi_sel, tables.beta_sel, tables.us,
-                                      UipsHyperParams(**inspect["uips_hp"]))
+        phi, on_cap = phi_star_vector(pi_sel / tables.beta_sel, tables.us, UipsHyperParams(**inspect["uips_hp"]))
         rows = [line.split(",") for line in (out / "weights.csv").read_text().splitlines()[2:]]
         np.testing.assert_array_equal(np.array([float(r[5]) for r in rows]), phi)
         assert [r[6] for r in rows] == ["cap" if c else "first_term" for c in on_cap]
@@ -766,10 +765,19 @@ class TestBadInputEntersAsConfigError:
          "the Gram matrix of action 1 is not positive-definite"),
         ("inspect-weights", "logging_model.json", lambda text: json_with(text, NAN, "theta", 0, 0),
          "theta must be finite"),
+        ("inspect-weights", "logging_model.json", lambda text: json_with(text, 1e-300, "tau"), "tau 1e-300 is not 1.0"),
+        ("train", "logging_model.json", lambda text: json_with(text, 2.0, "tau"), "tau 2.0 is not 1.0"),
+        ("ope", "env.json", lambda text: json_with(text, 1e300, "test", 0, "x", 0), "contexts must be finite"),
+        ("fit-logging", "logged.jsonl",
+         lambda text: "".join(
+             (json_with(line, 1e300, "x", 0) if i == 1 else line) + "\n" for i, line in enumerate(text.splitlines())
+         ),
+         "logged.jsonl:2: context is not finite"),
     ], ids=["relevant-out-of-range", "missing-split", "truncated-model", "beta-star-on-some-records",
             "nan-context", "nan-logging-theta", "null-logging-theta", "string-logging-tau", "fractional-relevant",
             "boolean-relevant", "relevant-past-int64", "string-context", "string-action-count", "infinite-gram",
-            "boolean-gram", "zero-gram", "negative-gram-diagonal", "nan-model-theta"])
+            "boolean-gram", "zero-gram", "negative-gram-diagonal", "nan-model-theta", "tiny-model-tau",
+            "model-tau-2", "huge-context", "huge-logged-context"])
     def test_malformed_input_file_is_a_config_error_naming_it(self, tmp_path, capsys, command, file, damage, message):
         cfg = write_config(tmp_path, "damaged")
         run_ok(["generate", "--config", str(cfg)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import count_ips_reference, uncertainty_table
-from oracles import TabularImputation, mse_upper_bound, v_dm, v_dr
+from oracles import TabularImputation, distribution, mse_upper_bound, v_dm, v_dr
 from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, SoftmaxLinearPolicy, make_rng
 from uips.estimators import (
     ConstantImputation,
@@ -79,7 +79,7 @@ class TestVIps:
         truth = true_policy_value(env, policy)
         rng = make_rng(2)
         estimates = [
-            value(generate_log_per_context(env, 20, rng, split="test"), policy, None, "ips_true")
+            value(generate_log_per_context(env, 20, rng), policy, None, "ips_true")
             for _ in range(200)
         ]
         estimates = np.array(estimates)
@@ -263,13 +263,13 @@ class TestDirectMethodAndDr:
     def test_true_reward_table_recovers_exact_value(self):
         env = build_env(SMALL)
         policy = epsilon_greedy_policy(env, 0.2)
-        ds = generate_log_per_context(env, 4, make_rng(11), split="test")
+        ds = generate_log_per_context(env, 4, make_rng(11))
         got = v_dm(ds, policy, TabularImputation.from_env(env, split="test"))
         assert got == pytest.approx(true_policy_value(env, policy), abs=1e-12)
 
     def test_dr_with_zero_imputation_reduces_to_weighting(self):
         env = build_env(SMALL)
-        ds = generate_log_per_context(env, 5, make_rng(12), split="test")
+        ds = generate_log_per_context(env, 5, make_rng(12))
         model = fitted_model(ds, epochs=60)
         policy = epsilon_greedy_policy(env, 0.2)
         zero = ConstantImputation(0.0)
@@ -290,7 +290,7 @@ class TestDirectMethodAndDr:
         skewed_model = identity_model(env.action_count, env.dim,
                                       theta=rng.standard_normal((env.action_count, env.dim)))
         estimates = np.array([
-            v_dr(generate_log_per_context(env, 8, rng, split="test"), policy, skewed_model, oracle_eta,
+            v_dr(generate_log_per_context(env, 8, rng), policy, skewed_model, oracle_eta,
                  Weighting(kind="bips"))
             for _ in range(120)
         ])
@@ -405,7 +405,7 @@ class TestExactBiasVariance:
             policy = epsilon_greedy_policy(env, 0.3, split="train")
             bias, _, _ = exact_bias_variance(env, policy, model, Weighting(kind="bips"), 77)
             xs, r = env.train.xs, env.train.rewards
-            pi = np.stack([policy.distribution(x) for x in xs])
+            pi = np.stack([distribution(policy, x) for x in xs])
             beta_star = env.logging_policy.distribution_matrix(xs)
             beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
             reference = float(np.mean(np.sum(pi * r * (beta_star / beta_hat - 1.0), axis=1)))
@@ -429,10 +429,10 @@ class TestExactBiasVariance:
             model = fitted_model(ds, seed=seed, epochs=60)
             _, _, mse = exact_bias_variance(env, policy, model, Weighting(kind="uips", hp=hp), 25)
             xs = env.train.xs
-            pi = np.stack([policy.distribution(x) for x in xs])
+            pi = np.stack([distribution(policy, x) for x in xs])
             beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
             u_mat = uncertainty_table(model, xs)
-            phi, _ = phi_star_vector(pi.ravel(), beta_hat.ravel(), u_mat.ravel(), hp)
+            phi, _ = phi_star_vector((pi / beta_hat).ravel(), u_mat.ravel(), hp)
             phi = phi.reshape(pi.shape)
             bound = mse_upper_bound(env, policy, model, phi, 25)
             assert mse <= bound + 1e-12
@@ -498,7 +498,7 @@ class TestPerPairBoundOrdering:
         model = fitted_model(ds, seed=16)
         policy = epsilon_greedy_policy(env, 0.3, split="train")
         xs = env.train.xs
-        pi = np.stack([policy.distribution(x) for x in xs])
+        pi = np.stack([distribution(policy, x) for x in xs])
         beta_hat = np.maximum(model.beta_matrix(xs), 1e-8)
         u_mat = uncertainty_table(model, xs)
         lam, gamma = 5.0, 1.5

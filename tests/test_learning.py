@@ -122,8 +122,7 @@ class TestWeightedGradient:
                 else:
                     from uips.weights import phi_star_vector
 
-                    w_ref = ratio * phi_star_vector(pi_ref, beta_sel, uncertainties(model, batch),
-                                                    weighting.hp)[0]
+                    w_ref = ratio * phi_star_vector(ratio, uncertainties(model, batch), weighting.hp)[0]
             frozen = w_ref / pi_ref  # multiplier independent of theta
             fd = np.zeros_like(analytic)
             for i in range(8):
@@ -228,7 +227,7 @@ class TestDrGradient:
             else:
                 from uips.weights import phi_star_vector
 
-                w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref, beta_sel, us, weighting.hp)[0]
+                w_ref = pi_ref / beta_sel * phi_star_vector(pi_ref / beta_sel, us, weighting.hp)[0]
             frozen = w_ref / pi_ref
             eta_sel = np.array([imputed_reward(eta, batch.xs[i], int(batch.actions[i])) for i in n])
 

@@ -155,7 +155,7 @@ class TestGenerateLog:
 
     def test_per_context_protocol_counts(self):
         env = build_env(SMALL)
-        ds = generate_log_per_context(env, 7, make_rng(5), split="test")
+        ds = generate_log_per_context(env, 7, make_rng(5))
         assert len(ds) == 7 * len(env.test)
         counts = {}
         for i in range(len(ds)):
@@ -177,7 +177,7 @@ class TestGenerateLog:
     def test_matches_the_dense_cumsum_reference(self, config, per_context):
         env = build_env(config)
         if per_context:
-            ds = generate_log_per_context(env, 9, make_rng(11), split="test")
+            ds = generate_log_per_context(env, 9, make_rng(11))
             actions, probs = dense_log_reference(env, make_rng(11), "test", samples_per_context=9)
         else:
             ds = generate_log(env, 700, make_rng(12))
@@ -218,7 +218,7 @@ class TestEpsilonGreedy:
     def test_epsilon_one_is_uniform(self):
         env = self._tiny_env()
         policy = epsilon_greedy_policy(env, 1.0)
-        np.testing.assert_allclose(policy.distribution(env.test.xs[0]), 0.25, atol=1e-15)
+        np.testing.assert_allclose(distribution(policy, env.test.xs[0]), 0.25, atol=1e-15)
 
     def test_epsilon_zero_single_label_is_point_mass(self):
         split = Split(np.array([[0.5, 0.5]]), np.array([[0.0, 0.0, 1.0, 0.0]]))
@@ -228,7 +228,7 @@ class TestEpsilonGreedy:
             logging_policy=env.logging_policy, action_count=4, dim=2,
         )
         policy = epsilon_greedy_policy(env, 0.0)
-        np.testing.assert_allclose(policy.distribution(split.xs[0]), [0, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(distribution(policy, split.xs[0]), [0, 0, 1, 0], atol=1e-15)
 
     def test_policy_leaves_the_split_unchanged(self):
         env = build_env(SMALL)
@@ -293,7 +293,7 @@ class TestTruePolicyValue:
         idx = rng.integers(0, len(env.test), n)
         rewards = np.empty(n)
         for j, i in enumerate(idx):
-            a = int(rng.choice(env.action_count, p=policy.distribution(env.test.xs[i])))
+            a = int(rng.choice(env.action_count, p=distribution(policy, env.test.xs[i])))
             rewards[j] = env.test.rewards[i, a]
         se = rewards.std() / np.sqrt(n)
         assert abs(rewards.mean() - exact) < 3 * se + 1e-12
@@ -336,7 +336,7 @@ class TestTabularPolicy:
         policy = epsilon_greedy_policy(build_env(SMALL), 0.3)
         rng = make_rng(13)
         xs = policy.contexts[rng.integers(0, policy.contexts.shape[0], 60)]
-        per_row = np.stack([policy.distribution(x) for x in xs])
+        per_row = np.stack([distribution(policy, x) for x in xs])
         np.testing.assert_array_equal(policy.distribution_matrix(xs), per_row)
 
     def test_distribution_matrix_rejects_unknown_context(self):

@@ -77,7 +77,7 @@ class TestPhiStar:
         pis = rng.uniform(0, 1, 50)
         betas = rng.uniform(1e-3, 1, 50)
         us = rng.uniform(0, 3, 50)
-        vec, on_cap = phi_star_vector(pis, betas, us, hp)
+        vec, on_cap = phi_star_vector(pis / betas, us, hp)
         for i in range(50):
             winput = WeightInput(pi=pis[i], beta_hat=betas[i], u=us[i])
             value, branch = phi_star_scalar_reference(winput, hp)
@@ -92,7 +92,7 @@ class TestPhiStar:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, _ = phi_star_scalar_reference(WeightInput(pi=pi, beta_hat=beta_hat, u=u), hp)
-            vec, _ = phi_star_vector(np.array([pi]), np.array([beta_hat]), np.array([u]), hp)
+            vec, _ = phi_star_vector(np.array([pi / max(beta_hat, BETA_FLOOR)]), np.array([u]), hp)
         assert math.isfinite(value) and 0.0 <= value <= 2.0 * hp.eta2
         assert vec[0] == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -103,7 +103,7 @@ class TestPhiStar:
         pis, beta_hats = np.array([0.0, 0.3, 1.0]), np.array([0.1, 0.1, 1e-9])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phi, _ = phi_star_vector(pis, beta_hats, np.full(3, gu / hp.gamma), hp)
+            phi, _ = phi_star_vector(pis / np.maximum(beta_hats, BETA_FLOOR), np.full(3, gu / hp.gamma), hp)
             weights = pis / beta_hats * phi
         assert np.all(np.isfinite(phi) & (phi >= 0)) and np.all(np.isfinite(weights))
         assert weights[0] == 0.0
@@ -125,10 +125,11 @@ class TestPhiStar:
         betas = np.append(10.0 ** rng.uniform(-9, 0, 200), 0.5)
         us = np.append(rng.uniform(0, 700 / hp.gamma, 200), 700 / hp.gamma)
         # two entries above 700 take the rescaled form without touching the rest
-        vec, _ = phi_star_vector(np.append(pis, [0.3, 0.3]), np.append(betas, [0.1, 0.1]),
+        ratios = pis / np.maximum(betas, BETA_FLOOR)
+        vec, _ = phi_star_vector(np.append(ratios, [0.3 / 0.1, 0.3 / 0.1]),
                                  np.append(us, [710.0 / hp.gamma, 1e4 / hp.gamma]), hp)
         np.testing.assert_array_equal(vec[:-2], unscaled_vector(pis, betas, us, hp))
-        np.testing.assert_array_equal(vec[:-2], phi_star_vector(pis, betas, us, hp)[0])
+        np.testing.assert_array_equal(vec[:-2], phi_star_vector(ratios, us, hp)[0])
         assert np.all((vec[-2:] >= 0.0) & (vec[-2:] <= 2.0 * hp.eta2))
         # the scalar view runs the vector formula
         for pi, beta, u in zip(pis.tolist(), betas.tolist(), us.tolist()):
