@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from uips import __version__
-from uips.core import LoggedDataset, _integer, make_rng
+from uips.core import LoggedDataset, _integer, _real, make_rng
 from uips.estimators import PARAMETERS, UIPS_KINDS, Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, _describe, train, train_policies
 from uips.logging_fit import (
@@ -170,7 +170,7 @@ def _count(value) -> int:
 
 def _probability(value) -> float:
     """``value`` as a float in [0, 1]."""
-    p = float(value)
+    p = float(_real(value, "probability"))
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{value!r} is not in [0, 1]")
     return p
@@ -404,7 +404,9 @@ def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     if specs is not None:
         return _parse("estimators", _estimators, specs)
     hp = _record(section, "uips_hp", UipsHyperParams, DEFAULT_UIPS_HP)
-    shrinkage = _value(section, "shrinkage_lam", 10.0, lambda lam: Weighting(kind="shrinkage", lam=float(lam)))
+    shrinkage = _value(
+        section, "shrinkage_lam", 10.0, lambda lam: Weighting(kind="shrinkage", lam=float(_real(lam, "lam")))
+    )
     return [
         ("ips_true", Weighting(kind="ips_true")),
         ("bips", Weighting(kind="bips")),
@@ -419,16 +421,17 @@ def cmd_ope(resolved: dict) -> None:
     out = _out_dir(resolved)
     section = resolved.get("ope", {})
     epsilon = _value(section, "epsilon", 0.2, _probability)
+    env_cfg = _record(resolved, "env", EnvConfig)
     seeds = section.get("seeds")
     if seeds is None:
-        base = _value(resolved, "seed", 0, _integer)
+        base = _value(resolved, "seed", env_cfg.seed, _integer)
         seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
     else:
         seeds = _parse("seeds", lambda s: [_integer(v) for v in _list(s)], seeds)
     estimators = _default_ope_estimators(section)
     samples_per_context = _value(section, "samples_per_context", 100, _count)
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
-    env = _load_env(_record(resolved, "env", EnvConfig), out)
+    env = _load_env(env_cfg, out)
     result = ope_mse_experiment(
         env,
         epsilon_greedy_policy(env, epsilon),

@@ -11,6 +11,7 @@ independent per-seed streams.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -51,6 +52,14 @@ def _integer(value, least: int = 0, what: str = "seed") -> int:
     if number < least:
         raise ValueError(f"{what} {value!r} is below {least}")
     return number
+
+
+def _real(value, what: str):
+    """``value`` when it is a real number; anything else, a ``bool`` or a string included, is a
+    ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} {value!r} is not a number")
+    return value
 
 
 def _json_line(obj) -> str:
@@ -106,10 +115,14 @@ def _padded(ux: np.ndarray, n: int) -> np.ndarray:
 def _first_invalid_row(xs, actions, rewards, action_count, true_logging_probs) -> Optional[tuple]:
     """The first row of a logged dataset that breaks an invariant, and why; or None."""
     p = true_logging_probs
+    # the running total of squared norms bounds every Gram entry of every action. A NaN, an
+    # infinity or an entry past about 1.3e154 leaves it not finite at its row, and so do two
+    # rows of 1.2e154; einsum, unlike x * x, warns of none of them
+    with np.errstate(over="ignore"):
+        norms_total = np.cumsum(np.einsum("ij,ij->i", xs, xs))
     checks = [
-        # a NaN, an infinity or an entry past about 1.3e154 leaves the squared norm not finite;
-        # einsum, unlike x * x, warns of none of them
-        (~np.isfinite(np.einsum("ij,ij->i", xs, xs)), "context is not finite or its squared norm overflows"),
+        (~np.isfinite(norms_total),
+         "context is not finite or the running total of squared context norms overflows"),
         ((actions < 0) | (actions >= action_count), f"action outside [0, {action_count})"),
         (~((rewards >= 0.0) & (rewards <= 1.0)), "reward outside [0, 1]"),
         (np.zeros(len(xs), bool) if p is None else ~((p > 0.0) & (p <= 1.0)),
@@ -125,7 +138,8 @@ class LoggedDataset:
 
     ``xs`` has shape (n, dim), ``actions`` and ``rewards`` have shape (n,),
     and ``true_logging_probs`` is either None or shape (n,). Construction
-    rejects contexts whose squared norm is not finite, actions outside
+    rejects a context whose squared norm, added to those of the rows before
+    it, is not finite, actions outside
     ``[0, action_count)``, rewards outside [0, 1] and true logging
     probabilities outside (0, 1].
     """

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _padded, _product_contexts, make_rng
+from uips.core import BETA_FLOOR, PI_FLOOR, LoggedDataset, _padded, _product_contexts, _real, make_rng
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -65,6 +65,9 @@ class Weighting:
         for name in ("cap", "lam", "hp"):
             if (getattr(self, name) is None) == (name in reads):
                 raise ValueError(f"{self.kind} {'needs' if name in reads else 'reads no'} {name}")
+        for name in ("cap", "lam"):
+            if getattr(self, name) is not None:
+                _real(getattr(self, name), name)
         # written so that NaN fails each check; an infinite cap means no cap
         if not (self.cap is None or self.cap > 0):
             raise ValueError(f"{self.kind} needs a positive cap")

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _softmax, make_rng
+from uips.core import TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _real, _softmax, make_rng
 from uips.estimators import (
     MODEL_FREE_KINDS,
     PARAMETERS,
@@ -54,7 +54,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # zero learning rate is allowed: it turns training into a no-op probe
-        if not self.learning_rate >= 0:
+        if not _real(self.learning_rate, "learning_rate") >= 0:
             raise ValueError("learning_rate must be nonnegative")
         for name in ("epochs", "batch_size", "eval_every", "k_eval"):
             _integer(getattr(self, name), least=1, what=name)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from uips.core import (
-    TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _json_floats, _product_contexts, _read_json, _write_json,
+    TINY, LoggedDataset, SoftmaxLinearPolicy, _integer, _json_floats, _product_contexts, _read_json, _real, _write_json,
     make_rng,
 )
 
@@ -42,6 +42,8 @@ class LoggingFitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "l2"):
+            _real(getattr(self, name), name)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         _integer(self.epochs, least=1, what="epochs")
@@ -252,14 +254,9 @@ def uncertainty_frequency_bins(
     logged_actions = np.flatnonzero(counts)
     order = logged_actions[np.argsort(counts[logged_actions], kind="stable")]
     n_bins = min(n_bins, len(order))
-    groups = np.array_split(order, n_bins)
-    bin_of_action = np.zeros(dataset.action_count, dtype=int)
-    for b, group in enumerate(groups):
-        bin_of_action[group] = b
-    sample_bins = bin_of_action[dataset.actions]
     out = []
-    for b, group in enumerate(groups):
-        mask = sample_bins == b
+    for b, group in enumerate(np.array_split(order, n_bins)):
+        mask = np.isin(dataset.actions, group)
         out.append(
             {
                 "bin": b,

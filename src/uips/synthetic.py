@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from uips.core import (
-    LoggedDataset, SoftmaxLinearPolicy, _integer, _json_floats, _read_json, _row_keys, _write_json, make_rng,
+    LoggedDataset, SoftmaxLinearPolicy, _integer, _json_floats, _read_json, _real, _row_keys, _write_json, make_rng,
 )
 
 
@@ -84,6 +84,8 @@ class EnvConfig:
             raise ValueError("need 1 <= min_labels <= max_labels")
         if self.max_labels > self.action_count:
             raise ValueError("more labels than actions")
+        for name in ("tau", "label_noise"):
+            _real(getattr(self, name), name)
         if not 0 < self.tau < np.inf:
             raise ValueError("tau must be finite and positive")
         if not 0 <= self.label_noise < np.inf:

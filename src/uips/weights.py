@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from uips.core import _real
+
 #: Hyper-parameter search ranges used by the sweep tooling.
 DEFAULT_SWEEP_GRID = {
     "learning_rate": [1e-5, 1e-4, 1e-3, 1e-2],
@@ -57,6 +59,8 @@ class UipsHyperParams:
     eta2: float = 1.0
 
     def __post_init__(self):
+        for name in ("lam", "gamma", "eta1", "eta2"):
+            _real(getattr(self, name), name)
         # written so that NaN fails every check; an infinite eta2 means no cap
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and nonnegative")

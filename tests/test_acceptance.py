@@ -32,7 +32,7 @@ from uips.estimators import (
     exact_bias_variance,
     ope_mse_experiment,
 )
-from uips.learning import Weighting as TrainWeighting, dr_gradient, weighted_gradient
+from uips.learning import dr_gradient, weighted_gradient
 from uips.logging_fit import (
     LoggingFitConfig,
     LoggingModel,
@@ -191,7 +191,7 @@ def test_06_gradient_finite_difference_agreement():
         n = np.arange(len(batch))
         beta_sel = np.maximum(model.beta_matrix(batch.xs)[n, batch.actions], 1e-8)
         pi_ref = policy.distribution_matrix(batch.xs)[n, batch.actions]
-        weighting = TrainWeighting(kind="uips", hp=hp) if trial % 2 else TrainWeighting(kind="bips")
+        weighting = Weighting(kind="uips", hp=hp) if trial % 2 else Weighting(kind="bips")
         if weighting.kind == "bips":
             w_ref = pi_ref / beta_sel
         else:

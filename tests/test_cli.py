@@ -54,6 +54,11 @@ def run_ok(args):
     assert main(args) == 0
 
 
+def at_line_3(damage):
+    """The damage of a whole log that applies ``damage`` to its third line."""
+    return lambda lines: [damage(line) if i == 2 else line for i, line in enumerate(lines)]
+
+
 def json_with(text: str, value, *path) -> str:
     """The JSON object ``text`` with its node at ``path`` set to ``value``."""
     obj = json.loads(text)
@@ -208,6 +213,18 @@ class TestPipeline:
         summary = json.loads((tmp_path / "custom" / "ope_summary.json").read_text())
         assert set(summary["mse"]) == {"capped", "snips", "uips"}
         assert summary["seeds"] == [7, 9]
+
+    def test_sweep_and_ope_default_the_seed_to_env_seed(self, tmp_path):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        del config["seed"]
+        config["output_dir"] = str(tmp_path / "env-seed")
+        path = tmp_path / "env-seed.json"
+        path.write_text(json.dumps(config))
+        for command in ("generate", "sweep", "ope"):
+            run_ok([command, "--config", str(path)])
+        out = tmp_path / "env-seed"
+        assert json.loads((out / "sweep_report.json").read_text())["seed"] == config["env"]["seed"]
+        assert json.loads((out / "ope_summary.json").read_text())["seeds"] == [3, 4]
 
     def test_sweep_and_ope_read_the_generated_env(self, tmp_path, monkeypatch):
         cfg, _ = self._generate(tmp_path, "reads-env")
@@ -567,29 +584,32 @@ class TestBoundaryScan:
 
 class TestMalformedLog:
     @pytest.mark.parametrize("damage, message", [
-        (lambda line: line[: len(line) // 2], "logged.jsonl:3: malformed record"),
-        (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "a"}),
+        (at_line_3(lambda line: line[: len(line) // 2]), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "a"})),
          "logged.jsonl:3: missing key 'a'"),
-        (lambda line: json.dumps({**json.loads(line), "r": 5.0}), "logged.jsonl:3: reward outside [0, 1]"),
-        (lambda line: json.dumps({**json.loads(line), "a": 1.5}), "logged.jsonl:3: malformed record"),
-        (lambda line: json.dumps({**json.loads(line), "x": [str(v) for v in json.loads(line)["x"]]}),
+        (at_line_3(lambda line: json.dumps({**json.loads(line), "r": 5.0})), "logged.jsonl:3: reward outside [0, 1]"),
+        (at_line_3(lambda line: json.dumps({**json.loads(line), "a": 1.5})), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json.dumps({**json.loads(line), "x": [str(v) for v in json.loads(line)["x"]]})),
          "logged.jsonl:3: malformed record"),
-        (lambda line: json.dumps({**json.loads(line), "a": True}), "logged.jsonl:3: malformed record"),
-        (lambda line: json.dumps({**json.loads(line), "r": "1"}), "logged.jsonl:3: malformed record"),
-        (lambda line: json.dumps({**json.loads(line), "r": False}), "logged.jsonl:3: malformed record"),
-        (lambda line: json.dumps({**json.loads(line), "beta_star": "0.5"}), "logged.jsonl:3: malformed record"),
-        (lambda line: json_with(line, 10**30, "a"), "logged.jsonl:3: malformed record"),
-        (lambda line: json_with(line, 10**400, "x", 0), "logged.jsonl:3: malformed record"),
-        (lambda line: json_with(line, 10**400, "r"), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json.dumps({**json.loads(line), "a": True})), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json.dumps({**json.loads(line), "r": "1"})), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json.dumps({**json.loads(line), "r": False})), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json.dumps({**json.loads(line), "beta_star": "0.5"})),
+         "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json_with(line, 10**30, "a")), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json_with(line, 10**400, "x", 0)), "logged.jsonl:3: malformed record"),
+        (at_line_3(lambda line: json_with(line, 10**400, "r")), "logged.jsonl:3: malformed record"),
+        # lines 1 and 20 log the same action: each squared norm is finite, their Gram sum is not
+        (lambda lines: [json_with(line, 1.2e154, "x", 0) if i in (0, 19) else line for i, line in enumerate(lines)],
+         "logged.jsonl:20: context is not finite or the running total of squared context norms overflows"),
     ], ids=["truncated", "missing-key", "reward-out-of-range", "fractional-action", "string-context",
             "boolean-action", "string-reward", "boolean-reward", "string-beta_star", "action-past-int64",
-            "context-past-float", "reward-past-float"])
+            "context-past-float", "reward-past-float", "context-norms-past-float"])
     def test_bad_line_is_a_config_error_naming_the_line(self, tmp_path, capsys, damage, message):
         cfg = write_config(tmp_path, "bad")
         run_ok(["generate", "--config", str(cfg)])
         path = tmp_path / "bad" / "logged.jsonl"
-        lines = path.read_text().splitlines()
-        lines[2] = damage(lines[2])
+        lines = damage(path.read_text().splitlines())
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["fit-logging", "--config", str(cfg)]) == 2
@@ -663,6 +683,15 @@ class TestBadInputEntersAsConfigError:
         ("ope", "ope", "estimators", [{"kind": "uips_p", "hp": {"gamma": 2, "lam": 5}}]),
         ("ope", "ope", "estimators", [{"kind": "uips", "hp": {"lam": 10, "gamma": g}} for g in (1, 5)]),
         ("ope", "ope", "estimators", [{"kind": "bips", "name": 5}]),
+        ("ope", "ope", "epsilon", True),
+        ("ope", "ope", "epsilon", "0.2"),
+        ("inspect-weights", "inspect", "epsilon", True),
+        ("ope", "ope", "shrinkage_lam", "10"),
+        ("ope", "ope", "shrinkage_lam", True),
+        ("ope", "ope", "uips_hp", {"lam": True}),
+        ("inspect-weights", "inspect", "uips_hp", {"eta2": True}),
+        ("train", "training", "weighting", {"kind": "bips_cap", "cap": True}),
+        ("ope", "ope", "estimators", [{"kind": "shrinkage", "lam": True}]),
     ])
     def test_non_numeric_or_invalid_value(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad")
@@ -707,6 +736,11 @@ class TestBadInputEntersAsConfigError:
         ("generate", "env", "label_noise", NAN),
         ("fit-logging", "logging_fit", "epochs", 2.5),
         ("fit-logging", "logging_fit", "negatives", True),
+        ("generate", "env", "tau", True),
+        ("generate", "env", "label_noise", False),
+        ("fit-logging", "logging_fit", "learning_rate", True),
+        ("fit-logging", "logging_fit", "l2", True),
+        ("train", "training", "learning_rate", True),
     ])
     def test_invalid_section_field(self, tmp_path, capsys, command, section, key, value):
         cfg = write_config(tmp_path, "bad-section-field")

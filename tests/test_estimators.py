@@ -19,7 +19,6 @@ from uips.logging_fit import (
     fit_logging_policy,
 )
 from uips.synthetic import (
-    BanditEnv,
     EnvConfig,
     TabularPolicy,
     build_env,
