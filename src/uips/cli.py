@@ -27,8 +27,10 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from uips import __version__
-from uips.core import LoggedDataset, _integer, _real, make_rng
+from uips.core import LoggedDataset, _integer, _real, _write_json, make_rng
 from uips.estimators import PARAMETERS, UIPS_KINDS, Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, _describe, train, train_policies
 from uips.logging_fit import (
@@ -79,9 +81,7 @@ def write_csv(path: Path, header: Sequence[str], rows: list[tuple], config_hash:
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, obj, indent=2)
 
 
 def load_config(path: str) -> dict:
@@ -159,8 +159,9 @@ def _value(section: dict, key: str, default, build):
 
 
 def _record(section: dict, key: str, cls, default=None):
-    """``cls(**section[key])``, or ``cls(**default)``: the dataclass a JSON object holds."""
-    return _value(section, key, default or {}, lambda obj: cls(**obj))
+    """``cls`` of the JSON object ``section[key]``: the dataclass it holds, each key it
+    lacks taken from ``default`` when ``default`` has it."""
+    return _value(section, key, {}, lambda obj: cls(**{**(default or {}), **obj}))
 
 
 def _count(value) -> int:
@@ -432,6 +433,14 @@ def cmd_ope(resolved: dict) -> None:
     samples_per_context = _value(section, "samples_per_context", 100, _count)
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
     env = _load_env(env_cfg, out)
+    # each drawn log repeats every test context samples_per_context times, and refuses the
+    # first row where its running total of squared context norms overflows
+    with np.errstate(over="ignore"):
+        totals = np.cumsum(np.repeat(np.einsum("ij,ij->i", env.test.xs, env.test.xs), samples_per_context))
+    overflows = np.isinf(totals)
+    if overflows[-1]:
+        raise ConfigError(f"{out / 'env.json'}: test context {overflows.argmax() // samples_per_context}: "
+                          f"{samples_per_context} draws per context add up squared norms past the float range")
     result = ope_mse_experiment(
         env,
         epsilon_greedy_policy(env, epsilon),

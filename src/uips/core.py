@@ -67,9 +67,11 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _write_json(path, obj) -> None:
+def _write_json(path, obj, indent=None) -> None:
+    """``obj`` as JSON with sorted keys and a final newline: on one line, the format of every
+    artifact file, or indented by ``indent`` spaces, the format of the reports."""
     with open(path, "w") as fh:
-        fh.write(_json_line(obj))
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
 
 
 def _read_json(path):

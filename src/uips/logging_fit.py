@@ -103,9 +103,43 @@ class LoggingModel:
         return model
 
 
-def _sigmoid(scores: np.ndarray) -> np.ndarray:
+def _logistic(neg_scores: np.ndarray, out=None) -> np.ndarray:
+    """The sigmoid ``1 / (1 + exp(-s))`` of the scores s whose negations are ``neg_scores``;
+    in place when ``out`` is ``neg_scores``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return 1.0 / (1.0 + np.exp(-scores))
+        out = np.exp(neg_scores, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
+def _logistic_descent(score_rows, xs, action_count: int, fill, steps: int, lr: float, l2: float):
+    """Gradient descent on the logistic scores ``x . theta_a`` of ``action_count`` actions,
+    from theta = 0: the one step loop of both logistic fits of the package.
+
+    Each step writes the negated scores of ``score_rows`` into one buffer and passes it to
+    ``fill``, which returns the loss derivative G, one row per row of ``xs``; then
+    ``theta <- theta - lr * (G' xs / n + l2 * theta)``. The loop keeps ``-theta``, so the
+    scores product yields the negated scores directly; every sign flip is exact, so theta
+    is bit-identical to the plain expressions. The scores, gradient and decay buffers are
+    allocated once. Returns theta and the last step's negated scores, as ``fill`` left
+    them; raises :class:`FitError` as soon as theta is not finite.
+    """
+    n, d = xs.shape
+    neg_theta = np.zeros((action_count, d))
+    scores = np.empty((len(score_rows), action_count))
+    grad = np.empty_like(neg_theta)
+    decay = np.empty_like(neg_theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            np.matmul(score_rows, neg_theta.T, out=scores)
+            np.matmul(fill(scores).T, xs, out=grad)
+            grad /= n
+            grad -= np.multiply(neg_theta, l2, out=decay)
+            grad *= lr
+            neg_theta += grad
+            if not np.isfinite(neg_theta).all():
+                raise FitError("logging fit diverged to non-finite parameters")
+    return -neg_theta, scores
 
 
 def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> LoggingModel:
@@ -118,7 +152,8 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     passes identity Gram matrices through :func:`accumulate_grams` on the
     same log, so they hold the data mass the uncertainties read.
 
-    Each epoch computes the scores on the distinct contexts only, a
+    Each epoch is a step of :func:`_logistic_descent`, the descent that also fits the
+    environment's logging policy. It computes the scores on the distinct contexts only, a
     (distinct, action_count) product, and gathers through a context index
     the cells that carry gradient: the n positives and the n * negatives
     sampled cells. Every other cell of the (n, action_count) loss derivative
@@ -142,7 +177,6 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     rng = make_rng(config.seed)
     n, d = dataset.xs.shape
     a_count = dataset.action_count
-    theta = np.zeros((a_count, d))
     xs = dataset.xs
     acts = dataset.actions
     ux, context = _product_contexts(xs)
@@ -153,11 +187,10 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     context_start = context[:, None] * a_count
     k = min(config.negatives, a_count - 1)
     neg_cells = np.empty(0, dtype=np.intp)
-    scores = np.empty((len(ux), a_count))
-    cell_scores = scores.reshape(-1)
     dloss = np.empty(n * a_count)
-    for _ in range(config.epochs):
-        np.matmul(ux, theta.T, out=scores)
+
+    def fill(neg_scores):
+        nonlocal neg_cells
         dloss.fill(0.0)
         if k > 0:
             # negatives are uniform over non-chosen actions. A cell drawn c times holds
@@ -169,17 +202,15 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
             flat = (negs + row_start).ravel()
             neg_cells = (negs + context_start).ravel()
             np.add.at(dloss, flat, 1.0)
-            dloss[flat] *= _sigmoid(cell_scores[neg_cells])
-        dloss[pos_flat] = _sigmoid(cell_scores[pos_cell]) - 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = dloss.reshape(n, a_count).T @ xs / n + config.l2 * theta
-            theta = theta - config.learning_rate * grad
-        if not np.all(np.isfinite(theta)):
-            raise FitError("logging fit diverged to non-finite parameters")
+            dloss[flat] *= _logistic(np.take(neg_scores, neg_cells))
+        dloss[pos_flat] = _logistic(np.take(neg_scores, pos_cell)) - 1.0
+        return dloss.reshape(n, a_count)
+
+    theta, neg_scores = _logistic_descent(ux, xs, a_count, fill, config.epochs, config.learning_rate, config.l2)
     del dloss
 
     # the loss of the last epoch, from its scores at the pre-step parameters and its negatives
-    p = _sigmoid(scores)
+    p = _logistic(neg_scores, out=neg_scores)
     neg_counts = np.bincount(neg_cells, minlength=p.size).reshape(p.shape)
     loss = float(
         np.mean(-np.log(np.maximum(p[context, acts], TINY)))
@@ -201,6 +232,14 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     return accumulate_grams(dataset, LoggingModel(policy=policy, grams=grams, fit_diagnostics=diagnostics))
 
 
+def _check_matches(dataset: LoggedDataset, model: LoggingModel) -> None:
+    """Refuse a dataset of another dimension or action count than the model's."""
+    if dataset.dim != model.policy.dim:
+        raise ValueError("dataset dimension does not match the model")
+    if dataset.action_count != model.policy.action_count:
+        raise ValueError("dataset action count does not match the model")
+
+
 def accumulate_grams(dataset: LoggedDataset, model: LoggingModel) -> LoggingModel:
     """Add each sample's score-gradient outer product to its action's Gram matrix.
 
@@ -208,10 +247,7 @@ def accumulate_grams(dataset: LoggedDataset, model: LoggingModel) -> LoggingMode
     action's parameter row is x/tau, so the update is rank one per sample
     and order-independent up to floating-point roundoff.
     """
-    if dataset.dim != model.policy.dim:
-        raise ValueError("dataset dimension does not match the model")
-    if dataset.action_count != model.policy.action_count:
-        raise ValueError("dataset action count does not match the model")
+    _check_matches(dataset, model)
     grams = model.grams.copy()
     g = dataset.xs / model.policy.tau
     for a in range(model.policy.action_count):
@@ -223,8 +259,7 @@ def accumulate_grams(dataset: LoggedDataset, model: LoggingModel) -> LoggingMode
 
 def uncertainties(model: LoggingModel, dataset: LoggedDataset) -> np.ndarray:
     """Per-sample uncertainties sqrt(g' M_a^{-1} g), g = x/tau, of the logged (x, a) pairs."""
-    if dataset.dim != model.policy.dim:
-        raise ValueError("dataset dimension does not match the model")
+    _check_matches(dataset, model)
     out = np.empty(len(dataset))
     g = dataset.xs / model.policy.tau
     for a in np.unique(dataset.actions):

@@ -20,6 +20,7 @@ import numpy as np
 from uips.core import (
     LoggedDataset, SoftmaxLinearPolicy, _integer, _json_floats, _read_json, _real, _row_keys, _write_json, make_rng,
 )
+from uips.logging_fit import _logistic, _logistic_descent
 
 
 SPLITS = ("train", "validation", "test")
@@ -188,48 +189,12 @@ def _plant_labels(
     return table
 
 
-def _fit_one_vs_all_logistic(
-    xs: np.ndarray,
-    y: np.ndarray,
-    lr: float = 2.0,
-    iters: int = 400,
-    l2: float = 1e-3,
-) -> np.ndarray:
-    """Full-batch logistic regression scores, one binary problem per column of ``y``.
-
-    Each iteration is ``p = 1 / (1 + exp(-xs @ theta.T))``, then
-    ``theta -= lr * ((p - y).T @ xs / n + l2 * theta)``, run in place on
-    buffers allocated once. The loop keeps ``-theta``, so the scores
-    product yields ``-scores`` directly; every sign flip is exact, so the
-    result is bit-identical to the plain expressions.
-    """
-    n, d = xs.shape
-    neg_theta = np.zeros((y.shape[1], d))
-    s = np.empty((n, y.shape[1]))
-    grad = np.empty_like(neg_theta)
-    decay = np.empty_like(neg_theta)
-    labelled = np.nonzero(y)
-    labels = y[labelled]
-    for _ in range(iters):
-        np.matmul(xs, neg_theta.T, out=s)
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        s[labelled] -= labels
-        np.matmul(s.T, xs, out=grad)
-        grad /= n
-        np.multiply(neg_theta, l2, out=decay)
-        grad -= decay
-        grad *= lr
-        neg_theta += grad
-    return -neg_theta
-
-
 def build_env(config: EnvConfig) -> BanditEnv:
     """Generate contexts, plant labels, and fit the ground-truth logging policy.
 
     The logging scores come from a one-vs-all logistic fit on the train
-    split (so logging favors genuinely relevant actions), then get wrapped
+    split (so logging favors genuinely relevant actions), 400 full-batch
+    steps of :func:`uips.logging_fit._logistic_descent`, then get wrapped
     in a softmax with temperature ``config.tau``. Deterministic per seed.
     """
     rng = make_rng(config.seed)
@@ -241,12 +206,20 @@ def build_env(config: EnvConfig) -> BanditEnv:
         rewards = _plant_labels(rng, xs, scorer, config.min_labels, config.max_labels, config.label_noise)
         splits[name] = Split(xs, rewards)
 
-    theta_star = _fit_one_vs_all_logistic(splits["train"].xs, splits["train"].rewards)
-    logging_policy = SoftmaxLinearPolicy(theta=theta_star, tau=config.tau)
+    train = splits["train"]
+    labelled = np.nonzero(train.rewards)
+    labels = train.rewards[labelled]
 
+    def fill(neg_scores):
+        # the loss derivative p - y, in place on the scores
+        _logistic(neg_scores, out=neg_scores)
+        neg_scores[labelled] -= labels
+        return neg_scores
+
+    theta_star, _ = _logistic_descent(train.xs, train.xs, config.action_count, fill, steps=400, lr=2.0, l2=1e-3)
     return BanditEnv(
         **splits,
-        logging_policy=logging_policy,
+        logging_policy=SoftmaxLinearPolicy(theta=theta_star, tau=config.tau),
         action_count=config.action_count,
         dim=config.dim,
         config=config,

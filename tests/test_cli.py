@@ -147,6 +147,18 @@ class TestPipeline:
         np.testing.assert_array_equal(np.array([float(r[5]) for r in rows]), phi)
         assert [r[6] for r in rows] == ["cap" if c else "first_term" for c in on_cap]
 
+    def test_partial_uips_hp_keeps_the_other_defaults(self, tmp_path):
+        cfg, out = self._generate(tmp_path, "partial-hp")
+        run_ok(["fit-logging", "--config", str(cfg)])
+        columns = []
+        for hp in ({"lam": 50.0}, {"lam": 50.0, "gamma": 5.0, "eta1": 1.0, "eta2": 100.0}):
+            config = json.loads(cfg.read_text())
+            config["inspect"]["uips_hp"] = hp
+            cfg.write_text(json.dumps(config))
+            run_ok(["inspect-weights", "--config", str(cfg)])
+            columns.append([line.split(",")[5] for line in (out / "weights.csv").read_text().splitlines()[2:]])
+        assert columns[0] == columns[1]
+
     def test_inspect_weights_computes_uncertainties_once(self, tmp_path, monkeypatch):
         import uips.estimators
         import uips.logging_fit
@@ -802,6 +814,9 @@ class TestBadInputEntersAsConfigError:
         ("inspect-weights", "logging_model.json", lambda text: json_with(text, 1e-300, "tau"), "tau 1e-300 is not 1.0"),
         ("train", "logging_model.json", lambda text: json_with(text, 2.0, "tau"), "tau 2.0 is not 1.0"),
         ("ope", "env.json", lambda text: json_with(text, 1e300, "test", 0, "x", 0), "contexts must be finite"),
+        # finite alone, 1e308, but the drawn log holds ope.samples_per_context = 10 copies of it
+        ("ope", "env.json", lambda text: json_with(text, 1e154, "test", 0, "x", 0),
+         "test context 0: 10 draws per context add up squared norms past the float range"),
         ("fit-logging", "logged.jsonl",
          lambda text: "".join(
              (json_with(line, 1e300, "x", 0) if i == 1 else line) + "\n" for i, line in enumerate(text.splitlines())
@@ -811,7 +826,7 @@ class TestBadInputEntersAsConfigError:
             "nan-context", "nan-logging-theta", "null-logging-theta", "string-logging-tau", "fractional-relevant",
             "boolean-relevant", "relevant-past-int64", "string-context", "string-action-count", "infinite-gram",
             "boolean-gram", "zero-gram", "negative-gram-diagonal", "nan-model-theta", "tiny-model-tau",
-            "model-tau-2", "huge-context", "huge-logged-context"])
+            "model-tau-2", "huge-context", "test-context-norms-past-float", "huge-logged-context"])
     def test_malformed_input_file_is_a_config_error_naming_it(self, tmp_path, capsys, command, file, damage, message):
         cfg = write_config(tmp_path, "damaged")
         run_ok(["generate", "--config", str(cfg)])

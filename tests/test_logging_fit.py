@@ -204,6 +204,24 @@ class TestAccumulateGrams:
             accumulate_grams(ds, model)
 
 
+@pytest.mark.parametrize("apply", [accumulate_grams, lambda dataset, model: uncertainties(model, dataset)],
+                         ids=["accumulate_grams", "uncertainties"])
+@pytest.mark.parametrize("dim, action_count, last_action, what", [
+    (3, 2, 1, "dimension"),
+    (2, 3, 2, "action count"),
+    (2, 3, 1, "action count"),
+], ids=["dimension", "action-the-model-lacks", "more-actions-than-logged"])
+def test_dataset_of_another_shape_than_the_model_is_refused(apply, dim, action_count, last_action, what):
+    model = LoggingModel(
+        policy=SoftmaxLinearPolicy(theta=np.zeros((2, 2))), grams=np.broadcast_to(np.eye(2), (2, 2, 2)),
+    )
+    ds = LoggedDataset(
+        xs=np.ones((3, dim)), actions=[0, 1, last_action], rewards=np.zeros(3), action_count=action_count,
+    )
+    with pytest.raises(ValueError, match=f"dataset {what} does not match the model"):
+        apply(ds, model)
+
+
 class TestUncertainty:
     def _model_with_gram(self, gram, dim=2, tau=1.0):
         grams = np.broadcast_to(np.eye(dim), (2, dim, dim)).copy()
