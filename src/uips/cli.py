@@ -48,8 +48,6 @@ class ConfigError(Exception):
     """Invalid or missing configuration; maps to exit code 2."""
 
 
-DEFAULT_UIPS_HP = {"lam": 10.0, "gamma": 5.0, "eta1": 1.0, "eta2": 100.0}
-
 #: The keys each config section may hold, and then those of the top level. None leaves
 #: the check to the dataclass the section builds, which refuses a key it has no field for.
 SECTION_KEYS = {
@@ -158,10 +156,9 @@ def _value(section: dict, key: str, default, build):
     return _parse(key, build, section.get(key, default))
 
 
-def _record(section: dict, key: str, cls, default=None):
-    """``cls`` of the JSON object ``section[key]``: the dataclass it holds, each key it
-    lacks taken from ``default`` when ``default`` has it."""
-    return _value(section, key, {}, lambda obj: cls(**{**(default or {}), **obj}))
+def _record(section: dict, key: str, cls):
+    """``cls`` of the JSON object ``section[key]``: the dataclass it holds."""
+    return _value(section, key, {}, lambda obj: cls(**obj))
 
 
 def _count(value) -> int:
@@ -220,6 +217,22 @@ def _load_model(out: Path, env: BanditEnv) -> LoggingModel:
     if shape != expected:
         raise ConfigError(f"{path} has shape {shape}, env.json has {expected}; run the fit-logging subcommand again")
     return model
+
+
+def _refuse_overflowing_draws(path: Path, split: str, xs: np.ndarray, draws: int, every: bool) -> None:
+    """Refuse the ``split`` contexts ``xs`` of the env.json at ``path`` when a log drawn from
+    them can hold a row where :class:`LoggedDataset` refuses its running total of squared
+    context norms. With ``every`` the log holds ``draws`` copies of every context, in order;
+    without, it holds ``draws`` random draws, and its largest total is ``draws`` copies of one."""
+    with np.errstate(over="ignore"):
+        totals = np.einsum("ij,ij->i", xs, xs) * draws
+        if every:
+            totals = np.cumsum(totals)
+    overflows = np.isinf(totals)
+    if overflows.any():
+        draws_text = f"{draws} draws per context" if every else f"{draws} draws of it"
+        raise ConfigError(f"{path}: {split} context {overflows.argmax()}: "
+                          f"{draws_text} add up squared norms past the float range")
 
 
 def cmd_generate(resolved: dict) -> None:
@@ -373,8 +386,10 @@ def cmd_sweep(resolved: dict) -> None:
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
     k_eval = _value(section, "k_eval", 5, _count)
     n_logged = _value(resolved, "n_logged", 5000, _count)
+    env = _load_env(env_cfg, out)
+    _refuse_overflowing_draws(out / "env.json", "train", env.train.xs, n_logged, every=False)
     rows = run_sweep(
-        _load_env(env_cfg, out), methods, resolved.get("training", {}), fit_config,
+        env, methods, resolved.get("training", {}), fit_config,
         seed=seed, k_eval=k_eval, n_logged=n_logged,
     )
     columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
@@ -404,10 +419,10 @@ def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     specs = section.get("estimators")
     if specs is not None:
         return _parse("estimators", _estimators, specs)
-    hp = _record(section, "uips_hp", UipsHyperParams, DEFAULT_UIPS_HP)
-    shrinkage = _value(
-        section, "shrinkage_lam", 10.0, lambda lam: Weighting(kind="shrinkage", lam=float(_real(lam, "lam")))
-    )
+    hp = _record(section, "uips_hp", UipsHyperParams)
+    # the shrinkage rule is phi* at u = 0 and eta1 = eta2 = 1, so it defaults to the same lam
+    shrinkage = _value(section, "shrinkage_lam", UipsHyperParams.lam,
+                       lambda lam: Weighting(kind="shrinkage", lam=float(_real(lam, "lam"))))
     return [
         ("ips_true", Weighting(kind="ips_true")),
         ("bips", Weighting(kind="bips")),
@@ -433,14 +448,7 @@ def cmd_ope(resolved: dict) -> None:
     samples_per_context = _value(section, "samples_per_context", 100, _count)
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
     env = _load_env(env_cfg, out)
-    # each drawn log repeats every test context samples_per_context times, and refuses the
-    # first row where its running total of squared context norms overflows
-    with np.errstate(over="ignore"):
-        totals = np.cumsum(np.repeat(np.einsum("ij,ij->i", env.test.xs, env.test.xs), samples_per_context))
-    overflows = np.isinf(totals)
-    if overflows[-1]:
-        raise ConfigError(f"{out / 'env.json'}: test context {overflows.argmax() // samples_per_context}: "
-                          f"{samples_per_context} draws per context add up squared norms past the float range")
+    _refuse_overflowing_draws(out / "env.json", "test", env.test.xs, samples_per_context, every=True)
     result = ope_mse_experiment(
         env,
         epsilon_greedy_policy(env, epsilon),
@@ -465,7 +473,7 @@ def cmd_inspect_weights(resolved: dict) -> None:
     split = section.get("split", "train")
     if split != "train":
         raise ConfigError(f"invalid split {split!r}: the log is drawn from the train split")
-    hp = _record(section, "uips_hp", UipsHyperParams, DEFAULT_UIPS_HP)
+    hp = _record(section, "uips_hp", UipsHyperParams)
     n_bins = _value(section, "n_bins", 5, _count)
     policy = epsilon_greedy_policy(env, epsilon, split="train")
 

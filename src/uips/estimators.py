@@ -76,7 +76,11 @@ class Weighting:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Weighting":
-        """The weighting of a JSON object; an ``hp`` field its kind does not read is a ValueError."""
+        """The weighting of a JSON object; an ``hp`` field its kind does not read is a ValueError.
+
+        A partial ``hp`` takes its missing fields from the :class:`UipsHyperParams`
+        defaults, as ``ope.uips_hp`` and ``inspect.uips_hp`` do.
+        """
         obj = dict(obj)
         hp = obj.pop("hp", None)
         kind = obj.get("kind")

@@ -51,12 +51,17 @@ GU_UNSCALED_MAX = 700.0
 
 @dataclass(frozen=True)
 class UipsHyperParams:
-    """Weight hyper-parameters: lam, gamma and the two etas."""
+    """Weight hyper-parameters: lam, gamma and the two etas.
 
-    lam: float = 1.0
-    gamma: float = 1.0
+    The field defaults are the one set of defaults for every partial ``hp``
+    or ``uips_hp`` a config gives, and ``lam`` is also the default of
+    ``ope.shrinkage_lam``.
+    """
+
+    lam: float = 10.0
+    gamma: float = 5.0
     eta1: float = 1.0
-    eta2: float = 1.0
+    eta2: float = 100.0
 
     def __post_init__(self):
         for name in ("lam", "gamma", "eta1", "eta2"):

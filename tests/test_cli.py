@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from helpers import assert_train_matches_reference, reference_train
 from uips import cli
 from uips.cli import main, run_sweep
 from uips.core import LoggedDataset
-from uips.estimators import propensity_tables
+from uips.estimators import Weighting, propensity_tables
 from uips.learning import train_policies
 from uips.logging_fit import LoggingFitConfig, LoggingModel, fit_logging_policy, uncertainties
 from uips.synthetic import BanditEnv, EnvConfig, TabularPolicy, build_env, epsilon_greedy_policy
@@ -159,6 +160,21 @@ class TestPipeline:
             columns.append([line.split(",")[5] for line in (out / "weights.csv").read_text().splitlines()[2:]])
         assert columns[0] == columns[1]
 
+    def test_partial_uips_hp_fills_the_same_wherever_it_is_written(self, tmp_path):
+        cfg, out = self._generate(tmp_path, "partial-weighting")
+        run_ok(["fit-logging", "--config", str(cfg)])
+        outputs = []
+        for hp in ({"lam": 50.0}, {"lam": 50.0, "gamma": 5.0, "eta1": 1.0, "eta2": 100.0}):
+            config = json.loads(cfg.read_text())
+            config["training"]["weighting"] = {"kind": "uips", "hp": hp}
+            cfg.write_text(json.dumps(config))
+            run_ok(["train", "--config", str(cfg)])
+            # the first line of trace.csv holds the config hash, which differs
+            outputs.append(((out / "policy.json").read_bytes(), (out / "trace.csv").read_text().splitlines()[1:]))
+        assert outputs[0] == outputs[1]
+        ope_hp = dict(cli._default_ope_estimators({"uips_hp": {"lam": 50.0}}))["uips"].hp
+        assert Weighting.from_dict({"kind": "uips", "hp": {"lam": 50.0}}).hp == ope_hp
+
     def test_inspect_weights_computes_uncertainties_once(self, tmp_path, monkeypatch):
         import uips.estimators
         import uips.logging_fit
@@ -237,6 +253,15 @@ class TestPipeline:
         out = tmp_path / "env-seed"
         assert json.loads((out / "sweep_report.json").read_text())["seed"] == config["env"]["seed"]
         assert json.loads((out / "ope_summary.json").read_text())["seeds"] == [3, 4]
+
+    def test_sweep_accepts_train_contexts_whose_draws_stay_in_the_float_range(self, tmp_path):
+        cfg, out = self._generate(tmp_path, "large-train")
+        env = json.loads((out / "env.json").read_text())
+        # 300 draws of any one context add up to 1.8e307; all 25 contexts, 300 times each, would not fit
+        for row in env["train"]:
+            row["x"] = [math.sqrt(6e304)] + [0.0] * (len(row["x"]) - 1)
+        (out / "env.json").write_text(json.dumps(env))
+        run_ok(["sweep", "--config", str(cfg)])
 
     def test_sweep_and_ope_read_the_generated_env(self, tmp_path, monkeypatch):
         cfg, _ = self._generate(tmp_path, "reads-env")
@@ -817,6 +842,9 @@ class TestBadInputEntersAsConfigError:
         # finite alone, 1e308, but the drawn log holds ope.samples_per_context = 10 copies of it
         ("ope", "env.json", lambda text: json_with(text, 1e154, "test", 0, "x", 0),
          "test context 0: 10 draws per context add up squared norms past the float range"),
+        # the log sweep draws holds n_logged = 300 random draws, which may all be this context
+        ("sweep", "env.json", lambda text: json_with(text, 1e154, "train", 0, "x", 0),
+         "train context 0: 300 draws of it add up squared norms past the float range"),
         ("fit-logging", "logged.jsonl",
          lambda text: "".join(
              (json_with(line, 1e300, "x", 0) if i == 1 else line) + "\n" for i, line in enumerate(text.splitlines())
@@ -826,7 +854,8 @@ class TestBadInputEntersAsConfigError:
             "nan-context", "nan-logging-theta", "null-logging-theta", "string-logging-tau", "fractional-relevant",
             "boolean-relevant", "relevant-past-int64", "string-context", "string-action-count", "infinite-gram",
             "boolean-gram", "zero-gram", "negative-gram-diagonal", "nan-model-theta", "tiny-model-tau",
-            "model-tau-2", "huge-context", "test-context-norms-past-float", "huge-logged-context"])
+            "model-tau-2", "huge-context", "test-context-norms-past-float", "train-context-norms-past-float",
+            "huge-logged-context"])
     def test_malformed_input_file_is_a_config_error_naming_it(self, tmp_path, capsys, command, file, damage, message):
         cfg = write_config(tmp_path, "damaged")
         run_ok(["generate", "--config", str(cfg)])
