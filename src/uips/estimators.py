@@ -2,21 +2,23 @@
 
 Every propensity-style estimator is a sample mean of per-record terms
 w_n * r_n, where w_n = (pi / beta) * phi combines the target/logging
-probability ratio with a method-specific factor phi. :func:`propensity_weights`
-is the one place that turns a :class:`Weighting` into these weights. It
-reads a :class:`PropensityTables`, which :func:`propensity_tables` fills
-once per (dataset, logging model), and the target policy's probabilities
-on the tables' distinct contexts. On environments small enough to
-enumerate every (context, action) outcome of one logged draw, the exact
-bias, variance and mean squared error of these estimators are computed in
-closed form rather than by Monte Carlo, from the same tables built over a
-log that holds every cell of the (context, action) grid.
+probability ratio with a method-specific factor phi.
+:func:`each_propensity_weights` is the one place that turns a list of
+:class:`Weighting` into these weights, and :func:`propensity_weights`
+calls it on a list of one. It reads a :class:`PropensityTables`, which
+:func:`propensity_tables` fills once per (dataset, logging model), and
+the target policy's probabilities on the tables' distinct contexts. On
+environments small enough to enumerate every (context, action) outcome of
+one logged draw, the exact bias, variance and mean squared error of these
+estimators are computed in closed form rather than by Monte Carlo, from
+the same tables built over a log that holds every cell of the (context,
+action) grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -204,23 +206,51 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables, pi_rows: 
     exp(-gamma u) and exp(gamma u) (a uips_o weight that overflows is the
     largest float, or 0 where pi is 0). bips_cap and dice_s clip the weight
     at ``cap``; ce weights every sample 1. snips weights are the bips
-    weights: self-normalization is the caller's aggregation.
+    weights: self-normalization is the caller's aggregation. This is
+    :func:`each_propensity_weights` on a list of one.
     """
-    kind, t = weighting.kind, tables
-    if kind == "ce":
-        return np.ones(len(t.actions))
-    pi_sel = pi_rows[t.rows, t.actions]
-    if kind == "ips_true":
-        if t.true_probs is None:
-            raise ValueError("ips_true weighting needs true logging probabilities")
-        return pi_sel / t.true_probs
-    if kind == "dice_s":
-        return np.minimum(weighting.cap, pi_sel / t.counts)
-    if t.beta_sel is None:
-        raise ValueError(f"{kind} weighting needs a logging model")
-    ratio = pi_sel / t.beta_sel
+    return next(each_propensity_weights([weighting], tables, pi_rows))
+
+
+def each_propensity_weights(
+    weightings: Sequence[Weighting], tables: PropensityTables, pi_rows: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The :func:`propensity_weights` of each of ``weightings`` in turn, on one set of tables.
+
+    The cells' pi and the ratio pi / beta are taken once for all of them,
+    and the exponentials of phi* once per distinct gamma; each weight vector
+    keeps the bits of its own call. One vector is made per step, so a stream
+    of G weightings never holds a (G, n) stack.
+    """
+    t = tables
+    pi_sel = ratio = None
+    exps = {}
+    for weighting in weightings:
+        kind = weighting.kind
+        if kind != "ce" and pi_sel is None:
+            pi_sel = pi_rows[t.rows, t.actions]
+        if kind == "ce":
+            yield np.ones(len(t.actions))
+        elif kind == "ips_true":
+            if t.true_probs is None:
+                raise ValueError("ips_true weighting needs true logging probabilities")
+            yield pi_sel / t.true_probs
+        elif kind == "dice_s":
+            yield np.minimum(weighting.cap, pi_sel / t.counts)
+        elif t.beta_sel is None:
+            raise ValueError(f"{kind} weighting needs a logging model")
+        else:
+            if ratio is None:
+                ratio = pi_sel / t.beta_sel
+            yield _model_weights(weighting, t, pi_rows, ratio, exps)
+
+
+def _model_weights(weighting: Weighting, t: PropensityTables, pi_rows, ratio, exps: dict) -> np.ndarray:
+    """The weights of a kind that reads the logging model, from the cells' ``ratio`` pi / beta."""
+    kind = weighting.kind
     if kind in ("bips", "snips"):
-        return ratio
+        # a copy, so that a caller who writes into it leaves the other weightings' ratio intact
+        return ratio.copy()
     if kind == "bips_cap":
         return np.minimum(weighting.cap, ratio)
     if kind in ("minvar", "stablevar"):
@@ -232,7 +262,7 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables, pi_rows: 
         # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
         phi = np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
     elif kind == "uips":
-        phi, _ = phi_star_vector(ratio, t.us, weighting.hp)
+        phi, _ = phi_star_vector(ratio, t.us, weighting.hp, exps)
     elif kind == "uips_p":
         phi = np.exp(-weighting.hp.gamma * t.us)
     else:
@@ -360,8 +390,9 @@ def ope_mse_experiment(
         model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
         tables = propensity_tables(dataset, model)
         pi_rows = target_policy.distribution_matrix(tables.contexts)
-        for name, weighting in estimators:
-            est = _value(weighting, propensity_weights(weighting, tables, pi_rows), dataset.rewards)
+        stream = each_propensity_weights([weighting for _, weighting in estimators], tables, pi_rows)
+        for (name, weighting), w in zip(estimators, stream):
+            est = _value(weighting, w, dataset.rewards)
             rows.append(
                 {
                     "estimator": name,
@@ -370,12 +401,11 @@ def ope_mse_experiment(
                     "squared_error": (est - truth) ** 2,
                 }
             )
-    summary = {}
-    for name, _ in estimators:
-        errs = [r["squared_error"] for r in rows if r["estimator"] == name]
-        summary[name] = {
-            "mse": float(np.mean(errs)),
-            "std": float(np.std(errs)),
-            "n_seeds": len(errs),
-        }
+    errors = {name: [] for name, _ in estimators}
+    for r in rows:
+        errors[r["estimator"]].append(r["squared_error"])
+    summary = {
+        name: {"mse": float(np.mean(errs)), "std": float(np.std(errs)), "n_seeds": len(errs)}
+        for name, errs in errors.items()
+    }
     return OpeResult(true_value=truth, rows=rows, summary=summary)

@@ -155,9 +155,13 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     Each epoch is a step of :func:`_logistic_descent`, the descent that also fits the
     environment's logging policy. It computes the scores on the distinct contexts only, a
     (distinct, action_count) product, and gathers through a context index
-    the cells that carry gradient: the n positives and the n * negatives
-    sampled cells. Every other cell of the (n, action_count) loss derivative
-    ``dloss`` is exactly zero. The gradient stays one dense product of
+    the sigmoids of the cells that carry gradient: the n positives and the
+    n * negatives sampled cells. When the score table has fewer cells than
+    that, the sigmoid is taken once on the whole table and gathered from it;
+    it is elementwise, so either way a cell gets the same bits. Every other
+    cell of the (n, action_count) loss derivative ``dloss`` is exactly zero:
+    each epoch overwrites the positives and resets only the last epoch's
+    negatives, which are never positives. The gradient stays one dense product of
     ``dloss`` with the contexts of all n rows, which fixes its summation
     order; ``dloss`` is the fit's one (n, action_count) buffer. The loss is
     evaluated once, for the last epoch, after ``dloss`` is freed, from that
@@ -181,29 +185,47 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     acts = dataset.actions
     ux, context = _product_contexts(xs)
 
-    pos_flat = np.arange(n) * a_count + acts
-    pos_cell = context * a_count + acts
-    row_start = np.arange(n)[:, None] * a_count
-    context_start = context[:, None] * a_count
+    row_start = np.arange(n) * a_count
+    context_start = context * a_count
+    pos_flat = row_start + acts
+    pos_cell = context_start + acts
     k = min(config.negatives, a_count - 1)
-    neg_cells = np.empty(0, dtype=np.intp)
-    dloss = np.empty(n * a_count)
+    # one entry per negative, row-major over (row, draw); allocated once
+    neg_acts = np.repeat(acts, k)
+    neg_row_start = np.repeat(row_start, k)
+    neg_context_start = np.repeat(context_start, k)
+    shifted = np.empty(n * k, dtype=bool)
+    # zeros, so that the first epoch's reset writes only the all-zero cell 0
+    flat = np.zeros(n * k, dtype=np.intp)
+    neg_cells = np.empty(n * k, dtype=np.intp)
+    neg_sigma = np.empty(n * k)
+    pos_sigma = np.empty(n)
+    sigma_table = np.empty((len(ux), a_count)) if len(ux) * a_count < n * (k + 1) else None
+    dloss = np.zeros(n * a_count)
+
+    def sigmoids(neg_scores, cells, out):
+        if sigma_table is None:
+            return _logistic(np.take(neg_scores, cells, out=out), out=out)
+        return np.take(sigma_table, cells, out=out)
 
     def fill(neg_scores):
-        nonlocal neg_cells
-        dloss.fill(0.0)
+        if sigma_table is not None:
+            _logistic(neg_scores, out=sigma_table)
         if k > 0:
+            # the last epoch's negatives are the only nonzero cells besides the positives,
+            # which this epoch overwrites and which no negative ever is
+            dloss[flat] = 0.0
             # negatives are uniform over non-chosen actions. A cell drawn c times holds
             # the one product c * sigmoid(score), the dense count product's value there:
             # np.add.at counts c exactly, and dloss[flat] *= gathers before it writes,
             # so every repeated write of a cell stores that same product
-            negs = rng.integers(0, a_count - 1, size=(n, k))
-            negs += negs >= acts[:, None]
-            flat = (negs + row_start).ravel()
-            neg_cells = (negs + context_start).ravel()
+            negs = rng.integers(0, a_count - 1, size=n * k)
+            negs += np.greater_equal(negs, neg_acts, out=shifted)
+            np.add(negs, neg_row_start, out=flat)
+            np.add(negs, neg_context_start, out=neg_cells)
             np.add.at(dloss, flat, 1.0)
-            dloss[flat] *= _logistic(np.take(neg_scores, neg_cells))
-        dloss[pos_flat] = _logistic(np.take(neg_scores, pos_cell)) - 1.0
+            dloss[flat] *= sigmoids(neg_scores, neg_cells, neg_sigma)
+        dloss[pos_flat] = sigmoids(neg_scores, pos_cell, pos_sigma) - 1.0
         return dloss.reshape(n, a_count)
 
     theta, neg_scores = _logistic_descent(ux, xs, a_count, fill, config.epochs, config.learning_rate, config.l2)
@@ -250,10 +272,9 @@ def accumulate_grams(dataset: LoggedDataset, model: LoggingModel) -> LoggingMode
     _check_matches(dataset, model)
     grams = model.grams.copy()
     g = dataset.xs / model.policy.tau
-    for a in range(model.policy.action_count):
-        rows = g[dataset.actions == a]
-        if rows.size:
-            grams[a] += rows.T @ rows
+    for a, idx in _action_groups(dataset.actions, model.policy.action_count):
+        rows = g[idx]
+        grams[a] += rows.T @ rows
     return LoggingModel(policy=model.policy, grams=grams, fit_diagnostics=dict(model.fit_diagnostics))
 
 
@@ -262,12 +283,23 @@ def uncertainties(model: LoggingModel, dataset: LoggedDataset) -> np.ndarray:
     _check_matches(dataset, model)
     out = np.empty(len(dataset))
     g = dataset.xs / model.policy.tau
-    for a in np.unique(dataset.actions):
-        mask = dataset.actions == a
-        rows = g[mask]
+    for a, idx in _action_groups(dataset.actions, model.policy.action_count):
+        rows = g[idx]
         sol = cho_solve(cho_factor(model.grams[a], lower=True), rows.T)
-        out[mask] = np.sqrt(np.maximum(np.einsum("nd,dn->n", rows, sol), 0.0))
+        out[idx] = np.sqrt(np.maximum(np.einsum("nd,dn->n", rows, sol), 0.0))
     return out
+
+
+def _action_groups(actions: np.ndarray, action_count: int):
+    """Each logged action and the indices of its samples, in sample order.
+
+    One stable sort groups the samples, so an action's indices select the
+    same rows in the same order as the mask ``actions == a``.
+    """
+    order = np.argsort(actions, kind="stable")
+    bounds = np.searchsorted(actions[order], np.arange(action_count + 1))
+    for a in np.flatnonzero(np.diff(bounds)):
+        yield a, order[bounds[a]:bounds[a + 1]]
 
 
 def uncertainty_frequency_bins(

@@ -27,6 +27,7 @@ lives with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -75,7 +76,9 @@ class UipsHyperParams:
             raise ValueError("eta1 must be finite and positive, eta2 positive")
 
 
-def phi_star_vector(ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams) -> tuple[np.ndarray, np.ndarray]:
+def phi_star_vector(
+    ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams, exps: Optional[dict] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimax weights for per-sample ratios pi / beta_hat and uncertainties u,
     and where the cap branch gave them.
 
@@ -85,9 +88,29 @@ def phi_star_vector(ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams) -> 
     largest float, so that phi stays finite and a weight ratio * phi is
     never 0 * inf. The caller floors beta_hat where it divides, as
     :func:`uips.estimators.propensity_tables` does.
+
+    ``exps`` shares the exponentials between calls on one uncertainty
+    column ``us``: a dict from gamma to that gamma's terms, filled on first
+    use. Calls that pass the same dict compute them once per distinct
+    gamma, and each call still returns the bits it returns without one.
     """
-    gu = hp.gamma * np.asarray(us, dtype=float)
+    if exps is None:
+        exps = {}
+    if hp.gamma not in exps:
+        exps[hp.gamma] = _exponentials(hp.gamma * np.asarray(us, dtype=float))
+    e_neg, e_pos, scale, e_sum = exps[hp.gamma]
     ratio = np.asarray(ratios, dtype=float)
+    # a denominator that overflows to inf gives a first term of 0, its limit
+    with np.errstate(over="ignore", divide="ignore"):
+        denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
+        first = np.divide(hp.lam * scale, denom, out=np.full_like(denom, np.inf), where=denom > 0)
+    cap = 2.0 * min(hp.eta2, np.finfo(float).max / 2) * scale / e_sum
+    return np.minimum(first, cap), first > cap
+
+
+def _exponentials(gu: np.ndarray) -> tuple:
+    """The terms of phi* that depend on gamma * u alone: e^{-gu} times the scale,
+    e^{min(gu, 700)} (e^{gu} times the scale), the scale, and the sum of the two."""
     e_neg, e_pos = np.exp(-gu), np.minimum(gu, GU_UNSCALED_MAX)
     np.exp(e_pos, out=e_pos)
     scale = 1.0
@@ -95,9 +118,4 @@ def phi_star_vector(ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams) -> 
     if gu.max(initial=0.0) > GU_UNSCALED_MAX:
         scale = np.exp(np.minimum(GU_UNSCALED_MAX - gu, 0.0))
         e_neg *= scale
-    # a denominator that overflows to inf gives a first term of 0, its limit
-    with np.errstate(over="ignore", divide="ignore"):
-        denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
-        first = np.divide(hp.lam * scale, denom, out=np.full_like(denom, np.inf), where=denom > 0)
-    cap = 2.0 * min(hp.eta2, np.finfo(float).max / 2) * scale / (e_pos + e_neg)
-    return np.minimum(first, cap), first > cap
+    return e_neg, e_pos, scale, e_pos + e_neg

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from uips.estimators import (
     exact_bias_variance,
     ope_mse_experiment,
     propensity_tables,
+    propensity_weights,
     snips_from_weights,
 )
 from uips.logging_fit import (
@@ -534,6 +537,43 @@ class TestOpeExperiment:
         b = ope_mse_experiment(env, policy, spec, **kwargs)
         assert a.rows == b.rows
         assert a.summary == b.summary
+
+    def test_rows_equal_a_per_estimator_weights_loop(self):
+        # the experiment takes every estimator's weights from one stream that shares pi / beta
+        # and phi*'s exponentials; each row must equal that of the estimator's own weights
+        env = build_env(SMALL)
+        policy = epsilon_greedy_policy(env, 0.2)
+        uips = [
+            (f"uips[{lam},{gamma},{eta2}]", Weighting(kind="uips", hp=UipsHyperParams(lam, gamma, 1.0, eta2)))
+            for lam in (0.0, 5.0) for gamma in (1.0, 400.0) for eta2 in (100.0, np.inf)
+        ]
+        spec = [
+            ("ce", Weighting(kind="ce")), ("ips_true", Weighting(kind="ips_true")),
+            ("bips", Weighting(kind="bips")), ("snips", Weighting(kind="snips")),
+            ("bips_cap", Weighting(kind="bips_cap", cap=2.0)), ("minvar", Weighting(kind="minvar")),
+            ("stablevar", Weighting(kind="stablevar")), ("shrinkage", Weighting(kind="shrinkage", lam=0.0)),
+            ("uips_p", Weighting(kind="uips_p", hp=UipsHyperParams(gamma=1.0))),
+            ("uips_o", Weighting(kind="uips_o", hp=UipsHyperParams(gamma=1.0))),
+            ("dice_s", Weighting(kind="dice_s", cap=5.0)), *uips, ("bips again", Weighting(kind="bips")),
+        ]
+        seeds, samples, fit_config = [3, 4], 10, LoggingFitConfig(epochs=20, learning_rate=2.0)
+        res = ope_mse_experiment(env, policy, spec, seeds, samples, fit_config)
+
+        truth = true_policy_value(env, policy)
+        rows = []
+        for seed in seeds:
+            dataset = generate_log_per_context(env, samples, make_rng(seed))
+            tables = propensity_tables(dataset, fit_logging_policy(dataset, replace(fit_config, seed=seed)))
+            pi_rows = policy.distribution_matrix(tables.contexts)
+            for name, weighting in spec:
+                w = propensity_weights(weighting, tables, pi_rows)
+                est = (snips_from_weights(w, dataset.rewards) if weighting.kind == "snips"
+                       else float(np.mean(w * dataset.rewards)))
+                rows.append({"estimator": name, "seed": seed, "estimate": est, "squared_error": (est - truth) ** 2})
+        assert res.rows == rows
+        for name, _ in spec:
+            errs = [r["squared_error"] for r in rows if r["estimator"] == name]
+            assert res.summary[name] == {"mse": float(np.mean(errs)), "std": float(np.std(errs)), "n_seeds": 2}
 
     def test_flat_logging_keeps_true_propensity_mse_small(self):
         env = build_env(EnvConfig(tau=1e6, seed=0))

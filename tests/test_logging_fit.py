@@ -103,24 +103,36 @@ def _desk_ope_log():
 class TestFitMatchesDenseReference:
     """The sparse-cell fit reproduces the dense epoch loop bit for bit."""
 
+    # table: whether the (distinct, action_count) score table has fewer cells than the
+    # positives and negatives, so that the fit takes the sigmoid of the whole table; every
+    # case runs at least 3 epochs, so that each epoch after the first resets the last one's
+    # negatives
     @pytest.mark.parametrize(
-        "make_log, config",
+        "make_log, config, table",
         [
-            (_desk_ope_log, LoggingFitConfig(learning_rate=2.0, epochs=4, negatives=5, seed=3)),
-            (lambda: _random_log(20, 300, 300, 6, 10), LoggingFitConfig(epochs=8, negatives=4, seed=1)),
-            (lambda: _random_log(21, 200, 15, 5, 8), LoggingFitConfig(epochs=8, negatives=0, seed=2)),
-            (lambda: _random_log(22, 150, 20, 4, 1), LoggingFitConfig(epochs=8, negatives=5, seed=3)),
-            (lambda: _random_log(23, 150, 20, 4, 2), LoggingFitConfig(epochs=8, negatives=5, seed=4)),
-            (lambda: _random_log(24, 150, 20, 4, 3), LoggingFitConfig(epochs=8, negatives=5, seed=5)),
-            (lambda: _random_log(26, 120, 1, 6, 10), LoggingFitConfig(epochs=8, negatives=5, seed=6)),
-            (lambda: _random_log(27, 1500, 1000, 16, 200), LoggingFitConfig(epochs=4, negatives=5, seed=7)),
-            (lambda: _random_log(29, 300, 10, 14, 1), LoggingFitConfig(epochs=8, negatives=5, seed=9)),
+            (_desk_ope_log, LoggingFitConfig(learning_rate=2.0, epochs=4, negatives=5, seed=3), True),
+            (lambda: _random_log(20, 300, 300, 6, 10), LoggingFitConfig(epochs=8, negatives=4, seed=1), False),
+            (lambda: _random_log(21, 200, 15, 5, 8), LoggingFitConfig(epochs=8, negatives=0, seed=2), True),
+            (lambda: _random_log(22, 150, 20, 4, 1), LoggingFitConfig(epochs=8, negatives=5, seed=3), True),
+            (lambda: _random_log(23, 150, 20, 4, 2), LoggingFitConfig(epochs=8, negatives=5, seed=4), True),
+            (lambda: _random_log(24, 150, 20, 4, 3), LoggingFitConfig(epochs=8, negatives=5, seed=5), True),
+            (lambda: _random_log(26, 120, 1, 6, 10), LoggingFitConfig(epochs=8, negatives=5, seed=6), True),
+            (lambda: _random_log(27, 1500, 1000, 16, 200), LoggingFitConfig(epochs=4, negatives=5, seed=7), False),
+            (lambda: _random_log(29, 300, 10, 14, 1), LoggingFitConfig(epochs=8, negatives=5, seed=9), True),
+            (lambda: _random_log(31, 100, 10**5, 4, 6), LoggingFitConfig(epochs=3, negatives=0, seed=11), False),
+            # negatives above action_count - 1: each row draws action_count - 1 negatives
+            # from as many non-chosen actions, so cells repeat within a row
+            (lambda: _random_log(33, 200, 10, 5, 4), LoggingFitConfig(epochs=4, negatives=9, seed=13), True),
+            (lambda: _random_log(34, 80, 10**5, 5, 4), LoggingFitConfig(epochs=4, negatives=9, seed=14), False),
         ],
         ids=["desk-ope-repeated", "all-distinct", "no-negatives", "one-action", "two-actions",
-             "duplicate-negatives", "one-context", "200-actions-rarely-repeated", "one-action-dim-14"],
+             "duplicate-negatives", "one-context", "200-actions-rarely-repeated", "one-action-dim-14",
+             "no-negatives-all-distinct", "repeated-negatives", "repeated-negatives-all-distinct"],
     )
-    def test_theta_and_diagnostics_are_bit_identical(self, make_log, config):
+    def test_theta_and_diagnostics_are_bit_identical(self, make_log, config, table):
         ds = make_log()
+        k = min(config.negatives, ds.action_count - 1)
+        assert (len(np.unique(ds.xs, axis=0)) * ds.action_count < len(ds) * (k + 1)) == table
         theta, diagnostics = dense_fit_reference(ds, config)
         model = fit_logging_policy(ds, config)
         np.testing.assert_array_equal(model.policy.theta, theta)

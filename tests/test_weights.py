@@ -21,7 +21,7 @@ from oracles import (
 )
 from uips.core import BETA_FLOOR, make_rng
 from uips.estimators import PropensityTables, Weighting, propensity_weights
-from uips.weights import DEFAULT_SWEEP_GRID, UipsHyperParams, phi_star_vector
+from uips.weights import DEFAULT_SWEEP_GRID, GU_UNSCALED_MAX, UipsHyperParams, phi_star_vector
 
 
 class TestPhiStar:
@@ -135,6 +135,29 @@ class TestPhiStar:
         for pi, beta, u in zip(pis.tolist(), betas.tolist(), us.tolist()):
             value, _ = phi_star_branch(WeightInput(pi=pi, beta_hat=beta, u=u), hp)
             assert value == unscaled_vector(np.array([pi]), np.array([beta]), np.array([u]), hp)[0]
+
+
+def test_shared_exponentials_keep_each_weightings_bits():
+    # weightings that share gamma reuse one set of exponentials; every call must still
+    # return the bits of its own call, across the rescaled branch (gamma u > 700), an
+    # infinite eta2 and lam = 0
+    rng = make_rng(23)
+    us = np.concatenate([rng.uniform(0, 3, 300), [0.0, 14.0, 14.5, 200.0]])
+    ratios = np.concatenate([10.0 ** rng.uniform(-4, 3, 300), [0.0, 0.0, 3.0, 1e6]])
+    hps = [
+        UipsHyperParams(lam=lam, gamma=gamma, eta1=eta1, eta2=eta2)
+        for lam in (0.0, 0.5, 10.0)
+        for gamma in (0.1, 50.0, 1.0)
+        for eta1, eta2 in ((0.5, 100.0), (2.0, math.inf), (1.0, 1.0))
+    ]
+    assert (50.0 * us).max() > GU_UNSCALED_MAX
+    exps = {}
+    for hp in hps:
+        phi, on_cap = phi_star_vector(ratios, us, hp, exps)
+        alone, alone_on_cap = phi_star_vector(ratios, us, hp)
+        np.testing.assert_array_equal(phi, alone)
+        np.testing.assert_array_equal(on_cap, alone_on_cap)
+    assert sorted(exps) == [0.1, 1.0, 50.0]
 
 
 class TestMinmaxObjective:
