@@ -133,8 +133,13 @@ def config_hash(resolved: dict) -> str:
 
 
 def _write_report(path: Path, resolved: dict, **fields) -> None:
-    """A JSON report: the resolved config, its hash and the package version, plus ``fields``."""
-    write_json(path, {"config": resolved, "config_hash": config_hash(resolved), "version": __version__, **fields})
+    """A JSON report: the resolved config, its hash and the package version, plus ``fields``.
+
+    A non-finite float, such as an infinite ``eta2`` or ``cap`` in the config, is written as
+    the string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, so that the report is strict
+    JSON; the hash is of the config as given."""
+    report = {"config": resolved, "config_hash": config_hash(resolved), "version": __version__, **fields}
+    write_json(path, json.loads(json.dumps(report), parse_constant=str))
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -418,6 +423,9 @@ def _estimators(specs) -> list[tuple[str, Weighting]]:
 def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     specs = section.get("estimators")
     if specs is not None:
+        for key in ("uips_hp", "shrinkage_lam"):
+            if key in section:
+                raise ConfigError(f"invalid {key}: the ope section sets estimators, which leave it unread")
         return _parse("estimators", _estimators, specs)
     hp = _record(section, "uips_hp", UipsHyperParams)
     # the shrinkage rule is phi* at u = 0 and eta1 = eta2 = 1, so it defaults to the same lam

@@ -63,15 +63,18 @@ def _real(value, what: str):
 
 
 def _json_line(obj) -> str:
-    """``obj`` as one line of JSON with sorted keys: the format of every artifact file."""
-    return json.dumps(obj, sort_keys=True) + "\n"
+    """``obj`` as one line of strict JSON with sorted keys: the format of every artifact
+    file. A non-finite float is a ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_json(path, obj, indent=None) -> None:
-    """``obj`` as JSON with sorted keys and a final newline: on one line, the format of every
-    artifact file, or indented by ``indent`` spaces, the format of the reports."""
+    """``obj`` as strict JSON with sorted keys and a final newline: on one line, the format
+    of every artifact file, or indented by ``indent`` spaces, the format of the reports.
+    A non-finite float is a ValueError."""
+    text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+        fh.write(text)
 
 
 def _read_json(path):

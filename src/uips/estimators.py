@@ -30,7 +30,7 @@ from uips.logging_fit import (
     uncertainties,
 )
 from uips.synthetic import BanditEnv, generate_log_per_context, true_policy_value
-from uips.weights import UipsHyperParams, phi_star_vector
+from uips.weights import UipsHyperParams, _exponentials, _phi_star
 
 #: The hyper-parameters each weighting kind reads, the uips family's from ``hp`` and the
 #: others' from the :class:`Weighting` field of that name.
@@ -217,18 +217,18 @@ def each_propensity_weights(
 ) -> Iterator[np.ndarray]:
     """The :func:`propensity_weights` of each of ``weightings`` in turn, on one set of tables.
 
-    The cells' pi and the ratio pi / beta are taken once for all of them,
-    and the exponentials of phi* once per distinct gamma; each weight vector
-    keeps the bits of its own call. One vector is made per step, so a stream
-    of G weightings never holds a (G, n) stack.
+    The cells' pi and the ratio pi / beta are taken once for all of them, and
+    the terms of phi* that depend on gamma * u once per distinct gamma, which
+    is sound because the tables hold one uncertainty column; each weight
+    vector keeps the bits of its own call. One vector is made per step, so a
+    stream of G weightings never holds a (G, n) stack.
     """
     t = tables
-    pi_sel = ratio = None
-    exps = {}
+    pi_sel = pi_rows[t.rows, t.actions]
+    ratio = None if t.beta_sel is None else pi_sel / t.beta_sel
+    terms = {}
     for weighting in weightings:
-        kind = weighting.kind
-        if kind != "ce" and pi_sel is None:
-            pi_sel = pi_rows[t.rows, t.actions]
+        kind, hp = weighting.kind, weighting.hp
         if kind == "ce":
             yield np.ones(len(t.actions))
         elif kind == "ips_true":
@@ -237,40 +237,34 @@ def each_propensity_weights(
             yield pi_sel / t.true_probs
         elif kind == "dice_s":
             yield np.minimum(weighting.cap, pi_sel / t.counts)
-        elif t.beta_sel is None:
+        elif ratio is None:
             raise ValueError(f"{kind} weighting needs a logging model")
+        elif kind in ("bips", "snips"):
+            # a copy, so that a caller who writes into it leaves the other weightings' ratio intact
+            yield ratio.copy()
+        elif kind == "bips_cap":
+            yield np.minimum(weighting.cap, ratio)
+        elif kind in ("minvar", "stablevar"):
+            pi_f = np.maximum(pi_rows, PI_FLOOR)
+            h = t.beta_rows / pi_f**2 if kind == "minvar" else np.sqrt(t.beta_rows) / pi_f
+            yield ratio * (h / h.sum(axis=1, keepdims=True))[t.rows, t.actions]
+        elif kind == "shrinkage":
+            denom = weighting.lam + ratio**2
+            # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
+            yield ratio * np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
+        elif kind == "uips":
+            if hp.gamma not in terms:
+                terms[hp.gamma] = _exponentials(hp.gamma * t.us)
+            yield ratio * _phi_star(ratio, terms[hp.gamma], hp)[0]
+        elif kind == "uips_p":
+            # uips_p and uips_o take their own exponentials: above gamma u = 700 the shared
+            # terms are rescaled
+            yield ratio * np.exp(-hp.gamma * t.us)
         else:
-            if ratio is None:
-                ratio = pi_sel / t.beta_sel
-            yield _model_weights(weighting, t, pi_rows, ratio, exps)
-
-
-def _model_weights(weighting: Weighting, t: PropensityTables, pi_rows, ratio, exps: dict) -> np.ndarray:
-    """The weights of a kind that reads the logging model, from the cells' ``ratio`` pi / beta."""
-    kind = weighting.kind
-    if kind in ("bips", "snips"):
-        # a copy, so that a caller who writes into it leaves the other weightings' ratio intact
-        return ratio.copy()
-    if kind == "bips_cap":
-        return np.minimum(weighting.cap, ratio)
-    if kind in ("minvar", "stablevar"):
-        pi_f = np.maximum(pi_rows, PI_FLOOR)
-        h = t.beta_rows / pi_f**2 if kind == "minvar" else np.sqrt(t.beta_rows) / pi_f
-        phi = (h / h.sum(axis=1, keepdims=True))[t.rows, t.actions]
-    elif kind == "shrinkage":
-        denom = weighting.lam + ratio**2
-        # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
-        phi = np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
-    elif kind == "uips":
-        phi, _ = phi_star_vector(ratio, t.us, weighting.hp, exps)
-    elif kind == "uips_p":
-        phi = np.exp(-weighting.hp.gamma * t.us)
-    else:
-        # e^{gamma u} overflows above gamma u ~ 709.78
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = ratio * np.exp(weighting.hp.gamma * t.us)
-        return np.minimum(np.where(ratio > 0, w, 0.0), np.finfo(float).max)
-    return ratio * phi
+            # e^{gamma u} overflows above gamma u ~ 709.78
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = ratio * np.exp(hp.gamma * t.us)
+            yield np.minimum(np.where(ratio > 0, w, 0.0), np.finfo(float).max)
 
 
 def snips_from_weights(weights: np.ndarray, rewards: np.ndarray) -> float:

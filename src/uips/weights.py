@@ -19,15 +19,15 @@ plain shrinkage rule lam / (lam + (pi/beta_hat)^2).
 
 ``lam`` plays the role of the (unknowable) scale of the squared-bias term
 and is treated as a fixed constant during learning; only its grid-search
-range ships here, not any online estimate. :func:`phi_star_vector` is the
-one implementation of phi*; the brute-force grid minimizer that checks it
-lives with the tests, in ``tests/oracles.py``.
+range ships here, not any online estimate. :func:`_phi_star` is the one
+implementation of phi*, which :func:`phi_star_vector` and the weight kernel
+:func:`uips.estimators.each_propensity_weights` call; the brute-force grid
+minimizer that checks it lives with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,9 +76,7 @@ class UipsHyperParams:
             raise ValueError("eta1 must be finite and positive, eta2 positive")
 
 
-def phi_star_vector(
-    ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams, exps: Optional[dict] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def phi_star_vector(ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams) -> tuple[np.ndarray, np.ndarray]:
     """Minimax weights for per-sample ratios pi / beta_hat and uncertainties u,
     and where the cap branch gave them.
 
@@ -88,18 +86,14 @@ def phi_star_vector(
     largest float, so that phi stays finite and a weight ratio * phi is
     never 0 * inf. The caller floors beta_hat where it divides, as
     :func:`uips.estimators.propensity_tables` does.
-
-    ``exps`` shares the exponentials between calls on one uncertainty
-    column ``us``: a dict from gamma to that gamma's terms, filled on first
-    use. Calls that pass the same dict compute them once per distinct
-    gamma, and each call still returns the bits it returns without one.
     """
-    if exps is None:
-        exps = {}
-    if hp.gamma not in exps:
-        exps[hp.gamma] = _exponentials(hp.gamma * np.asarray(us, dtype=float))
-    e_neg, e_pos, scale, e_sum = exps[hp.gamma]
-    ratio = np.asarray(ratios, dtype=float)
+    return _phi_star(np.asarray(ratios, dtype=float), _exponentials(hp.gamma * np.asarray(us, dtype=float)), hp)
+
+
+def _phi_star(ratio: np.ndarray, terms: tuple, hp: UipsHyperParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`phi_star_vector` from the :func:`_exponentials` of gamma * u, which a caller
+    holding one uncertainty column can share among the weightings of one gamma."""
+    e_neg, e_pos, scale, e_sum = terms
     # a denominator that overflows to inf gives a first term of 0, its limit
     with np.errstate(over="ignore", divide="ignore"):
         denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos

@@ -212,6 +212,35 @@ class TestPipeline:
             assert lines[0].startswith("# config_hash=") and len(lines[0]) > 20
             assert "," in lines[1]  # header row
 
+    def test_every_json_output_is_strict_with_infinite_hyper_parameters(self, tmp_path):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["output_dir"] = str(tmp_path / "inf")
+        config["ope"]["uips_hp"] = {"eta2": math.inf}
+        config["inspect"]["uips_hp"]["eta2"] = math.inf
+        config["sweep"]["methods"]["bips_cap"]["cap"] = [5, math.inf]
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps(config))
+        for command in ("generate", "fit-logging", "train", "sweep", "ope", "inspect-weights"):
+            run_ok([command, "--config", str(cfg)])
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        outputs = sorted((tmp_path / "inf").glob("*.json"))
+        assert [p.name for p in outputs] == [
+            "env.json", "logging_model.json", "manifest.json", "ope_summary.json", "policy.json",
+            "sweep_report.json", "train_report.json",
+        ]
+        for path in outputs:
+            json.loads(path.read_text(), parse_constant=refuse)
+        summary = json.loads((tmp_path / "inf" / "ope_summary.json").read_text())
+        assert summary["config"]["ope"]["uips_hp"] == {"eta2": "Infinity"}
+        assert summary["config"]["sweep"]["methods"]["bips_cap"]["cap"] == [5, "Infinity"]
+        # the hash is of the config as given, as in the CSVs' comment lines
+        assert summary["config_hash"] == cli.config_hash(config)
+        csv = (tmp_path / "inf" / "ope_results.csv").read_text()
+        assert csv.startswith(f"# config_hash={summary['config_hash']}\n")
+
     def test_ope_outputs_table3_estimator_set(self, tmp_path):
         cfg, out = self._generate(tmp_path, "ope")
         run_ok(["ope", "--config", str(cfg)])
@@ -740,6 +769,17 @@ class TestBadInputEntersAsConfigError:
         cfg.write_text(json.dumps(config))
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
+        assert f"invalid {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("uips_hp", {"lam": 1e9}), ("shrinkage_lam", 7)])
+    def test_ope_refuses_a_key_its_estimators_leave_unread(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "unread")
+        config = json.loads(cfg.read_text())
+        config["ope"].update({"estimators": [{"kind": "bips"}], key: value})
+        cfg.write_text(json.dumps(config))
+        run_ok(["generate", "--config", str(cfg)])
+        capsys.readouterr()
+        assert main(["ope", "--config", str(cfg)]) == 2
         assert f"invalid {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, section, value", [

@@ -20,7 +20,7 @@ from oracles import (
     worst_case_objective,
 )
 from uips.core import BETA_FLOOR, make_rng
-from uips.estimators import PropensityTables, Weighting, propensity_weights
+from uips.estimators import PropensityTables, Weighting, each_propensity_weights, propensity_weights
 from uips.weights import DEFAULT_SWEEP_GRID, GU_UNSCALED_MAX, UipsHyperParams, phi_star_vector
 
 
@@ -138,26 +138,45 @@ class TestPhiStar:
 
 
 def test_shared_exponentials_keep_each_weightings_bits():
-    # weightings that share gamma reuse one set of exponentials; every call must still
-    # return the bits of its own call, across the rescaled branch (gamma u > 700), an
-    # infinite eta2 and lam = 0
+    # a stream of uips weightings takes the exponentials once per gamma; every weight must
+    # still equal ratio * phi* of its own call, across the rescaled branch (gamma u > 700),
+    # an infinite eta2 and lam = 0
     rng = make_rng(23)
     us = np.concatenate([rng.uniform(0, 3, 300), [0.0, 14.0, 14.5, 200.0]])
     ratios = np.concatenate([10.0 ** rng.uniform(-4, 3, 300), [0.0, 0.0, 3.0, 1e6]])
-    hps = [
-        UipsHyperParams(lam=lam, gamma=gamma, eta1=eta1, eta2=eta2)
+    n = len(us)
+    tables = PropensityTables(rows=np.arange(n), actions=np.zeros(n, dtype=int), beta_sel=np.ones(n), us=us)
+    weightings = [
+        Weighting(kind="uips", hp=UipsHyperParams(lam=lam, gamma=gamma, eta1=eta1, eta2=eta2))
         for lam in (0.0, 0.5, 10.0)
         for gamma in (0.1, 50.0, 1.0)
         for eta1, eta2 in ((0.5, 100.0), (2.0, math.inf), (1.0, 1.0))
     ]
-    assert (50.0 * us).max() > GU_UNSCALED_MAX
-    exps = {}
-    for hp in hps:
-        phi, on_cap = phi_star_vector(ratios, us, hp, exps)
-        alone, alone_on_cap = phi_star_vector(ratios, us, hp)
-        np.testing.assert_array_equal(phi, alone)
-        np.testing.assert_array_equal(on_cap, alone_on_cap)
-    assert sorted(exps) == [0.1, 1.0, 50.0]
+    assert (50.0 * us).max() == 10_000.0 > GU_UNSCALED_MAX
+    stream = list(each_propensity_weights(weightings, tables, ratios[:, None]))
+    assert len(stream) == 27
+    for weighting, w in zip(weightings, stream):
+        np.testing.assert_array_equal(w, ratios * phi_star_vector(ratios, us, weighting.hp)[0])
+
+
+def test_a_stream_on_model_free_tables_stops_at_the_first_model_kind():
+    # tables without a logging model serve ce, ips_true and dice_s; the first kind that
+    # reads beta_hat raises where it is reached, after the earlier weights are yielded
+    tables = PropensityTables(
+        rows=np.array([0, 0, 1]), actions=np.array([0, 1, 1]),
+        true_probs=np.array([0.5, 0.5, 0.25]), counts=np.array([0.5, 0.5, 1.0]),
+    )
+    pi_rows = np.array([[0.2, 0.8], [0.6, 0.4]])
+    stream = each_propensity_weights(
+        [Weighting(kind="ce"), Weighting(kind="ips_true"), Weighting(kind="dice_s", cap=1.2),
+         Weighting(kind="bips"), Weighting(kind="ce")],
+        tables, pi_rows,
+    )
+    np.testing.assert_array_equal(next(stream), [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(next(stream), [0.2 / 0.5, 0.8 / 0.5, 0.4 / 0.25])
+    np.testing.assert_array_equal(next(stream), [0.2 / 0.5, 1.2, 0.4])
+    with pytest.raises(ValueError, match="bips weighting needs a logging model"):
+        next(stream)
 
 
 class TestMinmaxObjective:
