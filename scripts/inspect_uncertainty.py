@@ -14,7 +14,7 @@ import numpy as np
 
 from uips.core import make_rng
 from uips.estimators import propensity_tables
-from uips.logging_fit import LoggingFitConfig, fit_logging_policy, uncertainty_frequency_bins
+from uips.logging_fit import N_BINS, LoggingFitConfig, fit_logging_policy, uncertainty_frequency_bins
 from uips.synthetic import EnvConfig, build_env, generate_log
 
 
@@ -23,7 +23,7 @@ def main(argv=None):
     parser.add_argument("--tau", type=float, default=0.5)
     parser.add_argument("--n", type=int, default=5000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bins", type=int, default=5)
+    parser.add_argument("--bins", type=int, default=N_BINS)
     args = parser.parse_args(argv)
 
     env = build_env(EnvConfig(tau=args.tau, seed=args.seed))

@@ -35,7 +35,7 @@ def main(argv=None):
 
     per_method = {name: {"p": [], "r": [], "ndcg": []} for name in methods}
     for seed in range(args.seeds):
-        rows = run_sweep(env, methods, train_section, fit_config, seed=seed, k_eval=5, n_logged=5000)
+        rows = run_sweep(env, methods, train_section, fit_config, seed=seed)
         for row in rows:
             per_method[row["method"]]["p"].append(row["test_p_at_k"])
             per_method[row["method"]]["r"].append(row["test_r_at_k"])

@@ -9,6 +9,10 @@ carry no timestamps, JSON is written with sorted keys, and CSV files start
 with a comment line holding the hash of the resolved config, so identical
 inputs give byte-identical outputs.
 
+Each subcommand parses every setting it reads before it reads, builds or
+fits anything, so a config error stops it before any work; generate, the
+one subcommand that makes the output directory, makes it after that.
+
 Flags --config/--seed/--out work on all of them; --seed overrides every
 section seed in the config, --out overrides the output directory, which
 otherwise comes from the config or the UIPS_OUT_DIR environment variable.
@@ -34,6 +38,7 @@ from uips.core import LoggedDataset, _integer, _real, _write_json, make_rng
 from uips.estimators import PARAMETERS, UIPS_KINDS, Weighting, ope_mse_experiment, propensity_tables
 from uips.learning import TrainConfig, _describe, train, train_policies
 from uips.logging_fit import (
+    N_BINS,
     LoggingFitConfig,
     LoggingModel,
     fit_logging_policy,
@@ -57,6 +62,11 @@ SECTION_KEYS = {
     "inspect": ("epsilon", "split", "n_bins", "uips_hp"),
 }
 CONFIG_KEYS = ("output_dir", "n_logged", "seed", *SECTION_KEYS)
+
+#: The default of the top-level ``n_logged``: the rows generate writes and sweep draws.
+N_LOGGED = 5000
+#: The default ``epsilon`` of the ope and inspect sections' epsilon-greedy target policy.
+EPSILON = 0.2
 
 #: The header of trace.csv: one row per training epoch, as ``learning.train`` records it.
 TRACE_COLUMNS = ("epoch", "value", "p_at_k", "r_at_k", "ndcg_at_k", "grad_norm", "max_weight")
@@ -123,8 +133,9 @@ def resolve_config(config: dict, seed_override, out_override) -> dict:
         resolved["seed"] = seed_override
     if out_override is not None:
         resolved["output_dir"] = out_override
-    if "output_dir" not in resolved:
-        resolved["output_dir"] = os.environ.get("UIPS_OUT_DIR", "uips-out")
+    out = resolved.setdefault("output_dir", os.environ.get("UIPS_OUT_DIR", "uips-out"))
+    if not isinstance(out, str):
+        raise ConfigError(f"invalid output_dir {out!r}: expected a path string")
     return resolved
 
 
@@ -140,12 +151,6 @@ def _write_report(path: Path, resolved: dict, **fields) -> None:
     JSON; the hash is of the config as given."""
     report = {"config": resolved, "config_hash": config_hash(resolved), "version": __version__, **fields}
     write_json(path, json.loads(json.dumps(report), parse_constant=str))
-
-
-def _out_dir(resolved: dict) -> Path:
-    out = Path(resolved["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _parse(what: str, build, value):
@@ -240,11 +245,22 @@ def _refuse_overflowing_draws(path: Path, split: str, xs: np.ndarray, draws: int
                           f"{draws_text} add up squared norms past the float range")
 
 
+def _base_seed(resolved: dict, env_cfg: EnvConfig) -> int:
+    """The top-level ``seed``, which seeds the log sweep draws and starts the ope seeds;
+    it defaults to ``env.seed``."""
+    return _value(resolved, "seed", env_cfg.seed, _integer)
+
+
 def cmd_generate(resolved: dict) -> None:
-    out = _out_dir(resolved)
     env_cfg = _record(resolved, "env", EnvConfig)
+    n_logged = _value(resolved, "n_logged", N_LOGGED, _count)
+    # the one subcommand that makes the output directory; the others read env.json from it
+    out = Path(resolved["output_dir"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"invalid output_dir {str(out)!r}: {exc.strerror}") from exc
     env = build_env(env_cfg)
-    n_logged = _value(resolved, "n_logged", 5000, _count)
     dataset = generate_log(env, n_logged, make_rng(env_cfg.seed))
     env.save(out / "env.json")
     dataset.to_jsonl(out / "logged.jsonl")
@@ -262,9 +278,9 @@ def cmd_generate(resolved: dict) -> None:
 
 
 def cmd_fit_logging(resolved: dict) -> None:
-    out = _out_dir(resolved)
-    env, dataset = _load_log(resolved, out)
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
+    out = Path(resolved["output_dir"])
+    env, dataset = _load_log(resolved, out)
     model = fit_logging_policy(dataset, fit_config)
     model.save(out / "logging_model.json")
 
@@ -278,11 +294,11 @@ def _train_config(section: dict, **fields) -> TrainConfig:
 
 
 def cmd_train(resolved: dict) -> None:
-    out = _out_dir(resolved)
     section = resolved.get("training", {})
-    spec = section.get("weighting", {"kind": "bips"})
-    weighting = _parse(f"weighting spec {spec}", Weighting.from_dict, spec)
+    spec = section.get("weighting", TrainConfig.weighting)
+    weighting = spec if spec is TrainConfig.weighting else _parse(f"weighting spec {spec}", Weighting.from_dict, spec)
     config = _train_config(section, weighting=weighting)
+    out = Path(resolved["output_dir"])
     env, dataset = _load_log(resolved, out)
     model = _load_model(out, env)
     policy, trace = train(dataset, model, config, env=env)
@@ -291,7 +307,7 @@ def cmd_train(resolved: dict) -> None:
     write_csv(out / "trace.csv", TRACE_COLUMNS, rows, config_hash(resolved))
     p, r, ndcg = evaluate_policy(policy, env.test, config.k_eval)
     _write_report(
-        out / "train_report.json", resolved, seed=config.seed, weighting=weighting.kind,
+        out / "train_report.json", resolved, seed=config.seed, weighting=config.weighting.kind,
         test_p_at_k=p, test_r_at_k=r, test_ndcg_at_k=ndcg,
     )
 
@@ -320,8 +336,8 @@ def run_sweep(
     train_section: dict,
     fit_config: LoggingFitConfig,
     seed: int,
-    k_eval: int = 5,
-    n_logged: int = 5000,
+    k_eval: int = TrainConfig.k_eval,
+    n_logged: int = N_LOGGED,
 ) -> list[dict]:
     """Grid sweep: train every grid point, select per method by validation NDCG.
 
@@ -338,6 +354,13 @@ def run_sweep(
     the log has the ``n_logged`` rows of the argument, the grid sets the
     weighting, and the arguments set the seed and ``k_eval``.
     """
+    return _sweep(env, _sweep_points(methods, train_section, seed, k_eval), fit_config, seed, k_eval, n_logged)
+
+
+def _sweep_points(methods, train_section: dict, seed: int, k_eval: int) -> list[tuple[str, TrainConfig]]:
+    """Each (method, training config) of the grids of ``methods``, in grid order."""
+    if not methods or not isinstance(methods, dict):
+        raise ConfigError("sweep section needs a non-empty methods map")
     base = _train_config(train_section, seed=seed, k_eval=k_eval)
     points = []
     for method, grid in methods.items():
@@ -353,6 +376,11 @@ def run_sweep(
                     "training section", lambda rate: replace(base, weighting=weighting, learning_rate=rate), lr
                 )
                 points.append((method, config))
+    return points
+
+
+def _sweep(env: BanditEnv, points, fit_config: LoggingFitConfig, seed: int, k_eval: int, n_logged: int) -> list[dict]:
+    """The leaderboard rows of :func:`run_sweep` for the parsed grid ``points``."""
     dataset = generate_log(env, n_logged, make_rng(seed))
     model = fit_logging_policy(dataset, replace(fit_config, seed=seed))
     configs = [config for _, config in points]
@@ -381,22 +409,17 @@ def run_sweep(
 
 
 def cmd_sweep(resolved: dict) -> None:
-    out = _out_dir(resolved)
     section = resolved.get("sweep", {})
-    methods = section.get("methods")
-    if not methods or not isinstance(methods, dict):
-        raise ConfigError("sweep section needs a non-empty methods map")
     env_cfg = _record(resolved, "env", EnvConfig)
-    seed = _value(resolved, "seed", env_cfg.seed, _integer)
+    seed = _base_seed(resolved, env_cfg)
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
-    k_eval = _value(section, "k_eval", 5, _count)
-    n_logged = _value(resolved, "n_logged", 5000, _count)
+    k_eval = _value(section, "k_eval", TrainConfig.k_eval, _count)
+    n_logged = _value(resolved, "n_logged", N_LOGGED, _count)
+    points = _sweep_points(section.get("methods"), resolved.get("training", {}), seed, k_eval)
+    out = Path(resolved["output_dir"])
     env = _load_env(env_cfg, out)
     _refuse_overflowing_draws(out / "env.json", "train", env.train.xs, n_logged, every=False)
-    rows = run_sweep(
-        env, methods, resolved.get("training", {}), fit_config,
-        seed=seed, k_eval=k_eval, n_logged=n_logged,
-    )
+    rows = _sweep(env, points, fit_config, seed, k_eval, n_logged)
     columns = ["method", "selected_params", "val_ndcg_at_k", "test_p_at_k", "test_r_at_k", "test_ndcg_at_k", "seed"]
     rows_out = [tuple(r[k] for k in columns) for r in rows]
     write_csv(out / "leaderboard.csv", columns, rows_out, config_hash(resolved))
@@ -414,6 +437,8 @@ def _estimators(specs) -> list[tuple[str, Weighting]]:
         name = weighting.kind if name is None else name
         if not isinstance(name, str):
             raise TypeError(f"estimator name {name!r} is not a string")
+        if name.startswith("#") or any(c in name for c in ",\n\r"):
+            raise ValueError(f"estimator name {name!r} would break a row of ope_results.csv")
         if name in dict(estimators):
             raise ValueError(f"two estimators are named {name!r}")
         estimators.append((name, weighting))
@@ -431,30 +456,26 @@ def _default_ope_estimators(section: dict) -> list[tuple[str, Weighting]]:
     # the shrinkage rule is phi* at u = 0 and eta1 = eta2 = 1, so it defaults to the same lam
     shrinkage = _value(section, "shrinkage_lam", UipsHyperParams.lam,
                        lambda lam: Weighting(kind="shrinkage", lam=float(_real(lam, "lam"))))
-    return [
-        ("ips_true", Weighting(kind="ips_true")),
-        ("bips", Weighting(kind="bips")),
-        ("minvar", Weighting(kind="minvar")),
-        ("stablevar", Weighting(kind="stablevar")),
-        ("shrinkage", shrinkage),
-        ("uips", Weighting(kind="uips", hp=hp)),
-    ]
+    # each named after its kind, as an ope.estimators entry without a name is
+    weightings = [*(Weighting(kind=kind) for kind in ("ips_true", "bips", "minvar", "stablevar")), shrinkage,
+                  Weighting(kind="uips", hp=hp)]
+    return [(weighting.kind, weighting) for weighting in weightings]
 
 
 def cmd_ope(resolved: dict) -> None:
-    out = _out_dir(resolved)
     section = resolved.get("ope", {})
-    epsilon = _value(section, "epsilon", 0.2, _probability)
+    epsilon = _value(section, "epsilon", EPSILON, _probability)
     env_cfg = _record(resolved, "env", EnvConfig)
     seeds = section.get("seeds")
     if seeds is None:
-        base = _value(resolved, "seed", env_cfg.seed, _integer)
+        base = _base_seed(resolved, env_cfg)
         seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
     else:
         seeds = _parse("seeds", lambda s: [_integer(v) for v in _list(s)], seeds)
     estimators = _default_ope_estimators(section)
     samples_per_context = _value(section, "samples_per_context", 100, _count)
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)
+    out = Path(resolved["output_dir"])
     env = _load_env(env_cfg, out)
     _refuse_overflowing_draws(out / "env.json", "test", env.test.xs, samples_per_context, every=True)
     result = ope_mse_experiment(
@@ -473,16 +494,16 @@ def cmd_ope(resolved: dict) -> None:
 
 
 def cmd_inspect_weights(resolved: dict) -> None:
-    out = _out_dir(resolved)
-    env, dataset = _load_log(resolved, out)
-    model = _load_model(out, env)
     section = resolved.get("inspect", {})
-    epsilon = _value(section, "epsilon", 0.2, _probability)
+    epsilon = _value(section, "epsilon", EPSILON, _probability)
     split = section.get("split", "train")
     if split != "train":
         raise ConfigError(f"invalid split {split!r}: the log is drawn from the train split")
     hp = _record(section, "uips_hp", UipsHyperParams)
-    n_bins = _value(section, "n_bins", 5, _count)
+    n_bins = _value(section, "n_bins", N_BINS, _count)
+    out = Path(resolved["output_dir"])
+    env, dataset = _load_log(resolved, out)
+    model = _load_model(out, env)
     policy = epsilon_greedy_policy(env, epsilon, split="train")
 
     tables = propensity_tables(dataset, model)

@@ -201,7 +201,8 @@ def propensity_weights(weighting: Weighting, tables: PropensityTables, pi_rows: 
     ips_true, the count propensity for dice_s and the floored estimate
     otherwise. phi is 1 except for minvar and stablevar, which normalize a
     score h over every action of the context (h = beta/pi^2 and h =
-    sqrt(beta)/pi respectively), shrinkage, lam / (lam + (pi/beta)^2), and
+    sqrt(beta)/pi respectively), shrinkage, lam / (lam + (pi/beta)^2), which
+    is phi* at u = 0 and eta1 = eta2 = 1, and
     the uips family: the minimax weight or its uncertainty-only variants
     exp(-gamma u) and exp(gamma u) (a uips_o weight that overflows is the
     largest float, or 0 where pi is 0). bips_cap and dice_s clip the weight
@@ -248,11 +249,10 @@ def each_propensity_weights(
             pi_f = np.maximum(pi_rows, PI_FLOOR)
             h = t.beta_rows / pi_f**2 if kind == "minvar" else np.sqrt(t.beta_rows) / pi_f
             yield ratio * (h / h.sum(axis=1, keepdims=True))[t.rows, t.actions]
-        elif kind == "shrinkage":
-            denom = weighting.lam + ratio**2
-            # lam = 0 makes 0/0 at ratio = 0, where the weight ratio * phi is 0 anyway
-            yield ratio * np.divide(weighting.lam, denom, out=np.zeros_like(ratio), where=denom > 0)
-        elif kind == "uips":
+        elif kind in ("shrinkage", "uips"):
+            if kind == "shrinkage":
+                # the shrinkage rule lam / (lam + ratio^2) is phi* at u = 0 and eta1 = eta2 = 1
+                hp = UipsHyperParams(lam=weighting.lam, gamma=0.0, eta1=1.0, eta2=1.0)
             if hp.gamma not in terms:
                 terms[hp.gamma] = _exponentials(hp.gamma * t.us)
             yield ratio * _phi_star(ratio, terms[hp.gamma], hp)[0]

@@ -17,7 +17,7 @@ alone. A single training run is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 40
     batch_size: int = 500
-    weighting: Weighting = field(default_factory=lambda: Weighting(kind="bips"))
+    weighting: Weighting = Weighting(kind="bips")
     seed: int = 0
     eval_every: int = 1
     k_eval: int = 5

@@ -22,6 +22,10 @@ from uips.core import (
     make_rng,
 )
 
+#: The default number of frequency bins of :func:`uncertainty_frequency_bins` and of
+#: ``inspect.n_bins``.
+N_BINS = 5
+
 
 class FitError(RuntimeError):
     """Raised when the logging fit diverges to non-finite parameters."""
@@ -303,7 +307,7 @@ def _action_groups(actions: np.ndarray, action_count: int):
 
 
 def uncertainty_frequency_bins(
-    dataset: LoggedDataset, us: np.ndarray, n_bins: int = 5
+    dataset: LoggedDataset, us: np.ndarray, n_bins: int = N_BINS
 ) -> list[dict]:
     """Mean per-sample uncertainty ``us``, binned by the logged frequency of the action.
 

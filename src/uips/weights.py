@@ -80,7 +80,7 @@ def phi_star_vector(ratios: np.ndarray, us: np.ndarray, hp: UipsHyperParams) -> 
     """Minimax weights for per-sample ratios pi / beta_hat and uncertainties u,
     and where the cap branch gave them.
 
-    Returns ``(phi, on_cap)``; a tie goes to the first term. Finite and
+    Returns ``(phi, on_cap)``; a tie goes to the first term, and at lam = 0 phi is 0. Finite and
     within [0, 2 * eta2] for any valid input, including a gamma*u large
     enough that e^{gamma u} overflows. An infinite eta2 counts as half the
     largest float, so that phi stays finite and a weight ratio * phi is
@@ -94,10 +94,12 @@ def _phi_star(ratio: np.ndarray, terms: tuple, hp: UipsHyperParams) -> tuple[np.
     """:func:`phi_star_vector` from the :func:`_exponentials` of gamma * u, which a caller
     holding one uncertainty column can share among the weightings of one gamma."""
     e_neg, e_pos, scale, e_sum = terms
-    # a denominator that overflows to inf gives a first term of 0, its limit
+    # a denominator that overflows to inf gives a first term of 0, its limit; one that is 0
+    # (ratio * ratio is 0, and so is lam or e^{-gu}) gives inf, the limit for lam > 0, and at
+    # lam = 0 the first term is 0 on every cell
     with np.errstate(over="ignore", divide="ignore"):
         denom = (hp.lam / hp.eta1) * e_neg + hp.eta1 * ratio * ratio * e_pos
-        first = np.divide(hp.lam * scale, denom, out=np.full_like(denom, np.inf), where=denom > 0)
+        first = np.divide(hp.lam * scale, denom, out=np.full_like(denom, np.inf if hp.lam else 0.0), where=denom > 0)
     cap = 2.0 * min(hp.eta2, np.finfo(float).max / 2) * scale / e_sum
     return np.minimum(first, cap), first > cap
 

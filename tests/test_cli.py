@@ -1004,3 +1004,98 @@ class TestBadInputEntersAsConfigError:
             assert main([command, "--config", str(cfg)]) == 2
             assert "logged.jsonl: contexts have length 5" in capsys.readouterr().err
         assert not (tmp_path / "short" / "logging_model.json").exists()
+
+
+class TestSettingsBeforeWork:
+    """Every subcommand parses its settings before it makes the output directory or reads,
+    builds or fits anything."""
+
+    @pytest.mark.parametrize("name", ["bips,capped", "a\nb", "a\rb", "#bips"])
+    def test_estimator_name_that_breaks_a_csv_row(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, "names")
+        run_ok(["generate", "--config", str(cfg)])
+        cfg.write_text(json_with(cfg.read_text(), [{"kind": "bips", "name": name}], "ope", "estimators"))
+        capsys.readouterr()
+        assert main(["ope", "--config", str(cfg)]) == 2
+        assert f"invalid estimators: estimator name {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "names" / "ope_results.csv").exists()
+
+    def test_output_dir_that_is_not_a_string(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "unused")
+        cfg.write_text(json_with(cfg.read_text(), 5, "output_dir"))
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "invalid output_dir 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_output_path_in_the_place_of_a_file(self, tmp_path, capsys, below):
+        cfg = write_config(tmp_path, "unused")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        target = afile / "sub" if below else afile
+        assert main(["generate", "--config", str(cfg), "--out", str(target)]) == 2
+        assert f"invalid output_dir {str(target)!r}" in capsys.readouterr().err
+        assert afile.read_text() == ""
+
+    def test_generate_reads_n_logged_before_building_the_env(self, tmp_path, capsys, monkeypatch):
+        def no_build(config):
+            raise AssertionError("generate built the environment")
+
+        monkeypatch.setattr("uips.cli.build_env", no_build)
+        cfg = write_config(tmp_path, "early")
+        cfg.write_text(json_with(cfg.read_text(), 0, "n_logged"))
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "invalid n_logged" in capsys.readouterr().err
+        assert not (tmp_path / "early").exists()
+
+    def test_fit_logging_reads_its_section_before_the_log(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "nolog")
+        cfg.write_text(json_with(cfg.read_text(), 0, "logging_fit", "epochs"))
+        assert main(["fit-logging", "--config", str(cfg)]) == 2
+        assert "invalid logging_fit" in capsys.readouterr().err
+
+    def test_inspect_weights_reads_its_section_before_the_model(self, tmp_path, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError("inspect-weights read the logging model")
+
+        monkeypatch.setattr("uips.cli.LoggingModel.load", no_load)
+        cfg = write_config(tmp_path, "split")
+        run_ok(["generate", "--config", str(cfg)])
+        run_ok(["fit-logging", "--config", str(cfg)])
+        cfg.write_text(json_with(cfg.read_text(), "test", "inspect", "split"))
+        capsys.readouterr()
+        assert main(["inspect-weights", "--config", str(cfg)]) == 2
+        assert "invalid split 'test'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, value", [
+        ("generate", ("n_logged",), 0),
+        ("fit-logging", ("logging_fit", "epochs"), 0),
+        ("train", ("training", "epochs"), 0),
+        ("train", ("env", "dim"), 0),
+        ("sweep", ("sweep", "k_eval"), 0),
+        ("sweep", ("sweep", "methods"), {"bips": {"cap": [5]}}),
+        ("ope", ("ope", "epsilon"), 2),
+        ("inspect-weights", ("inspect", "split"), "test"),
+    ])
+    def test_no_output_directory_before_the_settings_parse(self, tmp_path, capsys, command, path, value):
+        cfg = write_config(tmp_path, "never")
+        cfg.write_text(json_with(cfg.read_text(), value, *path))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "invalid" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("command, home, value, output, read", [
+        ("generate", "N_LOGGED", 40, "manifest.json", lambda text: json.loads(text)["n_logged"]),
+        ("ope", "EPSILON", 0.5, "ope_summary.json", lambda text: json.loads(text)["epsilon"]),
+        ("inspect-weights", "N_BINS", 2, "uncertainty_bins.csv", lambda text: len(text.splitlines()) - 2),
+    ])
+    def test_each_default_is_read_from_its_home(self, tmp_path, monkeypatch, command, home, value, output, read):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["output_dir"] = str(tmp_path / "homes")
+        del config["n_logged"], config["ope"]["epsilon"], config["inspect"]["n_bins"]
+        cfg = tmp_path / "homes.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setattr(cli, home, value)
+        for earlier in {"ope": ["generate"], "inspect-weights": ["generate", "fit-logging"]}.get(command, []):
+            run_ok([earlier, "--config", str(cfg)])
+        run_ok([command, "--config", str(cfg)])
+        assert read((tmp_path / "homes" / output).read_text()) == value

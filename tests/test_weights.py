@@ -159,6 +159,27 @@ def test_shared_exponentials_keep_each_weightings_bits():
         np.testing.assert_array_equal(w, ratios * phi_star_vector(ratios, us, weighting.hp)[0])
 
 
+
+def test_shrinkage_is_phi_star_without_uncertainty_bit_for_bit():
+    # the shrinkage kind runs phi* at gamma = 0 and eta1 = eta2 = 1; its weights keep the bits of
+    # the closed form ratio * lam / (lam + ratio^2), 0 where that is 0 / 0, also where ratio^2
+    # underflows or overflows; at lam = 0 phi* is 0 on every cell, so both rules weigh 0
+    rng = make_rng(29)
+    ratios = np.concatenate([10.0 ** rng.uniform(-330, 200, 400), [0.0, 1e-200, 5e-324, 1e200]])
+    n = len(ratios)
+    tables = PropensityTables(rows=np.arange(n), actions=np.zeros(n, dtype=int), beta_sel=np.ones(n),
+                              us=rng.uniform(0, 3, n))
+    for lam in (0.0, 1e-300, 0.5, 10.0, 1e12, 1e300):
+        with np.errstate(over="ignore"):
+            denom = lam + ratios**2
+            expected = ratios * np.divide(lam, denom, out=np.zeros(n), where=denom > 0)
+            w = propensity_weights(Weighting(kind="shrinkage", lam=lam), tables, ratios[:, None])
+        np.testing.assert_array_equal(w, expected)
+    phi, on_cap = phi_star_vector(ratios, tables.us, UipsHyperParams(lam=0.0))
+    np.testing.assert_array_equal(phi, np.zeros(n))
+    assert not on_cap.any()
+
+
 def test_a_stream_on_model_free_tables_stops_at_the_first_model_kind():
     # tables without a logging model serve ce, ips_true and dice_s; the first kind that
     # reads beta_hat raises where it is reached, after the earlier weights are yielded
