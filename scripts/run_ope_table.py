@@ -11,6 +11,7 @@ Usage: python scripts/run_ope_table.py [--seeds 20] [--out ope_table.csv]
 import argparse
 import sys
 
+from uips.cli import EPSILON
 from uips.estimators import Weighting, ope_mse_experiment
 from uips.logging_fit import LoggingFitConfig
 from uips.synthetic import EnvConfig, build_env, epsilon_greedy_policy
@@ -55,7 +56,7 @@ def main(argv=None):
     rows = []
     for tau in (0.5, 1.0, 2.0):
         env = build_env(EnvConfig(tau=tau, seed=0))
-        policy = epsilon_greedy_policy(env, 0.2)
+        policy = epsilon_greedy_policy(env, EPSILON)
         result = ope_mse_experiment(
             env, policy, estimator_specs(), seeds=list(range(args.seeds)),
             samples_per_context=args.samples_per_context,

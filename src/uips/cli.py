@@ -472,6 +472,8 @@ def cmd_ope(resolved: dict) -> None:
         seeds = list(range(base, base + _value(section, "n_seeds", 20, _count)))
     else:
         seeds = _parse("seeds", lambda s: [_integer(v) for v in _list(s)], seeds)
+        if "n_seeds" in section:
+            raise ConfigError("invalid n_seeds: the ope section sets seeds, which leave it unread")
     estimators = _default_ope_estimators(section)
     samples_per_context = _value(section, "samples_per_context", 100, _count)
     fit_config = _record(resolved, "logging_fit", LoggingFitConfig)

@@ -27,6 +27,18 @@ from uips.core import (
 N_BINS = 5
 
 
+#: The most (row, action) cells of the logging fit's loss derivative whose negatives and
+#: positives its fill writes as one block: 2**16 cells are 512 KB, so that the reset, the
+#: adds and the positives' writes of a block hit cache.
+_FILL_BLOCK_CELLS = 2**16
+
+#: The most negatives per row whose sigmoids the logging fit's fill adds directly. From
+#: 0.0, c sequential adds of a double s round as the one product c * s for c <= 5: 2s and
+#: 4s are exact, fl(3s) + s is 4s, and 3s and 5s each round once. Six adds can differ
+#: from 6s.
+_DIRECT_ADDS = 5
+
+
 class FitError(RuntimeError):
     """Raised when the logging fit diverges to non-finite parameters."""
 
@@ -165,8 +177,18 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     it is elementwise, so either way a cell gets the same bits. Every other
     cell of the (n, action_count) loss derivative ``dloss`` is exactly zero:
     each epoch overwrites the positives and resets only the last epoch's
-    negatives, which are never positives. The gradient stays one dense product of
-    ``dloss`` with the contexts of all n rows, which fixes its summation
+    negatives, which are never positives. A negative cell drawn c times must
+    hold c times its sigmoid, as the dense count product does. With at most
+    ``_DIRECT_ADDS`` (5) negatives per row the fill adds the sigmoid to the
+    reset cell once per draw, in one scattered add, which rounds as that
+    product does (the constant gives the argument); with more it counts the
+    draws and scales each cell by its sigmoid. The RNG draw and the sigmoid
+    gathers run once per epoch; the reset, the adds and the positives' writes
+    then run over blocks of rows of at most ``_FILL_BLOCK_CELLS`` cells, so
+    that each block's scatters hit cache. Before the first epoch each draw's
+    last cell is its row's first cell, so the first reset writes only zeros of
+    the block's own rows. The gradient stays one dense product of ``dloss``
+    with the contexts of all n rows, which fixes its summation
     order; ``dloss`` is the fit's one (n, action_count) buffer. The loss is
     evaluated once, for the last epoch, after ``dloss`` is freed, from that
     epoch's scores and a (distinct, action_count) table of the negatives'
@@ -199,13 +221,17 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
     neg_row_start = np.repeat(row_start, k)
     neg_context_start = np.repeat(context_start, k)
     shifted = np.empty(n * k, dtype=bool)
-    # zeros, so that the first epoch's reset writes only the all-zero cell 0
-    flat = np.zeros(n * k, dtype=np.intp)
+    # each draw's own row start, so that the first epoch's reset writes only cells of the
+    # block's own rows, which are still zero
+    flat = neg_row_start.copy()
     neg_cells = np.empty(n * k, dtype=np.intp)
     neg_sigma = np.empty(n * k)
-    pos_sigma = np.empty(n)
+    pos_dloss = np.empty(n)
     sigma_table = np.empty((len(ux), a_count)) if len(ux) * a_count < n * (k + 1) else None
     dloss = np.zeros(n * a_count)
+    block = max(1, _FILL_BLOCK_CELLS // a_count)
+    # (rows, negatives) of each block of rows
+    blocks = [(slice(r, r + block), slice(r * k, (r + block) * k)) for r in range(0, n, block)]
 
     def sigmoids(neg_scores, cells, out):
         if sigma_table is None:
@@ -216,20 +242,29 @@ def fit_logging_policy(dataset: LoggedDataset, config: LoggingFitConfig) -> Logg
         if sigma_table is not None:
             _logistic(neg_scores, out=sigma_table)
         if k > 0:
-            # the last epoch's negatives are the only nonzero cells besides the positives,
-            # which this epoch overwrites and which no negative ever is
-            dloss[flat] = 0.0
-            # negatives are uniform over non-chosen actions. A cell drawn c times holds
-            # the one product c * sigmoid(score), the dense count product's value there:
-            # np.add.at counts c exactly, and dloss[flat] *= gathers before it writes,
-            # so every repeated write of a cell stores that same product
+            # negatives are uniform over non-chosen actions
             negs = rng.integers(0, a_count - 1, size=n * k)
             negs += np.greater_equal(negs, neg_acts, out=shifted)
-            np.add(negs, neg_row_start, out=flat)
             np.add(negs, neg_context_start, out=neg_cells)
-            np.add.at(dloss, flat, 1.0)
-            dloss[flat] *= sigmoids(neg_scores, neg_cells, neg_sigma)
-        dloss[pos_flat] = sigmoids(neg_scores, pos_cell, pos_sigma) - 1.0
+            sigmoids(neg_scores, neg_cells, neg_sigma)
+        np.subtract(sigmoids(neg_scores, pos_cell, pos_dloss), 1.0, out=pos_dloss)
+        for rows, draws in blocks:
+            if k > 0:
+                block_flat = flat[draws]
+                # the last epoch's negatives are the only nonzero cells besides the
+                # positives, which this epoch overwrites and which no negative ever is
+                dloss[block_flat] = 0.0
+                np.add(negs[draws], neg_row_start[draws], out=block_flat)
+                # a cell drawn c times must hold the dense count product c * sigmoid: up to
+                # _DIRECT_ADDS draws per row, c adds from 0.0 round as it does; beyond,
+                # np.add.at counts c exactly and dloss[block_flat] *= gathers before it
+                # writes, so every repeated write of a cell stores that same product
+                if k <= _DIRECT_ADDS:
+                    np.add.at(dloss, block_flat, neg_sigma[draws])
+                else:
+                    np.add.at(dloss, block_flat, 1.0)
+                    dloss[block_flat] *= neg_sigma[draws]
+            dloss[pos_flat[rows]] = pos_dloss[rows]
         return dloss.reshape(n, a_count)
 
     theta, neg_scores = _logistic_descent(ux, xs, a_count, fill, config.epochs, config.learning_rate, config.l2)

@@ -782,6 +782,17 @@ class TestBadInputEntersAsConfigError:
         assert main(["ope", "--config", str(cfg)]) == 2
         assert f"invalid {key}" in capsys.readouterr().err
 
+    def test_ope_refuses_n_seeds_beside_seeds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "unread-n-seeds")
+        config = json.loads(cfg.read_text())
+        config["ope"].update({"seeds": [7, 9], "n_seeds": 2})
+        cfg.write_text(json.dumps(config))
+        run_ok(["generate", "--config", str(cfg)])
+        capsys.readouterr()
+        assert main(["ope", "--config", str(cfg)]) == 2
+        assert "invalid n_seeds" in capsys.readouterr().err
+        assert not (tmp_path / "unread-n-seeds" / "ope_summary.json").exists()
+
     @pytest.mark.parametrize("command, section, value", [
         ("generate", "env", -1),
         ("generate", "env", 1.5),

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uips.core import LoggedDataset, SoftmaxLinearPolicy, make_rng
+from uips import logging_fit
+from uips.core import LoggedDataset, SoftmaxLinearPolicy, _product_contexts, make_rng
 from uips.logging_fit import (
     FitError,
     LoggingFitConfig,
@@ -95,6 +98,52 @@ def _random_log(seed, n, n_contexts, dim, action_count):
     )
 
 
+def _distinct_log(seed, n, dim, action_count):
+    """A log in which every row has its own context."""
+    rng = make_rng(seed)
+    return LoggedDataset(
+        xs=rng.standard_normal((n, dim)), actions=rng.integers(0, action_count, n),
+        rewards=np.zeros(n), action_count=action_count,
+    )
+
+
+def _block_spanning_rows(action_count):
+    """Two and a half of the fill's row blocks at ``action_count`` actions."""
+    block = logging_fit._FILL_BLOCK_CELLS // action_count
+    return 2 * block + block // 2
+
+
+def _negative_cell_counts(ds, config):
+    """Each epoch's (n, action_count) counts of negative draws, replaying the fit's RNG
+    stream."""
+    rng = make_rng(config.seed)
+    n, a_count = len(ds), ds.action_count
+    k = min(config.negatives, a_count - 1)
+    for _ in range(config.epochs):
+        negs = rng.integers(0, a_count - 1, size=(n, k))
+        negs += negs >= ds.actions[:, None]
+        flat = (np.arange(n)[:, None] * a_count + negs).ravel()
+        yield np.bincount(flat, minlength=n * a_count).reshape(n, a_count)
+
+
+def _recorded_fill_steps(monkeypatch, ds, config):
+    """Fit ``ds`` and return each epoch's negated score table and loss derivative, as
+    the fit's fill saw and returned them."""
+    steps = []
+    descent = logging_fit._logistic_descent
+
+    def recording_descent(score_rows, xs, action_count, fill, *args):
+        def recording_fill(neg_scores):
+            dloss = fill(neg_scores)
+            steps.append((neg_scores.copy(), dloss.copy()))
+            return dloss
+        return descent(score_rows, xs, action_count, recording_fill, *args)
+
+    monkeypatch.setattr(logging_fit, "_logistic_descent", recording_descent)
+    fit_logging_policy(ds, config)
+    return steps
+
+
 def _desk_ope_log():
     env = build_env(EnvConfig(dim=16, action_count=50, train_size=200, validation_size=50, test_size=100, tau=0.5))
     return generate_log_per_context(env, 100, make_rng(3))
@@ -130,7 +179,45 @@ class TestFitMatchesDenseReference:
              "no-negatives-all-distinct", "repeated-negatives", "repeated-negatives-all-distinct"],
     )
     def test_theta_and_diagnostics_are_bit_identical(self, make_log, config, table):
+        self._assert_matches_dense(make_log(), config, table)
+
+    # a row draws min(negatives, action_count - 1) negatives, so a cell is drawn up to that
+    # many times: up to 5 the fill adds the sigmoids directly, from 6 it counts and scales.
+    # Each log spans two and a half row blocks
+    @pytest.mark.parametrize(
+        "make_log, config, table, counts",
+        [
+            (lambda: _random_log(40, _block_spanning_rows(6), 40, 5, 6),
+             LoggingFitConfig(epochs=3, negatives=5, seed=15), True, {4, 5}),
+            (lambda: _distinct_log(41, _block_spanning_rows(6), 5, 6),
+             LoggingFitConfig(epochs=3, negatives=5, seed=16), False, {4, 5}),
+            (lambda: _random_log(42, _block_spanning_rows(7), 40, 5, 7),
+             LoggingFitConfig(epochs=3, negatives=6, seed=17), True, {6}),
+            (lambda: _distinct_log(43, _block_spanning_rows(7), 5, 7),
+             LoggingFitConfig(epochs=3, negatives=8, seed=18), False, {6}),
+        ],
+        ids=["five-draws-of-a-cell", "five-draws-of-a-cell-all-distinct",
+             "six-draws-of-a-cell", "six-draws-of-a-cell-all-distinct"],
+    )
+    def test_cells_drawn_many_times_are_bit_identical(self, monkeypatch, make_log, config, table, counts):
         ds = make_log()
+        self._assert_matches_dense(ds, config, table)
+        # each epoch's loss derivative is the dense one: a one-ulp error in a cell can
+        # vanish in the gradient product's rounding, so theta alone would not show it
+        _, context = _product_contexts(ds.xs)
+        rows = np.arange(len(ds))
+        reached = set()
+        steps = _recorded_fill_steps(monkeypatch, ds, config)
+        for (neg_scores, dloss), neg_counts in zip(steps, _negative_cell_counts(ds, config), strict=True):
+            reached.update(np.unique(neg_counts).tolist())
+            p = (1.0 / (1.0 + np.exp(neg_scores)))[context]
+            expected = p * neg_counts
+            expected[rows, ds.actions] = p[rows, ds.actions] - 1.0
+            np.testing.assert_array_equal(dloss, expected)
+        assert counts <= reached
+
+    @staticmethod
+    def _assert_matches_dense(ds, config, table):
         k = min(config.negatives, ds.action_count - 1)
         assert (len(np.unique(ds.xs, axis=0)) * ds.action_count < len(ds) * (k + 1)) == table
         theta, diagnostics = dense_fit_reference(ds, config)
@@ -159,6 +246,25 @@ class TestFitMatchesDenseReference:
         ds.xs[7, 2] = np.nan
         with pytest.raises(FitError):
             fit_logging_policy(ds, LoggingFitConfig(epochs=3))
+
+
+class TestDirectSigmoidAdds:
+    """The arithmetic the fill's direct adds rest on: from 0.0, c <= 5 sequential adds of a
+    sigmoid round as the count product c * sigmoid does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=logging_fit._DIRECT_ADDS))
+    def test_sequential_adds_round_as_the_product(self, sigma, c):
+        cell = np.zeros(1)
+        np.add.at(cell, np.zeros(c, dtype=np.intp), sigma)
+        assert cell[0] == c * sigma
+
+    def test_six_adds_can_differ_from_the_product(self):
+        # why a fill of more than _DIRECT_ADDS negatives per row counts and scales
+        cell = np.zeros(1)
+        np.add.at(cell, np.zeros(6, dtype=np.intp), 0.1)
+        assert cell[0] == 0.6
+        assert 6 * 0.1 == 0.6000000000000001
 
 
 class TestAccumulateGrams:
